@@ -232,11 +232,10 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
         "mesh_error": "unavailable (no body mesh in scope)",
     })
 
-    def accumulate(method_rows, gt, pred, fps):
-        n = min(len(gt), len(pred))
+    def accumulate(method_rows, p_gt, pred, fps):
+        n = min(len(p_gt), len(pred))
         p_pred = joint_positions(MotionSequence(pred.frames[:n], fps))
-        p_gt = joint_positions(MotionSequence(gt.frames[:n], fps))
-        d = np.linalg.norm(p_pred - p_gt, axis=2)
+        d = np.linalg.norm(p_pred - p_gt[:n], axis=2)
         method_rows["err_sum"] += float(d.sum())
         method_rows["err_n"] += d.size
         jit = jitter(p_pred, fps)
@@ -254,15 +253,19 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
             "cases": cases,
         })
 
+    # ground-truth FK once per pair; FK is per frame, so a prefix of it is
+    # the FK of the truncated sequence
+    gt_pos = [joint_positions(gt) for gt, _ in pairs]
+
     # clean pass (level 0) and ground-truth jitter reference
     acc_tok, acc_base = fresh(), fresh()
     gt_jit = fresh()
-    for gt, imu in pairs:
+    for (gt, imu), p_gt in zip(pairs, gt_pos):
         pred_t = _tokenized_predict(pipe, imu)
         pred_b = _baseline_predict(base_model, base_stats, imu)
-        accumulate(acc_tok, gt, pred_t, gt.fps)
-        accumulate(acc_base, gt, pred_b, gt.fps)
-        gt_jit["jit_sum"] += jitter(joint_positions(gt), gt.fps)
+        accumulate(acc_tok, p_gt, pred_t, gt.fps)
+        accumulate(acc_base, p_gt, pred_b, gt.fps)
+        gt_jit["jit_sum"] += jitter(p_gt, gt.fps)
         gt_jit["jit_n"] += 1
     finalize("tokenized", 0, acc_tok, len(pairs))
     finalize("baseline", 0, acc_base, len(pairs))
@@ -275,10 +278,10 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
         acc_tok, acc_base = fresh(), fresh()
         cases = 0
         for ci, combo in enumerate(combos):
-            for si, (gt, imu) in enumerate(pairs):
+            for si, ((gt, imu), p_gt) in enumerate(zip(pairs, gt_pos)):
                 corrupted = corrupt_sensors(imu, combo, _case_seed(seed, level, ci, si), noise)
-                accumulate(acc_tok, gt, _tokenized_predict(pipe, corrupted), gt.fps)
-                accumulate(acc_base, gt, _baseline_predict(base_model, base_stats, corrupted),
+                accumulate(acc_tok, p_gt, _tokenized_predict(pipe, corrupted), gt.fps)
+                accumulate(acc_base, p_gt, _baseline_predict(base_model, base_stats, corrupted),
                            gt.fps)
                 cases += 1
         finalize("tokenized", level, acc_tok, cases)

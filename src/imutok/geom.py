@@ -5,15 +5,20 @@ Conventions used throughout the package:
   * the 6D code is the first two columns of the matrix, column-major
   * angular velocity is body-frame (left-trivialized), matching what a
     strapped-down gyroscope reports
+
+Every map is batched over leading axes and keeps them: ``exp_so3`` takes
+(..., 3) to (..., 3, 3); ``log_so3`` and ``angular_velocity`` take
+(..., 3, 3) to (..., 3); the 6D codec maps (..., 6) to and from
+(..., 3, 3). A single vector or matrix is the case of no leading axes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidArgument
+from .errors import DegenerateInput, InvalidArgument, ShapeMismatch
 
-# Below this angle (rad) log/exp switch to the first-order series.
+# Below this angle (rad) log/exp switch to their series forms.
 SMALL_ANGLE = 1e-7
 # Above this angle the log uses the diagonal (near-pi) branch.
 NEAR_PI = np.pi - 1e-4
@@ -21,36 +26,13 @@ NEAR_PI = np.pi - 1e-4
 _EPS_COLUMN = 1e-8
 
 
-def rot6d_to_matrix(r: np.ndarray) -> np.ndarray:
-    """Decode a 6-vector (two leading columns) into a proper rotation matrix.
+def rot6d_to_matrix_batch(r: np.ndarray, fallback: bool = False) -> np.ndarray:
+    """Decode (..., 6) codes (two leading columns) into (..., 3, 3) proper
+    rotation matrices.
 
     Gram-Schmidt: normalize column one, orthogonalize-normalize column two,
     column three is their cross product. Invariant to positive per-column
     scaling of the input.
-    """
-    r = np.asarray(r, dtype=np.float64).reshape(6)
-    a1, a2 = r[:3], r[3:]
-    n1 = np.linalg.norm(a1)
-    if n1 <= _EPS_COLUMN:
-        raise DegenerateInput("first column is near-zero")
-    b1 = a1 / n1
-    a2p = a2 - np.dot(b1, a2) * b1
-    n2 = np.linalg.norm(a2p)
-    if n2 <= _EPS_COLUMN:
-        raise DegenerateInput("columns are parallel or second column near-zero")
-    b2 = a2p / n2
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=1)
-
-
-def matrix_to_rot6d(R: np.ndarray) -> np.ndarray:
-    """Encode a rotation matrix as its first two columns (column-major 6-vector)."""
-    R = np.asarray(R, dtype=np.float64)
-    return np.concatenate([R[:, 0], R[:, 1]])
-
-
-def rot6d_to_matrix_batch(r: np.ndarray, fallback: bool = False) -> np.ndarray:
-    """Vectorized 6D decode for an (..., 6) array.
 
     With ``fallback=True`` degenerate inputs decode to identity instead of
     raising; used when decoding network outputs that carry no guarantee.
@@ -78,64 +60,91 @@ def rot6d_to_matrix_batch(r: np.ndarray, fallback: bool = False) -> np.ndarray:
 
 
 def matrix_to_rot6d_batch(R: np.ndarray) -> np.ndarray:
-    """Vectorized encode for an (..., 3, 3) array."""
+    """Encode (..., 3, 3) rotation matrices as their first two columns,
+    column-major (..., 6)."""
     R = np.asarray(R, dtype=np.float64)
     return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
 
 
+def _skew(v: np.ndarray) -> np.ndarray:
+    """(..., 3) vectors -> (..., 3, 3) cross-product matrices."""
+    K = np.zeros(v.shape + (3,), dtype=np.float64)
+    K[..., 0, 1] = -v[..., 2]
+    K[..., 0, 2] = v[..., 1]
+    K[..., 1, 0] = v[..., 2]
+    K[..., 1, 2] = -v[..., 0]
+    K[..., 2, 0] = -v[..., 1]
+    K[..., 2, 1] = v[..., 0]
+    return K
+
+
 def exp_so3(v: np.ndarray) -> np.ndarray:
-    """Rodrigues: map an axis-angle 3-vector to a rotation matrix."""
-    v = np.asarray(v, dtype=np.float64).reshape(3)
-    theta = np.linalg.norm(v)
-    K = np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    s = np.sin(theta) / theta
-    c = (1.0 - np.cos(theta)) / (theta * theta)
+    """Rodrigues: map (..., 3) axis-angle vectors to (..., 3, 3) rotations.
+
+    Elements below SMALL_ANGLE use the second-order series I + K + K^2/2.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[-1:] != (3,):
+        raise ShapeMismatch(f"expected (..., 3) axis-angle vectors, got {v.shape}")
+    theta = np.linalg.norm(v, axis=-1)
+    small = theta < SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    s = np.where(small, 1.0, np.sin(safe) / safe)[..., None, None]
+    c = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))[..., None, None]
+    K = _skew(v)
     return np.eye(3) + s * K + c * (K @ K)
 
 
+def _log_near_pi(R: np.ndarray, c: float, theta: float, w: np.ndarray) -> np.ndarray:
+    # near pi the skew part vanishes; recover the axis from the exact
+    # symmetric decomposition (R + R^T)/2 - cos(theta) I = (1-cos) a a^T
+    S = 0.5 * (R + R.T) - c * np.eye(3)
+    diag = np.maximum(np.diag(S) / (1.0 - c), 0.0)
+    axis = np.sqrt(diag)
+    k = int(np.argmax(axis))
+    if axis[k] <= 0.0:
+        raise DegenerateInput("cannot extract rotation axis near pi")
+    for i in range(3):
+        if i != k and S[k, i] < 0.0:
+            axis[i] = -axis[i]
+    axis /= np.linalg.norm(axis)
+    # orient so that the (possibly tiny) skew part agrees
+    if np.dot(axis, w) < 0.0:
+        axis = -axis
+    return axis * theta
+
+
 def log_so3(R: np.ndarray) -> np.ndarray:
-    """Inverse Rodrigues with stable small-angle and near-pi branches."""
+    """Inverse Rodrigues: (..., 3, 3) rotations -> (..., 3) axis-angle vectors.
+
+    Each element takes its own branch: the skew part below SMALL_ANGLE, the
+    diagonal decomposition above NEAR_PI (a loop over those elements only),
+    Rodrigues in between.
+    """
     R = np.asarray(R, dtype=np.float64)
-    tr = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
+    if R.shape[-2:] != (3, 3):
+        raise ShapeMismatch(f"expected (..., 3, 3) rotations, got {R.shape}")
+    tr = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) * 0.5, -1.0, 1.0)
     theta = np.arccos(tr)
-    w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if theta < SMALL_ANGLE:
-        # first-order: log(R) ~ skew-part
-        return w
-    if theta > NEAR_PI:
-        # near pi the skew part vanishes; recover the axis from the exact
-        # symmetric decomposition (R + R^T)/2 - cos(theta) I = (1-cos) a a^T
-        c = tr
-        S = 0.5 * (R + R.T) - c * np.eye(3)
-        diag = np.maximum(np.diag(S) / (1.0 - c), 0.0)
-        axis = np.sqrt(diag)
-        k = int(np.argmax(axis))
-        if axis[k] <= 0.0:
-            raise DegenerateInput("cannot extract rotation axis near pi")
-        for i in range(3):
-            if i != k and S[k, i] < 0.0:
-                axis[i] = -axis[i]
-        axis /= np.linalg.norm(axis)
-        # orient so that the (possibly tiny) skew part agrees
-        if np.dot(axis, w) < 0.0:
-            axis = -axis
-        return axis * theta
-    return w * (theta / np.sin(theta))
+    w = 0.5 * np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                        R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+    generic = (theta >= SMALL_ANGLE) & (theta <= NEAR_PI)
+    safe = np.where(generic, theta, 1.0)
+    out = w * np.where(generic, safe / np.sin(safe), 1.0)[..., None]
+    for i in np.flatnonzero(theta > NEAR_PI):
+        idx = np.unravel_index(i, theta.shape)
+        out[idx] = _log_near_pi(R[idx], tr[idx], theta[idx], w[idx])
+    return out
 
 
 def angular_velocity(R_prev: np.ndarray, R_next: np.ndarray, dt: float) -> np.ndarray:
-    """Body-frame angular velocity (rad/s) taking R_prev to R_next over dt."""
+    """Body-frame angular velocity (rad/s) taking R_prev to R_next over dt,
+    for (..., 3, 3) rotation pairs; returns (..., 3)."""
     if dt <= 0.0:
         raise InvalidArgument(f"dt must be positive, got {dt}")
     R_prev = np.asarray(R_prev, dtype=np.float64)
     R_next = np.asarray(R_next, dtype=np.float64)
-    return log_so3(R_prev.T @ R_next) / dt
+    return log_so3(np.swapaxes(R_prev, -1, -2) @ R_next) / dt
 
 
 def slerp(R0: np.ndarray, R1: np.ndarray, w: float) -> np.ndarray:

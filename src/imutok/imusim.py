@@ -176,8 +176,7 @@ def synthesize_imu(track: RawPoseTrack, skel: Skeleton = DEFAULT_SKELETON,
         acc[-1] = (x[-1] - 2.0 * x[-2] + x[-3]) * fps * fps
 
         omega = np.empty((T, 3))
-        for t in range(1, T - 1):
-            omega[t] = geom.angular_velocity(Rs[t - 1], Rs[t + 1], 2 * dt)
+        omega[1:-1] = geom.angular_velocity(Rs[:-2], Rs[2:], 2 * dt)
         omega[0] = geom.angular_velocity(Rs[0], Rs[1], dt)
         omega[-1] = geom.angular_velocity(Rs[-2], Rs[-1], dt)
 
@@ -205,12 +204,13 @@ def apply_drift(seq: InertiaSequence, cfg: NoiseConfig, sensors=None) -> Inertia
         if cfg.drift_sigma_ori > 0:
             inc = rng.normal(0.0, cfg.drift_sigma_ori, size=(T - 1, 3))
             R = geom.rot6d_to_matrix_batch(seq.ori6d[:, i], fallback=True)
-            D = np.eye(3)
-            drifted = np.empty_like(R)
-            drifted[0] = R[0]
-            for t in range(1, T):
-                D = geom.exp_so3(inc[t - 1]) @ D
-                drifted[t] = D @ R[t]
+            # D[t - 1] becomes the walk D_t = exp(inc_{t-1}) @ D_{t-1}, D_0 = I,
+            # composed in frame order
+            D = geom.exp_so3(inc)
+            for t in range(1, T - 1):
+                D[t] = D[t] @ D[t - 1]
+            drifted = R.copy()
+            drifted[1:] = D @ R[1:]
             out[:, 6 * i:6 * i + 6] = geom.matrix_to_rot6d_batch(drifted)
         if cfg.drift_sigma_acc > 0:
             walk = np.zeros((T, 3))
@@ -241,10 +241,7 @@ def apply_corruption(seq: InertiaSequence, cfg: NoiseConfig) -> InertiaSequence:
         if cfg.gaussian_sigma_ori > 0:
             zeta = rng.normal(0.0, cfg.gaussian_sigma_ori, size=(T, 3))
             R = geom.rot6d_to_matrix_batch(seq.ori6d[:, i], fallback=True)
-            pert = np.empty_like(R)
-            for t in range(T):
-                pert[t] = geom.exp_so3(zeta[t]) @ R[t]
-            out[:, sl_ori] = geom.matrix_to_rot6d_batch(pert)
+            out[:, sl_ori] = geom.matrix_to_rot6d_batch(geom.exp_so3(zeta) @ R)
         if cfg.gaussian_sigma_acc > 0:
             out[:, sl_acc] += rng.normal(0.0, cfg.gaussian_sigma_acc, size=(T, 3))
         if cfg.gaussian_sigma_gyr > 0:
@@ -277,10 +274,4 @@ def normalize_acceleration(seq: InertiaSequence, stats: NormStats) -> InertiaSeq
     """Map acceleration channels to (a - mean) / std; other channels untouched."""
     out = seq.frames.copy()
     out[:, SL_ACC] = (out[:, SL_ACC] - stats.mean) / stats.std
-    return InertiaSequence(frames=out, fps=seq.fps)
-
-
-def denormalize_acceleration(seq: InertiaSequence, stats: NormStats) -> InertiaSequence:
-    out = seq.frames.copy()
-    out[:, SL_ACC] = out[:, SL_ACC] * stats.std + stats.mean
     return InertiaSequence(frames=out, fps=seq.fps)

@@ -154,8 +154,7 @@ def build_motion_representation(track: RawPoseTrack, skel: Skeleton = DEFAULT_SK
     phi = geom.matrix_to_rot6d_batch(track.root_rot)
 
     phi_dot = np.empty((T, 3), dtype=np.float64)
-    for t in range(1, T - 1):
-        phi_dot[t] = geom.angular_velocity(track.root_rot[t - 1], track.root_rot[t + 1], 2 * dt)
+    phi_dot[1:-1] = geom.angular_velocity(track.root_rot[:-2], track.root_rot[2:], 2 * dt)
     phi_dot[0] = geom.angular_velocity(track.root_rot[0], track.root_rot[1], dt)
     phi_dot[-1] = geom.angular_velocity(track.root_rot[-2], track.root_rot[-1], dt)
 

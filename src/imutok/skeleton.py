@@ -103,29 +103,13 @@ class Skeleton:
 DEFAULT_SKELETON = Skeleton()
 
 
-def forward_kinematics(skel: Skeleton, root_pos: np.ndarray, root_rot: np.ndarray,
-                       local_rots: np.ndarray) -> np.ndarray:
-    """World positions of all joints for one frame.
-
-    position(j) = position(parent) + R_global(parent) @ rest_offset(j), with
-    R_global composed parent-to-child down the tree.
-    """
-    J = skel.joint_count
-    pos = np.empty((J, 3), dtype=np.float64)
-    glob = np.empty((J, 3, 3), dtype=np.float64)
-    pos[0] = np.asarray(root_pos, dtype=np.float64)
-    glob[0] = np.asarray(root_rot, dtype=np.float64)
-    for j in range(1, J):
-        p = skel.parents[j]
-        pos[j] = pos[p] + glob[p] @ skel.rest_offsets[j]
-        glob[j] = glob[p] @ local_rots[j - 1]
-    return pos
-
-
 def forward_kinematics_sequence(skel: Skeleton, root_pos: np.ndarray, root_rot: np.ndarray,
                                 local_rots: np.ndarray,
                                 return_rotations: bool = False):
-    """Vectorized FK over a sequence.
+    """World joint positions over a sequence.
+
+    position(j) = position(parent) + R_global(parent) @ rest_offset(j), with
+    R_global composed parent-to-child down the tree, for all frames at once.
 
     Args:
         root_pos: (T, 3) root translations.

@@ -31,6 +31,9 @@ _HEADER = struct.Struct("<4sIfHI32sQQ")  # magic, version, fps, l, K, digest, of
 HEADER_BYTES = _HEADER.size
 CRC_BYTES = 4
 
+# largest frame count one pipe packet may declare (18.9 MB of float32)
+MAX_PACKET_FRAMES = 65536
+
 
 @dataclass
 class TokenSequence:
@@ -45,11 +48,14 @@ class TokenSequence:
     start_offset: int = 0
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.uint16)
         if len(self.codebook_digest) != 32:
             raise InvalidArgument("codebook digest must be 32 bytes")
-        if self.tokens.size and int(self.tokens.max()) >= self.K:
+        # range-check before the uint16 cast, which would wrap ids >= 2^16
+        # and negative ids silently
+        tokens = np.asarray(self.tokens)
+        if tokens.size and (int(tokens.min()) < 0 or int(tokens.max()) >= self.K):
             raise InvalidArgument("token id out of codebook range")
+        self.tokens = tokens.astype(np.uint16)
 
     def __len__(self) -> int:
         return self.tokens.size
@@ -182,10 +188,11 @@ def pipe_tokenize(reader, writer, pipe: InferencePipeline,
     """Streaming mode over byte pipes (stdin/stdout style).
 
     Input packets: u32 little-endian frame count, then count*72 float32
-    values. A zero-length packet (or EOF) ends the stream; frames short of a
-    full chunk at that point are dropped. Output packets mirror the input:
-    u32 token count followed by little-endian u16 token ids, one packet per
-    input packet (possibly zero-count). Returns the total token count.
+    values, at most MAX_PACKET_FRAMES frames per packet. A zero-length packet
+    (or EOF) ends the stream; frames short of a full chunk at that point are
+    dropped. Output packets mirror the input: u32 token count followed by
+    little-endian u16 token ids, one packet per input packet (possibly
+    zero-count). Returns the total token count.
     """
     state = StreamState(pipe, chunk_len=chunk_len)
     total = 0
@@ -196,6 +203,8 @@ def pipe_tokenize(reader, writer, pipe: InferencePipeline,
         (count,) = struct.unpack("<I", header)
         if count == 0:
             break
+        if count > MAX_PACKET_FRAMES:
+            raise FormatError(f"packet declares {count} frames, more than {MAX_PACKET_FRAMES}")
         payload = reader.read(count * IMU_WIDTH * 4)
         if len(payload) != count * IMU_WIDTH * 4:
             raise FormatError("truncated frame packet")

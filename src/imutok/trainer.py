@@ -22,6 +22,9 @@ from .motion import SL_CONTACT, SL_JOINT_VEL
 from .skeleton import DEFAULT_SKELETON
 from .vqcodec import LossWeights, ZipfParams
 
+# token ids travel as u16 (TokenSequence, the MJT2 wire format)
+MAX_CODEBOOK_SIZE = 1 << 16
+
 
 @dataclass
 class TrainConfig:
@@ -51,6 +54,8 @@ class TrainConfig:
             raise ConfigInvalid(f"compression rate {self.l} must divide window {self.window}")
         if self.batch_size < 1 or self.total_steps < 1 or self.K < 2:
             raise ConfigInvalid("batch_size/total_steps/K out of range")
+        if self.K > MAX_CODEBOOK_SIZE:
+            raise ConfigInvalid(f"K={self.K} exceeds {MAX_CODEBOOK_SIZE}, the u16 token id range")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigInvalid("gamma must lie in (0, 1)")
         if self.l != 4:

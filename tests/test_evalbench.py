@@ -154,6 +154,12 @@ class TestBenchmark:
         want = float(np.mean(per_sensor))
         assert report.row("tokenized", 1)["mpjpe_cm"] == pytest.approx(want, rel=1e-9)
 
+    def test_ground_truth_jitter_row_is_exact(self, trained_trio, bench_pairs):
+        mp, ip, bp = trained_trio
+        report = run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(), seed=0)
+        want = sum(jitter(joint_positions(gt), gt.fps) for gt, _ in bench_pairs)
+        assert report.row("ground_truth", 0)["jitter"] == want / len(bench_pairs)
+
     def test_identical_seeds_identical_reports(self, trained_trio, bench_pairs):
         mp, ip, bp = trained_trio
         a = run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(1,), seed=5)

@@ -3,62 +3,61 @@ import pytest
 from numpy.testing import assert_allclose
 
 from imutok import geom
-from imutok.errors import DegenerateInput, InvalidArgument
+from imutok.errors import DegenerateInput, InvalidArgument, ShapeMismatch
 
 
 class TestRot6d:
     def test_identity_code_decodes_to_identity(self):
-        R = geom.rot6d_to_matrix([1, 0, 0, 0, 1, 0])
+        R = geom.rot6d_to_matrix_batch([1, 0, 0, 0, 1, 0])
         assert_allclose(R, np.eye(3), atol=1e-12)
 
     def test_scaled_code_decodes_to_identity(self):
-        R = geom.rot6d_to_matrix([2, 0, 0, 0, 3, 0])
+        R = geom.rot6d_to_matrix_batch([2, 0, 0, 0, 3, 0])
         assert_allclose(R, np.eye(3), atol=1e-12)
 
     def test_identity_encodes_to_canonical_code(self):
-        assert_allclose(geom.matrix_to_rot6d(np.eye(3)), [1, 0, 0, 0, 1, 0])
+        assert_allclose(geom.matrix_to_rot6d_batch(np.eye(3)), [1, 0, 0, 0, 1, 0])
 
     def test_z_quarter_turn_encoding(self):
         # 90 degrees about z: columns (0,1,0) and (-1,0,0)
         Rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert_allclose(geom.matrix_to_rot6d(Rz), [0, 1, 0, -1, 0, 0], atol=1e-15)
+        assert_allclose(geom.matrix_to_rot6d_batch(Rz), [0, 1, 0, -1, 0, 0], atol=1e-15)
 
     def test_round_trip_over_random_rotations(self):
         rng = np.random.default_rng(7)
-        for _ in range(1000):
-            R = geom.random_rotation(rng)
-            R2 = geom.rot6d_to_matrix(geom.matrix_to_rot6d(R))
-            assert np.linalg.norm(R2 - R) < 1e-10
+        R = np.stack([geom.random_rotation(rng) for _ in range(1000)])
+        R2 = geom.rot6d_to_matrix_batch(geom.matrix_to_rot6d_batch(R))
+        assert np.linalg.norm(R2 - R, axis=(1, 2)).max() < 1e-10
 
     def test_decoded_matrix_is_proper(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            r = rng.normal(size=6)
-            R = geom.rot6d_to_matrix(r)
-            assert_allclose(R @ R.T, np.eye(3), atol=1e-9)
-            assert abs(np.linalg.det(R) - 1.0) < 1e-9
+        R = geom.rot6d_to_matrix_batch(rng.normal(size=(200, 6)))
+        assert_allclose(R @ np.swapaxes(R, 1, 2), np.broadcast_to(np.eye(3), R.shape),
+                        atol=1e-9)
+        assert np.abs(np.linalg.det(R) - 1.0).max() < 1e-9
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            r = rng.normal(size=6)
-            s1, s2 = rng.uniform(0.1, 10.0, size=2)
-            scaled = np.concatenate([r[:3] * s1, r[3:] * s2])
-            assert_allclose(geom.rot6d_to_matrix(scaled), geom.rot6d_to_matrix(r),
-                            atol=1e-9)
+        r = rng.normal(size=(100, 6))
+        s = rng.uniform(0.1, 10.0, size=(100, 2))
+        scaled = np.concatenate([r[:, :3] * s[:, :1], r[:, 3:] * s[:, 1:]], axis=1)
+        assert_allclose(geom.rot6d_to_matrix_batch(scaled), geom.rot6d_to_matrix_batch(r),
+                        atol=1e-9)
 
     def test_degenerate_inputs_raise(self):
         with pytest.raises(DegenerateInput):
-            geom.rot6d_to_matrix([0, 0, 0, 0, 1, 0])
+            geom.rot6d_to_matrix_batch([0, 0, 0, 0, 1, 0])
         with pytest.raises(DegenerateInput):
-            geom.rot6d_to_matrix([1, 0, 0, 2, 0, 0])  # parallel columns
+            geom.rot6d_to_matrix_batch([1, 0, 0, 2, 0, 0])  # parallel columns
 
     def test_batch_matches_scalar_path(self):
         rng = np.random.default_rng(5)
         codes = rng.normal(size=(50, 6))
         batch = geom.rot6d_to_matrix_batch(codes)
         for i in range(50):
-            assert_allclose(batch[i], geom.rot6d_to_matrix(codes[i]), atol=1e-12)
+            assert_allclose(batch[i], geom.rot6d_to_matrix_batch(codes[i]), atol=1e-12)
+        assert geom.rot6d_to_matrix_batch(codes[0]).shape == (3, 3)
+        assert geom.matrix_to_rot6d_batch(batch[0]).shape == (6,)
 
     def test_batch_fallback_on_degenerate(self):
         codes = np.array([[1, 0, 0, 0, 1, 0], [0, 0, 0, 0, 1, 0.0]])
@@ -154,3 +153,122 @@ class TestSlerp:
         R1 = geom.exp_so3([0, 0, 0.8])
         mid = geom.slerp(R0, R1, 0.5)
         assert_allclose(mid, geom.exp_so3([0, 0, 0.4]), atol=1e-12)
+
+
+# Per-element references: the scalar SO(3) maps as they were before the
+# batched versions replaced them.
+
+def ref_exp_so3(v):
+    v = np.asarray(v, dtype=np.float64).reshape(3)
+    theta = np.linalg.norm(v)
+    K = np.array([
+        [0.0, -v[2], v[1]],
+        [v[2], 0.0, -v[0]],
+        [-v[1], v[0], 0.0],
+    ])
+    if theta < geom.SMALL_ANGLE:
+        return np.eye(3) + K + 0.5 * (K @ K)
+    s = np.sin(theta) / theta
+    c = (1.0 - np.cos(theta)) / (theta * theta)
+    return np.eye(3) + s * K + c * (K @ K)
+
+
+def ref_log_so3(R):
+    R = np.asarray(R, dtype=np.float64)
+    tr = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
+    theta = np.arccos(tr)
+    w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if theta < geom.SMALL_ANGLE:
+        return w
+    if theta > geom.NEAR_PI:
+        c = tr
+        S = 0.5 * (R + R.T) - c * np.eye(3)
+        diag = np.maximum(np.diag(S) / (1.0 - c), 0.0)
+        axis = np.sqrt(diag)
+        k = int(np.argmax(axis))
+        for i in range(3):
+            if i != k and S[k, i] < 0.0:
+                axis[i] = -axis[i]
+        axis /= np.linalg.norm(axis)
+        if np.dot(axis, w) < 0.0:
+            axis = -axis
+        return axis * theta
+    return w * (theta / np.sin(theta))
+
+
+def ref_angular_velocity(R_prev, R_next, dt):
+    return ref_log_so3(np.asarray(R_prev).T @ np.asarray(R_next)) / dt
+
+
+def _per_element(fn, x, core_ndim, *rest):
+    """Apply a single-element reference over every leading index of x."""
+    lead = x.shape[:x.ndim - core_ndim]
+    out = None
+    for idx in np.ndindex(*lead):
+        y = fn(x[idx], *(r[idx] for r in rest))
+        if out is None:
+            out = np.empty(lead + y.shape)
+        out[idx] = y
+    return out
+
+
+def _mixed_vectors(rng):
+    """Small-angle, generic and near-pi axis-angle vectors, interleaved."""
+    axes = rng.normal(size=(12, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.array([0.0, 1e-9, 3e-8, 0.2, 1.0, 2.5, 3.0,
+                       np.pi - 1e-6, np.pi - 3e-5, 1e-10, 1.7, np.pi - 2e-5])
+    return axes * angles[:, None]
+
+
+TOL = dict(rtol=1e-12, atol=1e-14)
+
+
+class TestBatchedMaps:
+    @pytest.mark.parametrize("shape", [(), (40,), (10, 5)])
+    def test_exp_matches_reference(self, shape):
+        rng = np.random.default_rng(41)
+        v = rng.normal(scale=1.0, size=shape + (3,))
+        out = geom.exp_so3(v)
+        assert out.shape == shape + (3, 3)
+        assert_allclose(out, _per_element(ref_exp_so3, v, 1), **TOL)
+
+    @pytest.mark.parametrize("shape", [(), (40,), (10, 5)])
+    def test_log_matches_reference(self, shape):
+        rng = np.random.default_rng(43)
+        R = _per_element(ref_exp_so3, rng.normal(size=shape + (3,)), 1)
+        out = geom.log_so3(R)
+        assert out.shape == shape + (3,)
+        assert_allclose(out, _per_element(ref_log_so3, R, 2), **TOL)
+
+    @pytest.mark.parametrize("shape", [(), (40,), (10, 5)])
+    def test_angular_velocity_matches_reference(self, shape):
+        rng = np.random.default_rng(47)
+        R0 = _per_element(ref_exp_so3, rng.normal(size=shape + (3,)), 1)
+        R1 = _per_element(ref_exp_so3, rng.normal(size=shape + (3,)), 1)
+        out = geom.angular_velocity(R0, R1, 0.02)
+        assert out.shape == shape + (3,)
+        want = _per_element(lambda a, b: ref_angular_velocity(a, b, 0.02), R0, 2, R1)
+        assert_allclose(out, want, **TOL)
+
+    def test_mixed_branches_per_element(self):
+        v = _mixed_vectors(np.random.default_rng(53))
+        with np.errstate(all="raise"):
+            R = geom.exp_so3(v)
+            logs = geom.log_so3(R)
+            back = geom.log_so3(R.reshape(3, 4, 3, 3))
+            w = geom.angular_velocity(np.broadcast_to(np.eye(3), R.shape), R, 0.5)
+            assert_allclose(R, _per_element(ref_exp_so3, v, 1), **TOL)
+            assert_allclose(logs, _per_element(ref_log_so3, R, 2), **TOL)
+        assert_allclose(back.reshape(12, 3), logs, **TOL)
+        assert_allclose(w, logs / 0.5, **TOL)
+        # every branch was taken at least once
+        theta = np.linalg.norm(v, axis=1)
+        assert (theta < geom.SMALL_ANGLE).any() and (theta > geom.NEAR_PI).any()
+        assert ((theta > geom.SMALL_ANGLE) & (theta < geom.NEAR_PI)).any()
+
+    def test_shape_checked(self):
+        with pytest.raises(ShapeMismatch):
+            geom.exp_so3(np.zeros((4, 2)))
+        with pytest.raises(ShapeMismatch):
+            geom.log_so3(np.zeros((4, 3)))

@@ -8,7 +8,7 @@ from imutok.motion import (MOTION_WIDTH, RawPoseTrack,
                            build_motion_representation, derive_contacts,
                            generate_synthetic_motion, resample, track_from_motion)
 from imutok.skeleton import (DEFAULT_SKELETON, STANDING_ROOT_HEIGHT, Skeleton,
-                             forward_kinematics, forward_kinematics_sequence)
+                             forward_kinematics_sequence)
 
 
 def _static_track(T=60, fps=60.0, root_y=STANDING_ROOT_HEIGHT):
@@ -38,11 +38,17 @@ class TestSkeleton:
             Skeleton(foot_joints=(0, 4, 10, 9))
 
 
+def _fk_frame(skel, root_pos, root_rot, local_rots):
+    """FK of one frame through the sequence function."""
+    return forward_kinematics_sequence(skel, np.asarray(root_pos)[None],
+                                       np.asarray(root_rot)[None],
+                                       np.asarray(local_rots)[None])[0]
+
+
 class TestForwardKinematics:
     def test_identity_pose_gives_cumulative_offsets(self):
         skel = DEFAULT_SKELETON
-        pos = forward_kinematics(skel, np.zeros(3), np.eye(3),
-                                 np.tile(np.eye(3), (21, 1, 1)))
+        pos = _fk_frame(skel, np.zeros(3), np.eye(3), np.tile(np.eye(3), (21, 1, 1)))
         expected = np.zeros((22, 3))
         for j in range(1, 22):
             expected[j] = expected[skel.parents[j]] + skel.rest_offsets[j]
@@ -51,8 +57,8 @@ class TestForwardKinematics:
     def test_root_translation_equivariance(self):
         skel = DEFAULT_SKELETON
         rots = np.tile(np.eye(3), (21, 1, 1))
-        base = forward_kinematics(skel, np.zeros(3), np.eye(3), rots)
-        moved = forward_kinematics(skel, np.array([1.0, 0, 0]), np.eye(3), rots)
+        base = _fk_frame(skel, np.zeros(3), np.eye(3), rots)
+        moved = _fk_frame(skel, np.array([1.0, 0, 0]), np.eye(3), rots)
         assert_allclose(moved, base + np.array([1.0, 0, 0]), atol=1e-14)
 
     def test_two_link_chain_with_bent_middle_joint(self):
@@ -62,18 +68,19 @@ class TestForwardKinematics:
                         rest_offsets=np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0.0]]),
                         foot_joints=(2, 2, 2, 2))
         rots = np.stack([geom.exp_so3([0, 0, np.pi / 2]), np.eye(3)])
-        pos = forward_kinematics(skel, np.zeros(3), np.eye(3), rots)
+        pos = _fk_frame(skel, np.zeros(3), np.eye(3), rots)
         assert_allclose(pos[2], [1.0, 1.0, 0.0], atol=1e-12)
 
     def test_bone_lengths_are_rigid_for_random_poses(self):
         skel = DEFAULT_SKELETON
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            rots = np.stack([geom.random_rotation(rng) for _ in range(21)])
-            pos = forward_kinematics(skel, rng.normal(size=3), geom.random_rotation(rng), rots)
-            for j in range(1, 22):
-                bone = np.linalg.norm(pos[j] - pos[skel.parents[j]])
-                assert_allclose(bone, np.linalg.norm(skel.rest_offsets[j]), atol=1e-12)
+        T = 20
+        rots = np.stack([[geom.random_rotation(rng) for _ in range(21)] for _ in range(T)])
+        root_rot = np.stack([geom.random_rotation(rng) for _ in range(T)])
+        pos = forward_kinematics_sequence(skel, rng.normal(size=(T, 3)), root_rot, rots)
+        for j in range(1, 22):
+            bone = np.linalg.norm(pos[:, j] - pos[:, skel.parents[j]], axis=1)
+            assert_allclose(bone, np.linalg.norm(skel.rest_offsets[j]), atol=1e-12)
 
 
 class TestRepresentation:

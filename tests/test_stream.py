@@ -155,6 +155,25 @@ class TestPipeMode:
         with pytest.raises(FormatError):
             stream.pipe_tokenize(blob, io.BytesIO(), pipeline)
 
+    def test_oversized_packet_rejected_before_reading_payload(self, pipeline):
+        import io
+        import struct
+
+        class RecordingReader(io.BytesIO):
+            def __init__(self, data):
+                super().__init__(data)
+                self.requests = []
+
+            def read(self, n=-1):
+                self.requests.append(n)
+                return super().read(n)
+
+        for count in (0xFFFFFFFF, stream.MAX_PACKET_FRAMES + 1):
+            reader = RecordingReader(struct.pack("<I", count) + b"\x00" * 64)
+            with pytest.raises(FormatError):
+                stream.pipe_tokenize(reader, io.BytesIO(), pipeline)
+            assert reader.requests == [4]
+
 
 class TestWireFormat:
     def test_round_trip(self, tmp_path):
@@ -216,3 +235,13 @@ class TestWireFormat:
         with pytest.raises(InvalidArgument):
             TokenSequence(tokens=np.array([99], dtype=np.uint16), l=4, fps=60.0,
                           K=12, codebook_digest=bytes(32))
+
+    def test_token_ids_checked_before_the_u16_cast(self):
+        # 65539 and -1 would wrap to 3 and 65535 under a uint16 cast
+        for ids, K in (([1, 65539], 12), ([-1], 1 << 16), ([0, -5], 12)):
+            with pytest.raises(InvalidArgument):
+                TokenSequence(tokens=np.array(ids, dtype=np.int64), l=4, fps=60.0,
+                              K=K, codebook_digest=bytes(32))
+        tok = TokenSequence(tokens=np.array([0, 65535]), l=4, fps=60.0, K=1 << 16,
+                            codebook_digest=bytes(32))
+        assert tok.tokens.dtype == np.uint16 and tok.tokens.tolist() == [0, 65535]

@@ -47,6 +47,11 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             TrainConfig(gamma=1.0)
 
+    def test_codebook_size_fits_u16_token_ids(self):
+        assert TrainConfig(K=1 << 16).K == 65536
+        with pytest.raises(ConfigInvalid):
+            TrainConfig(K=(1 << 16) + 1)
+
 
 class TestWindows:
     def test_stride_is_half_window(self):
