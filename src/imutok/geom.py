@@ -147,15 +147,6 @@ def angular_velocity(R_prev: np.ndarray, R_next: np.ndarray, dt: float) -> np.nd
     return log_so3(np.swapaxes(R_prev, -1, -2) @ R_next) / dt
 
 
-def slerp(R0: np.ndarray, R1: np.ndarray, w: float) -> np.ndarray:
-    """Geodesic interpolation R0 -> R1 at fraction w in [0, 1]."""
-    if w == 0.0:
-        return np.asarray(R0, dtype=np.float64).copy()
-    if w == 1.0:
-        return np.asarray(R1, dtype=np.float64).copy()
-    return R0 @ exp_so3(w * log_so3(np.asarray(R0).T @ np.asarray(R1)))
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation matrix (via a normalized 4-vector)."""
     q = rng.normal(size=4)

@@ -118,8 +118,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+        # a copy, since g may alias another node's buffer; the gradient takes
+        # the value's memory layout, which fixes the summation order of the
+        # reductions downstream of it
+        t.grad = np.empty_like(t.value)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def backward(root: Tensor) -> None:
@@ -434,10 +439,30 @@ def binary_cross_entropy(p, target, eps: float = 1e-7) -> Tensor:
 # ---------------------------------------------------------------------------
 # 1D convolution
 
+def _conv_taps(T: int, Tout: int, k: int, stride: int, padding: int):
+    """Per kernel tap j, the output steps [t0, t1) whose input position
+    stride*t + j - padding lies inside [0, T), and the input slice they read.
+    Taps that read only padding are left out."""
+    taps = []
+    for j in range(k):
+        t0 = max(0, -((j - padding) // stride))
+        t1 = min(Tout, (T - 1 + padding - j) // stride + 1)
+        if t1 > t0:
+            s0 = stride * t0 + j - padding
+            taps.append((j, t0, t1, slice(s0, s0 + stride * (t1 - t0 - 1) + 1, stride)))
+    return taps
+
+
 def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
     """Strided cross-correlation over (B, C, T) or (C, T) input.
 
     Output time length is floor((T + 2*padding - k) / stride) + 1.
+
+    Each pass is one 2-D GEMM over a channel-major (Cin*k, B*Tout) column
+    matrix; padded positions are the zeros the tap copies leave untouched.
+    The output is a (B, Cout, Tout) view of a (Cout, B, Tout) array, so the
+    next conv's tap copies read contiguous rows and the incoming gradient
+    reshapes to (Cout, B*Tout) without a copy.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     squeeze = x.value.ndim == 2
@@ -451,26 +476,31 @@ def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor
     Tp = T + 2 * padding
     if Tp < k:
         raise ShapeMismatch(f"time axis too short: {T} (+2*{padding}) < kernel {k}")
-    xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding))) if padding else xv
     Tout = (Tp - k) // stride + 1
-    v = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    cols = np.ascontiguousarray(v.transpose(0, 1, 3, 2)).reshape(B, Cin * k, Tout)
+    taps = _conv_taps(T, Tout, k, stride, padding)
+    xc = xv.transpose(1, 0, 2)                                  # (Cin, B, T)
+    cols = np.zeros((Cin, k, B, Tout), dtype=xv.dtype)
+    for j, t0, t1, src in taps:
+        cols[:, j, :, t0:t1] = xc[:, :, src]
+    cols = cols.reshape(Cin * k, B * Tout)
     w_flat = weight.value.reshape(Cout, Cin * k)
-    out_val = np.matmul(w_flat, cols) + bias.value[:, None]
+    y = np.empty((Cout, B, Tout), dtype=np.result_type(xv, w_flat, bias.value))
+    np.matmul(w_flat, cols, out=y.reshape(Cout, B * Tout))
+    y += bias.value[:, None, None]
+    out_val = y.transpose(1, 0, 2)
     if squeeze:
         out_val = out_val[0]
 
     def bw(g):
-        gy = g[None] if squeeze else g
-        _accum(weight, np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.value.shape))
-        _accum(bias, gy.sum(axis=(0, 2)))
+        g2 = (g[:, None] if squeeze else g.transpose(1, 0, 2)).reshape(Cout, B * Tout)
+        _accum(weight, (g2 @ cols.T).reshape(weight.value.shape))
+        _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
-            gcols = np.matmul(w_flat.T, gy).reshape(B, Cin, k, Tout)
-            gxp = np.zeros((B, Cin, Tp), dtype=xv.dtype)
-            for j in range(k):
-                gxp[:, :, j:j + stride * Tout:stride] += gcols[:, :, j, :]
-            gx = gxp[:, :, padding:Tp - padding] if padding else gxp
-            _accum(x, gx[0] if squeeze else gx)
+            gcols = (w_flat.T @ g2).reshape(Cin, k, B, Tout)
+            gx = np.zeros((Cin, B, T), dtype=xv.dtype)
+            for j, t0, t1, dst in taps:
+                gx[:, :, dst] += gcols[:, j, :, t0:t1]
+            _accum(x, gx[:, 0] if squeeze else gx.transpose(1, 0, 2))
 
     return _make(out_val, (x, weight, bias), bw)
 

@@ -187,40 +187,6 @@ def track_from_motion(seq: MotionSequence, fallback: bool = True) -> RawPoseTrac
                         fps=seq.fps)
 
 
-def resample(track: RawPoseTrack, target_fps: float) -> RawPoseTrack:
-    """Resample a track: linear translations, geodesic rotations.
-
-    Sample i of the output maps to source position i * src_fps / target_fps;
-    integer positions copy source frames exactly.
-    """
-    if target_fps <= 0:
-        raise InvalidArgument(f"target_fps must be positive, got {target_fps}")
-    if target_fps == track.fps:
-        return RawPoseTrack(track.root_pos.copy(), track.root_rot.copy(),
-                            track.local_rots.copy(), track.fps)
-    T = len(track)
-    ratio = track.fps / target_fps
-    n_out = int(np.floor((T - 1) / ratio)) + 1
-    root_pos = np.empty((n_out, 3))
-    root_rot = np.empty((n_out, 3, 3))
-    local = np.empty((n_out, LOCAL_JOINT_COUNT, 3, 3))
-    for i in range(n_out):
-        tau = i * ratio
-        i0 = min(int(np.floor(tau)), T - 1)
-        w = tau - i0
-        if w < 1e-12 or i0 == T - 1:
-            root_pos[i] = track.root_pos[i0]
-            root_rot[i] = track.root_rot[i0]
-            local[i] = track.local_rots[i0]
-            continue
-        i1 = i0 + 1
-        root_pos[i] = (1 - w) * track.root_pos[i0] + w * track.root_pos[i1]
-        root_rot[i] = geom.slerp(track.root_rot[i0], track.root_rot[i1], w)
-        for j in range(LOCAL_JOINT_COUNT):
-            local[i, j] = geom.slerp(track.local_rots[i0, j], track.local_rots[i1, j], w)
-    return RawPoseTrack(root_pos, root_rot, local, float(target_fps))
-
-
 # ---------------------------------------------------------------------------
 # procedural motion styles
 

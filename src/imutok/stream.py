@@ -50,9 +50,11 @@ class TokenSequence:
     def __post_init__(self):
         if len(self.codebook_digest) != 32:
             raise InvalidArgument("codebook digest must be 32 bytes")
-        # range-check before the uint16 cast, which would wrap ids >= 2^16
-        # and negative ids silently
+        # dtype- and range-check before the uint16 cast, which would truncate
+        # fractional ids and wrap ids >= 2^16 and negative ids silently
         tokens = np.asarray(self.tokens)
+        if tokens.dtype.kind not in "iu":
+            raise InvalidArgument(f"token ids must be integers, got dtype {tokens.dtype}")
         if tokens.size and (int(tokens.min()) < 0 or int(tokens.max()) >= self.K):
             raise InvalidArgument("token id out of codebook range")
         self.tokens = tokens.astype(np.uint16)
@@ -89,6 +91,13 @@ def _prepare_frames(frames: np.ndarray, stats: NormStats) -> np.ndarray:
     return x.astype(np.float32)
 
 
+def _check_finite(frames: np.ndarray) -> None:
+    # argmin over a NaN distance row returns 0, so a non-finite frame would
+    # silently become token 0 for every latent step that sees it
+    if not np.isfinite(frames).all():
+        raise InvalidArgument("IMU frames contain NaN or infinite values")
+
+
 def _encode_chunk(pipe: InferencePipeline, chunk: np.ndarray) -> np.ndarray:
     """Raw (n, 72) frames -> token ids for one chunk."""
     x = _prepare_frames(chunk, pipe.stats)
@@ -116,10 +125,14 @@ class StreamState:
 
 
 def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
-    """Buffer incoming (n, 72) frames; emit chunk_len/4 tokens per full chunk."""
+    """Buffer incoming (n, 72) frames; emit chunk_len/4 tokens per full chunk.
+
+    Raises InvalidArgument, buffering nothing, if any frame is not finite.
+    """
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != IMU_WIDTH:
         raise FormatError(f"stream frames must be (n, {IMU_WIDTH}), got {frames.shape}")
+    _check_finite(frames)
     state.buffer.extend(np.asarray(f, dtype=np.float64) for f in frames)
     state.frames_seen += frames.shape[0]
     out = []
@@ -141,9 +154,10 @@ def tokenize_sequence(seq: InertiaSequence, pipe: InferencePipeline,
     With a chunk_len, frames are encoded in independent chunk-sized blocks
     (identical to the online path; trailing frames short of a chunk are
     dropped). With chunk_len=None the whole sequence is encoded in one
-    convolutional pass.
+    convolutional pass. Raises InvalidArgument if any frame is not finite.
     """
     frames = np.asarray(seq.frames, dtype=np.float64)
+    _check_finite(frames)
     if chunk_len is None:
         ids = _encode_chunk(pipe, frames) if frames.shape[0] >= 4 else np.empty(0, np.uint16)
     else:

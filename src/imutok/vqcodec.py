@@ -27,6 +27,9 @@ DEAD_FRACTION = 1e-3
 DEAD_PATIENCE = 50
 REINIT_MASS = 1.0
 
+# bytes of the (rows, K, d_z) difference block quantize materializes at once
+QUANTIZE_BLOCK_BYTES = 32 << 20
+
 
 @dataclass(frozen=True)
 class ZipfParams:
@@ -165,7 +168,8 @@ def quantize(latents, cb) -> tuple:
 
     Distances are evaluated as elementwise (z-c)^2 sums (not the expanded
     inner-product form), so exact ties resolve identically to a per-pair
-    scan: the lowest index wins.
+    scan: the lowest index wins. Latent rows are processed in blocks whose
+    difference array stays within QUANTIZE_BLOCK_BYTES (at least one row).
 
     Returns (indices (S,), codes (S, d_z)).
     """
@@ -175,10 +179,12 @@ def quantize(latents, cb) -> tuple:
         raise ShapeMismatch(f"latents {Z.shape} incompatible with codebook {C.shape}")
     S = Z.shape[0]
     indices = np.empty(S, dtype=np.int64)
-    block = 2048
+    row_bytes = C.shape[0] * C.shape[1] * np.result_type(Z, C).itemsize
+    block = max(1, QUANTIZE_BLOCK_BYTES // max(row_bytes, 1))
     for lo in range(0, S, block):
         hi = min(lo + block, S)
-        d = np.sum((Z[lo:hi, None, :] - C[None, :, :]) ** 2, axis=2)
+        diff = Z[lo:hi, None, :] - C[None, :, :]
+        d = np.sum(np.square(diff, out=diff), axis=2)
         indices[lo:hi] = np.argmin(d, axis=1)
     return indices, C[indices]
 
@@ -192,9 +198,7 @@ def straight_through(latents: Tensor, codes: np.ndarray) -> Tensor:
         return Tensor(codes)
 
     def bw(g):
-        if latents.grad is None:
-            latents.grad = np.zeros_like(latents.value)
-        latents.grad += g
+        gn._accum(latents, g)
 
     return Tensor(codes, requires_grad=True, _parents=(latents,), _backward=bw)
 

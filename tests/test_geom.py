@@ -141,20 +141,6 @@ class TestAngularVelocity:
             assert abs(np.linalg.norm(w) * dt - angle) < 1e-7
 
 
-class TestSlerp:
-    def test_endpoints(self):
-        rng = np.random.default_rng(17)
-        R0, R1 = geom.random_rotation(rng), geom.random_rotation(rng)
-        assert_allclose(geom.slerp(R0, R1, 0.0), R0)
-        assert_allclose(geom.slerp(R0, R1, 1.0), R1)
-
-    def test_midpoint_of_constant_rate(self):
-        R0 = np.eye(3)
-        R1 = geom.exp_so3([0, 0, 0.8])
-        mid = geom.slerp(R0, R1, 0.5)
-        assert_allclose(mid, geom.exp_so3([0, 0, 0.4]), atol=1e-12)
-
-
 # Per-element references: the scalar SO(3) maps as they were before the
 # batched versions replaced them.
 

@@ -37,6 +37,45 @@ def leaf(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+def naive_conv(x, w, b, s, p):
+    """Nested-loop cross-correlation of a (B, Cin, T) input."""
+    B, Cin, T = x.shape
+    Cout, _, k = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p)))
+    Tout = (T + 2 * p - k) // s + 1
+    out = np.zeros((B, Cout, Tout))
+    for bi in range(B):
+        for o in range(Cout):
+            for t in range(Tout):
+                acc = b[o]
+                for c in range(Cin):
+                    for j in range(k):
+                        acc += w[o, c, j] * xp[bi, c, t * s + j]
+                out[bi, o, t] = acc
+    return out
+
+
+def im2col_conv_reference(x, w, b, stride, padding, g):
+    """Forward output and (dW, db, dX) for upstream gradient g, by an
+    im2col over np.pad with one small matmul per batch element."""
+    B, Cin, T = x.shape
+    Cout, _, k = w.shape
+    Tp = T + 2 * padding
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    Tout = (Tp - k) // stride + 1
+    v = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
+    cols = np.ascontiguousarray(v.transpose(0, 1, 3, 2)).reshape(B, Cin * k, Tout)
+    w_flat = w.reshape(Cout, Cin * k)
+    out = np.matmul(w_flat, cols) + b[:, None]
+    gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gb = g.sum(axis=(0, 2))
+    gcols = np.matmul(w_flat.T, g).reshape(B, Cin, k, Tout)
+    gxp = np.zeros((B, Cin, Tp))
+    for j in range(k):
+        gxp[:, :, j:j + stride * Tout:stride] += gcols[:, :, j, :]
+    return out, (gw, gb, gxp[:, :, padding:padding + T])
+
+
 class TestBasics:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
@@ -197,19 +236,30 @@ class TestConv1d:
             layer = Conv1d(Cin, Cout, k, stride=s, padding=p, rng=rng, dtype=np.float64)
             x = rng.normal(size=(B, Cin, T))
             got = layer(Tensor(x)).value
-            # nested-loop oracle
-            xp = np.pad(x, ((0, 0), (0, 0), (p, p)))
-            Tout = (T + 2 * p - k) // s + 1
-            want = np.zeros((B, Cout, Tout))
-            for b in range(B):
-                for o in range(Cout):
-                    for t in range(Tout):
-                        acc = layer.bias.value[o]
-                        for c in range(Cin):
-                            for j in range(k):
-                                acc += layer.weight.value[o, c, j] * xp[b, c, t * s + j]
-                        want[b, o, t] = acc
-            assert_allclose(got, want, atol=1e-6)
+            assert_allclose(got, naive_conv(x, layer.weight.value, layer.bias.value, s, p),
+                            atol=1e-6)
+
+    @pytest.mark.parametrize("layout", ["channel_major", "unbatched"])
+    def test_naive_loop_oracle_on_other_input_layouts(self, layout):
+        # a (B, C, T) view of a (C, B, T) array, as a conv's own output is,
+        # and a 2-D (C, T) input
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            Cin, Cout = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+            k = int(rng.integers(1, 5))
+            s = int(rng.integers(1, 4))
+            p = int(rng.integers(0, 3))
+            T = int(rng.integers(k + 2, 20))
+            B = int(rng.integers(2, 4)) if layout == "channel_major" else 1
+            layer = Conv1d(Cin, Cout, k, stride=s, padding=p, rng=rng, dtype=np.float64)
+            x = rng.normal(size=(B, Cin, T))
+            want = naive_conv(x, layer.weight.value, layer.bias.value, s, p)
+            if layout == "channel_major":
+                xin = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+                assert not xin.flags.c_contiguous
+            else:
+                xin, want = x[0], want[0]
+            assert_allclose(layer(Tensor(xin)).value, want, atol=1e-6)
 
     def test_gradients_random_instances(self):
         rng = np.random.default_rng(3)
@@ -219,6 +269,31 @@ class TestConv1d:
             x = leaf(rng, 2, 3, 12)
             fd_gradcheck(lambda: gn.tsum(gn.mul(layer(x), layer(x))),
                          [x, layer.weight, layer.bias], seed=trial)
+
+    @pytest.mark.parametrize("T,k,s,p", [(3, 4, 2, 1), (1, 4, 1, 2), (2, 5, 3, 3)])
+    def test_gradients_with_padding_only_taps(self, T, k, s, p):
+        # some taps read only padding, on the left, the right or both
+        rng = np.random.default_rng(T * 100 + k * 10 + p)
+        layer = Conv1d(2, 3, k, stride=s, padding=p, rng=rng, dtype=np.float64)
+        x = leaf(rng, 2, 2, T)
+        fd_gradcheck(lambda: gn.tsum(gn.mul(layer(x), layer(x))),
+                     [x, layer.weight, layer.bias])
+
+    def test_matches_im2col_reference_float64(self):
+        rng = np.random.default_rng(9)
+        for T, k, s, p, B in [(16, 4, 2, 1, 3), (64, 5, 1, 2, 2), (17, 3, 3, 2, 1),
+                              (9, 1, 1, 0, 4), (3, 4, 2, 1, 2), (12, 4, 1, 2, 1)]:
+            layer = Conv1d(5, 6, k, stride=s, padding=p, rng=rng, dtype=np.float64)
+            x = Tensor(rng.normal(size=(B, 5, T)), requires_grad=True)
+            out = layer(x)
+            g = rng.normal(size=out.value.shape)
+            out._backward(g)
+            want, (gw, gb, gx) = im2col_conv_reference(
+                x.value, layer.weight.value, layer.bias.value, s, p, g)
+            assert_allclose(out.value, want, rtol=1e-12, atol=1e-13)
+            assert_allclose(layer.weight.grad, gw, rtol=1e-12, atol=1e-13)
+            assert_allclose(layer.bias.grad, gb, rtol=1e-12, atol=1e-13)
+            assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-13)
 
     def test_channel_mismatch_raises(self):
         layer = Conv1d(3, 4, 3, rng=np.random.default_rng(0))

@@ -6,7 +6,7 @@ from imutok import fileio, geom, motion
 from imutok.errors import FormatError, InvalidArgument, TooShort
 from imutok.motion import (MOTION_WIDTH, RawPoseTrack,
                            build_motion_representation, derive_contacts,
-                           generate_synthetic_motion, resample, track_from_motion)
+                           generate_synthetic_motion, track_from_motion)
 from imutok.skeleton import (DEFAULT_SKELETON, STANDING_ROOT_HEIGHT, Skeleton,
                              forward_kinematics_sequence)
 
@@ -226,38 +226,6 @@ class TestSyntheticMotion:
             generate_synthetic_motion(0, 1.0, 60.0, "moonwalk")
         with pytest.raises(InvalidArgument):
             generate_synthetic_motion(0, -1.0, 60.0, "walk")
-
-
-class TestResample:
-    def test_identity_when_fps_matches(self):
-        track = generate_synthetic_motion(5, 2.0, 60.0, "arm_raise")
-        out = resample(track, 60.0)
-        assert np.array_equal(out.root_pos, track.root_pos)
-        assert np.array_equal(out.local_rots, track.local_rots)
-
-    def test_downsample_on_linear_ramp_is_exact_subsample(self):
-        T = 121
-        track = _static_track(T=T, fps=120.0)
-        track.root_pos[:, 0] = np.linspace(0, 1, T)
-        out = resample(track, 60.0)
-        assert len(out) == 61
-        assert np.array_equal(out.root_pos, track.root_pos[::2])
-
-    def test_upsample_constant_rate_rotation_hits_analytic_half_steps(self):
-        fps, T = 30.0, 31
-        rate = 0.9  # rad/s about z
-        track = _static_track(T=T, fps=fps)
-        for t in range(T):
-            track.root_rot[t] = geom.exp_so3([0, 0, rate * t / fps])
-        out = resample(track, 60.0)
-        assert out.fps == 60.0
-        for i in range(len(out)):
-            expected = geom.exp_so3([0, 0, rate * i / 60.0])
-            assert np.linalg.norm(out.root_rot[i] - expected) < 1e-8
-
-    def test_bad_fps(self):
-        with pytest.raises(InvalidArgument):
-            resample(_static_track(), 0.0)
 
 
 class TestMotionFile:

@@ -77,6 +77,21 @@ class TestPushFrames:
         with pytest.raises(FormatError):
             push_frames(state, np.zeros((4, 10)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, pipeline, imu_640, bad):
+        # one bad value in a 16-frame chunk used to turn 3 of its 4 tokens
+        # into token 0 silently
+        frames = imu_640.frames[:16].copy()
+        frames[9, 40] = bad
+        state = StreamState(pipeline, chunk_len=16)
+        with pytest.raises(InvalidArgument):
+            push_frames(state, frames)
+        assert len(state.buffer) == 0 and state.frames_seen == 0
+        seq = InertiaSequence(frames=frames, fps=imu_640.fps)
+        for chunk_len in (16, None):
+            with pytest.raises(InvalidArgument):
+                tokenize_sequence(seq, pipeline, chunk_len=chunk_len)
+
     def test_chunk_must_be_multiple_of_rate(self, pipeline):
         with pytest.raises(InvalidArgument):
             StreamState(pipeline, chunk_len=10)
@@ -242,6 +257,10 @@ class TestWireFormat:
             with pytest.raises(InvalidArgument):
                 TokenSequence(tokens=np.array(ids, dtype=np.int64), l=4, fps=60.0,
                               K=K, codebook_digest=bytes(32))
+        with pytest.raises(InvalidArgument):
+            # fractional ids used to be truncated to [1, 2]
+            TokenSequence(tokens=np.array([1.7, 2.2]), l=4, fps=60.0, K=12,
+                          codebook_digest=bytes(32))
         tok = TokenSequence(tokens=np.array([0, 65535]), l=4, fps=60.0, K=1 << 16,
                             codebook_digest=bytes(32))
         assert tok.tokens.dtype == np.uint16 and tok.tokens.tolist() == [0, 65535]

@@ -49,6 +49,21 @@ class TestQuantize:
             idx, _ = quantize(Z, C)
             assert np.array_equal(idx, brute_force_quantize(Z, C))
 
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_small_block_budget_matches_brute_force(self, monkeypatch, rows):
+        # rows=0 is a budget below one row, which still processes one row
+        rng = np.random.default_rng(11)
+        Z = rng.normal(size=(23, 5))
+        C = rng.normal(size=(9, 5))
+        C[7] = C[2]
+        Z[4] = C[2]
+        whole, _ = quantize(Z, C)
+        monkeypatch.setattr(vq, "QUANTIZE_BLOCK_BYTES", rows * C.size * Z.itemsize)
+        idx, codes = quantize(Z, C)
+        assert np.array_equal(idx, brute_force_quantize(Z, C))
+        assert np.array_equal(idx, whole)
+        assert np.array_equal(codes, C[idx])
+
     def test_engineered_ties_take_lowest_index(self):
         C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
         Z = np.array([[0.0, 0.0]])  # equidistant from entries 0 and 1
