@@ -30,9 +30,6 @@ class Checkpoint:
     def kind(self) -> str:
         return self.meta.get("kind", "")
 
-    def config_digest(self) -> bytes:
-        return hashlib.sha256(_encode_meta(self.meta)).digest()
-
 
 def _encode_meta(meta: dict) -> bytes:
     lines = [f"{k} = {meta[k]}" for k in sorted(meta)]

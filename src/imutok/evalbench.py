@@ -6,24 +6,22 @@ byte-identical corrupted inputs.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import gradnet as gn
-from .checkpoint import Checkpoint, arrays_digest, load_checkpoint, save_checkpoint
-from .errors import CheckpointMismatch, EmptyDataset, LengthMismatch, TooShort
-from .gradnet import AdamW, cosine_lr
-from .imusim import (DEFAULT_PLACEMENT, InertiaSequence, NoiseConfig, NormStats,
+from .checkpoint import Checkpoint, arrays_digest, load_checkpoint
+from .errors import CheckpointMismatch, LengthMismatch, TooShort
+from .imusim import (DEFAULT_PLACEMENT, IMU_WIDTH, InertiaSequence, NoiseConfig, NormStats,
                      apply_corruption, apply_drift, fit_norm_stats,
                      normalize_acceleration, synthesize_imu)
-from .models import BaselinePoser, load_model_arrays, model_arrays
+from .models import BaselinePoser, load_model_arrays
 from .motion import (MotionSequence, build_motion_representation,
                      generate_synthetic_motion, track_from_motion)
 from .skeleton import DEFAULT_SKELETON, Skeleton, forward_kinematics_sequence
 from .stream import InferencePipeline, _prepare_frames, decode_tokens, tokenize_sequence
-from .trainer import TrainConfig, TrainReport, _batch_indices, _rng, make_windows
+from .trainer import TrainConfig, _rng, fit, paired_windows, time_last
 
 # benchmark corruption defaults: a severely malfunctioning sensor. Strong
 # orientation drift feeds a continuous regressor in-distribution values it
@@ -121,40 +119,17 @@ def augment_and_normalize(pairs, seed: int = 0, drift: NoiseConfig | None = None
 def train_baseline_poser(paired, cfg: TrainConfig, stats: NormStats, ckpt_path=None):
     """Train the matched-capacity continuous poser with reconstruction loss
     only, on the same normalized pairs the IMU tokenizer sees."""
-    pairs = list(paired)
-    if not pairs:
-        raise EmptyDataset("empty paired corpus")
-    m_windows = make_windows([np.asarray(m.frames) for m, _ in pairs], cfg.window)
-    i_windows = make_windows([np.asarray(i.frames) for _, i in pairs], cfg.window)
+    windows = paired_windows(paired, cfg.window)
+    model = BaselinePoser(IMU_WIDTH, cfg.d_z, cfg.hidden, rng=_rng(cfg.seed, 20))
 
-    init_rng = _rng(cfg.seed, 20)
-    data_rng = _rng(cfg.seed, 21)
-    from .imusim import IMU_WIDTH
-    model = BaselinePoser(IMU_WIDTH, cfg.d_z, cfg.hidden, rng=init_rng)
-    opt = AdamW(model.params(), lr=cfg.lr_max, weight_decay=cfg.weight_decay)
-    report = TrainReport()
+    def loss_fn(batches, step):
+        bm, bi = batches
+        loss = gn.mse(model(gn.Tensor(time_last(bi))), time_last(bm))
+        return loss, {"loss": float(loss)}, None
 
-    t0 = time.monotonic()
-    for step in range(cfg.total_steps):
-        sel = _batch_indices(data_rng, len(i_windows), cfg.batch_size)
-        x = gn.Tensor(np.ascontiguousarray(i_windows[sel].transpose(0, 2, 1)))
-        target = np.ascontiguousarray(m_windows[sel].transpose(0, 2, 1))
-        loss = gn.mse(model(x), target)
-        opt.zero_grad()
-        loss.backward()
-        opt.step(lr=cosine_lr(step, cfg.total_steps, cfg.lr_max, cfg.lr_min))
-        report.log(step=step, loss=float(loss),
-                   lr=cosine_lr(step, cfg.total_steps, cfg.lr_max, cfg.lr_min),
-                   wall_clock=time.monotonic() - t0)
-
-    if ckpt_path is not None:
-        meta = cfg.as_meta()
-        meta["kind"] = "baseline_poser"
-        arrays = model_arrays(model, "baseline.")
-        arrays["stats.mean"] = stats.mean
-        arrays["stats.std"] = stats.std
-        arrays.update(opt.state_arrays())
-        save_checkpoint(ckpt_path, meta, arrays)
+    report = fit(model, cfg, windows, loss_fn, 20, kind="baseline_poser", prefix="baseline.",
+                 extra_arrays={"stats.mean": stats.mean, "stats.std": stats.std},
+                 ckpt_path=ckpt_path)
     return model, report
 
 
@@ -163,7 +138,6 @@ def build_baseline_model(ckpt: Checkpoint):
     if ckpt.kind != "baseline_poser":
         raise CheckpointMismatch(f"expected a baseline_poser checkpoint, got {ckpt.kind!r}")
     cfg = TrainConfig.from_meta(ckpt.meta)
-    from .imusim import IMU_WIDTH
     model = BaselinePoser(IMU_WIDTH, cfg.d_z, cfg.hidden, rng=np.random.default_rng(0))
     load_model_arrays(model, ckpt.arrays, "baseline.")
     stats = NormStats(mean=ckpt.arrays["stats.mean"], std=ckpt.arrays["stats.std"])

@@ -39,9 +39,6 @@ class Tensor:
     def dtype(self):
         return self.value.dtype
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __float__(self) -> float:
         return float(self.value)
 
@@ -52,9 +49,6 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.value)
 
     # -- operators -----------------------------------------------------
 
@@ -250,7 +244,7 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     out_val = np.where(x > 0, x, slope * x)
 
     def bw(g):
-        _accum(a, g * np.where(x > 0, 1.0, slope).astype(x.dtype))
+        _accum(a, np.where(x > 0, g, g * x.dtype.type(slope)))
 
     return _make(out_val, (a,), bw)
 

@@ -3,8 +3,8 @@
 Both tokenizers share one architecture family: a strided 1D conv encoder
 that maps (B, width, T) to (B, d_z, T/4), where two stride-2 stages realize
 the 4-frames-per-token compression, and a mirrored decoder with nearest
-upsampling. The baseline poser is the same encoder/decoder pair run without
-quantization, trained on reconstruction alone.
+upsampling. The baseline poser is the same encoder/decoder pair at stride 1
+without upsampling or quantization, trained on reconstruction alone.
 """
 
 from __future__ import annotations
@@ -27,11 +27,17 @@ SMOOTH_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
 class ConvEncoder:
-    """width -> hidden (k4 s2) -> hidden (k4 s2) -> hidden (k3 s1) -> d_z (k1)."""
+    """width -> hidden (k4 s2) -> hidden (k4 s2) -> hidden (k3 s1) -> d_z (k1).
 
-    def __init__(self, in_width: int, hidden: int, d_z: int, *, rng, dtype=np.float32):
-        self.c1 = Conv1d(in_width, hidden, 4, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.c2 = Conv1d(hidden, hidden, 4, stride=2, padding=1, rng=rng, dtype=dtype)
+    With ``stride=1`` the two k4 layers keep the frame rate: the first pads
+    2 (T -> T+1) and the second pads 1 (back to T).
+    """
+
+    def __init__(self, in_width: int, hidden: int, d_z: int, *, rng, dtype=np.float32,
+                 stride: int = 2):
+        self.c1 = Conv1d(in_width, hidden, 4, stride=stride, padding=3 - stride, rng=rng,
+                         dtype=dtype)
+        self.c2 = Conv1d(hidden, hidden, 4, stride=stride, padding=1, rng=rng, dtype=dtype)
         self.c3 = Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)
         self.proj = Conv1d(hidden, d_z, 1, rng=rng, dtype=dtype)
 
@@ -57,7 +63,9 @@ class ConvDecoder:
     produce visible high-frequency texture in the decoded channels.
     """
 
-    def __init__(self, d_z: int, hidden: int, out_width: int, *, rng, dtype=np.float32):
+    def __init__(self, d_z: int, hidden: int, out_width: int, *, rng, dtype=np.float32,
+                 upsample: int = 2):
+        self.upsample = upsample
         self.proj = Conv1d(d_z, hidden, 1, rng=rng, dtype=dtype)
         self.c1 = Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)
         self.c2 = Conv1d(hidden, hidden, 5, stride=1, padding=2, rng=rng, dtype=dtype)
@@ -67,9 +75,12 @@ class ConvDecoder:
     def __call__(self, z) -> Tensor:
         h = gn.leaky_relu(self.proj(z), LEAKY_SLOPE)
         h = gn.leaky_relu(self.c1(h), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.c2(gn.upsample_nearest(h, 2)), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.c3(gn.upsample_nearest(h, 2)), LEAKY_SLOPE)
+        h = gn.leaky_relu(self.c2(self._up(h)), LEAKY_SLOPE)
+        h = gn.leaky_relu(self.c3(self._up(h)), LEAKY_SLOPE)
         return gn.depthwise_smooth(self.head(h), SMOOTH_KERNEL)
+
+    def _up(self, h) -> Tensor:
+        return h if self.upsample == 1 else gn.upsample_nearest(h, self.upsample)
 
     def params(self, prefix: str) -> dict:
         out = {}
@@ -149,45 +160,25 @@ class ImuTokenizer:
 class BaselinePoser:
     """Continuous per-frame regression from IMU frames to motion frames.
 
-    Layer widths and kernel sizes mirror the tokenized path (encoder plus
-    decoder, including the fixed smoothing tail) so the capacity is matched,
-    but every stride is 1 and there is no latent bottleneck or quantization:
-    each output frame is a continuous function of its input neighborhood,
-    the way classic inertial posers regress pose from raw signals.
+    The same encoder and decoder as the tokenized path (including the fixed
+    smoothing tail), so the capacity is matched, but every stride is 1 and
+    there is no upsampling, latent bottleneck or quantization: each output
+    frame is a continuous function of its input neighborhood, the way
+    classic inertial posers regress pose from raw signals.
     """
 
     def __init__(self, imu_width: int, d_z: int, hidden: int, *, rng, dtype=np.float32):
-        self.e1 = Conv1d(imu_width, hidden, 4, stride=1, padding=2, rng=rng, dtype=dtype)
-        self.e2 = Conv1d(hidden, hidden, 4, stride=1, padding=1, rng=rng, dtype=dtype)
-        self.e3 = Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)
-        self.eproj = Conv1d(hidden, d_z, 1, rng=rng, dtype=dtype)
-        self.dproj = Conv1d(d_z, hidden, 1, rng=rng, dtype=dtype)
-        self.d1 = Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)
-        self.d2 = Conv1d(hidden, hidden, 5, stride=1, padding=2, rng=rng, dtype=dtype)
-        self.d3 = Conv1d(hidden, hidden, 5, stride=1, padding=2, rng=rng, dtype=dtype)
-        self.head = Conv1d(hidden, MOTION_WIDTH, 5, stride=1, padding=2, rng=rng,
-                           dtype=dtype)
+        self.encoder = ConvEncoder(imu_width, hidden, d_z, rng=rng, dtype=dtype, stride=1)
+        self.decoder = ConvDecoder(d_z, hidden, MOTION_WIDTH, rng=rng, dtype=dtype,
+                                   upsample=1)
         self.d_z, self.hidden = d_z, hidden
 
     def __call__(self, x) -> Tensor:
-        h = gn.leaky_relu(self.e1(x), LEAKY_SLOPE)   # k4 p2: length T+1
-        h = gn.leaky_relu(self.e2(h), LEAKY_SLOPE)   # k4 p1: back to T
-        h = gn.leaky_relu(self.e3(h), LEAKY_SLOPE)
-        z = self.eproj(h)
-        h = gn.leaky_relu(self.dproj(z), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.d1(h), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.d2(h), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.d3(h), LEAKY_SLOPE)
-        out = gn.depthwise_smooth(self.head(h), SMOOTH_KERNEL)
-        return _sigmoid_contacts(out)
+        return _sigmoid_contacts(self.decoder(self.encoder(x)))
 
     def params(self) -> dict:
-        out = {}
-        for name, layer in (("e1", self.e1), ("e2", self.e2), ("e3", self.e3),
-                            ("eproj", self.eproj), ("dproj", self.dproj),
-                            ("d1", self.d1), ("d2", self.d2), ("d3", self.d3),
-                            ("head", self.head)):
-            out.update(layer.params(f"enc.{name}" if name.startswith("e") else f"dec.{name}"))
+        out = self.encoder.params("enc")
+        out.update(self.decoder.params("dec"))
         return out
 
 

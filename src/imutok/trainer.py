@@ -1,19 +1,21 @@
 """Two-stage training: (1) the motion autoencoder with its discrete
 bottleneck, (2) the IMU tokenizer against the frozen stage-1 model. Both
-stages are bitwise deterministic for a fixed seed.
+stages, and the continuous baseline in ``evalbench``, run one loop,
+``fit``, with a per-batch loss closure, and are bitwise deterministic for
+a fixed seed.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gradnet as gn
 from . import vqcodec as vq
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .errors import CheckpointMismatch, ConfigInvalid, EmptyDataset
+from .errors import CheckpointMismatch, ConfigInvalid, EmptyDataset, LengthMismatch
 from .gradnet import AdamW, cosine_lr
 from .imusim import IMU_WIDTH, NormStats
 from .models import (ImuTokenizer, MotionVQVAE, flatten_latents,
@@ -111,7 +113,7 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def make_windows(frame_arrays, window: int, stride: int | None = None) -> np.ndarray:
-    """Fixed-length crops with stride window/2 from a list of (T, D) arrays."""
+    """Fixed-length float32 crops with stride window/2 from a list of (T, D) arrays."""
     if stride is None:
         stride = window // 2
     crops = []
@@ -121,11 +123,63 @@ def make_windows(frame_arrays, window: int, stride: int | None = None) -> np.nda
             crops.append(frames[lo:lo + window])
     if not crops:
         raise EmptyDataset(f"no window of length {window} fits the corpus")
-    return np.stack(crops).astype(np.float32)
+    return np.stack(crops, dtype=np.float32)
 
 
-def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> np.ndarray:
-    return rng.choice(n, size=min(batch_size, n), replace=False)
+def paired_windows(paired, window: int) -> tuple:
+    """(motion windows, IMU windows) cropped at the same frames of each pair."""
+    pairs = list(paired)
+    if not pairs:
+        raise EmptyDataset("empty paired corpus")
+    for n, (m, i) in enumerate(pairs):
+        if len(m.frames) != len(i.frames):
+            raise LengthMismatch(f"pair {n}: motion has {len(m.frames)} frames, "
+                                 f"IMU {len(i.frames)}")
+    return (make_windows([np.asarray(m.frames) for m, _ in pairs], window),
+            make_windows([np.asarray(i.frames) for _, i in pairs], window))
+
+
+def time_last(batch: np.ndarray) -> np.ndarray:
+    """(B, T, D) windows as the (B, D, T) layout the convs take."""
+    return np.ascontiguousarray(batch.transpose(0, 2, 1))
+
+
+def fit(model, cfg: TrainConfig, windows: tuple, loss_fn, rng_base: int, *, kind: str,
+        prefix: str, extra_arrays: dict | None = None, ckpt_path=None) -> TrainReport:
+    """The training loop every stage shares.
+
+    Each step draws one batch of rows, the same rows from every array in
+    ``windows``, through the stream ``rng_base + 1`` and calls
+    ``loss_fn(batches, step) -> (total, record, after)``: ``total`` is the
+    loss tensor, ``record`` its logged scalars, and ``after`` (or None) runs
+    after the optimizer step and returns more scalars to log. The
+    checkpoint holds ``model`` under ``prefix``, then ``extra_arrays``, then
+    the optimizer state.
+    """
+    data_rng = _rng(cfg.seed, rng_base + 1)
+    opt = AdamW(model.params(), lr=cfg.lr_max, weight_decay=cfg.weight_decay)
+    report = TrainReport()
+    n = len(windows[0])
+
+    t0 = time.monotonic()
+    for step in range(cfg.total_steps):
+        sel = data_rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+        total, record, after = loss_fn(tuple(w[sel] for w in windows), step)
+        lr = cosine_lr(step, cfg.total_steps, cfg.lr_max, cfg.lr_min)
+        opt.zero_grad()
+        total.backward()
+        opt.step(lr=lr)
+        extra = after() if after is not None else {}
+        report.log(step=step, **record, lr=lr, **extra, wall_clock=time.monotonic() - t0)
+
+    if ckpt_path is not None:
+        meta = cfg.as_meta()
+        meta["kind"] = kind
+        arrays = model_arrays(model, prefix)
+        arrays.update(extra_arrays or {})
+        arrays.update(opt.state_arrays())
+        save_checkpoint(ckpt_path, meta, arrays)
+    return report
 
 
 # channel rows of the foot-joint velocities inside the 271-wide frame,
@@ -139,7 +193,7 @@ _FOOT_VEL_ROWS = [
 def _motion_batch_losses(model: MotionVQVAE, batch: np.ndarray, cfg: TrainConfig,
                          gumbel_rng, zipf_const: np.ndarray):
     """Forward pass and full stage-1 objective for one (B, T, 271) batch."""
-    x = gn.Tensor(np.ascontiguousarray(batch.transpose(0, 2, 1)))
+    x = gn.Tensor(time_last(batch))
     z = model.encode(x)
     flat = flatten_latents(z)
     indices, codes = vq.quantize(flat, model.codebook)
@@ -167,6 +221,14 @@ def motion_total_from_components(comps: dict, w: LossWeights) -> float:
             + w.dist * w.zipf * comps["zipf_js"])
 
 
+def _codebook_step(codebook: vq.Codebook, latents: np.ndarray, indices, dead_rng):
+    """The post-step codebook update: EMA, then dead-code refresh."""
+    def after():
+        codebook.ema_update(latents, indices)
+        return {"refreshed": codebook.refresh_dead(latents, dead_rng)}
+    return after
+
+
 def train_motion_vqvae(corpus, cfg: TrainConfig, ckpt_path=None):
     """Stage 1. ``corpus`` is a list of MotionSequence (or (T, 271) arrays).
 
@@ -178,52 +240,28 @@ def train_motion_vqvae(corpus, cfg: TrainConfig, ckpt_path=None):
     windows = make_windows(frames, cfg.window)
 
     init_rng = _rng(cfg.seed, 0)
-    data_rng = _rng(cfg.seed, 1)
     gumbel_rng = _rng(cfg.seed, 2)
     dead_rng = _rng(cfg.seed, 3)
-
     model = MotionVQVAE(cfg.K, cfg.d_z, cfg.hidden, rng=init_rng, gamma=cfg.gamma)
-    opt = AdamW(model.params(), lr=cfg.lr_max, weight_decay=cfg.weight_decay)
     zipf_const = vq.zipf_target(ZipfParams(cfg.zipf_alpha, cfg.zipf_beta, cfg.K))
-    report = TrainReport()
 
-    seeded = False
-    t0 = time.monotonic()
-    for step in range(cfg.total_steps):
-        batch = windows[_batch_indices(data_rng, len(windows), cfg.batch_size)]
-        if not seeded:
+    def loss_fn(batches, step):
+        (batch,) = batches
+        if step == 0:
             # k-means over the first encoded batch replaces the placeholder table
-            z0 = model.encode(gn.Tensor(np.ascontiguousarray(batch.transpose(0, 2, 1))))
-            lat0 = flatten_latents(z0).value
+            lat0 = flatten_latents(model.encode(gn.Tensor(time_last(batch)))).value
             model.codebook = vq.Codebook.from_kmeans(lat0, cfg.K, rng=init_rng,
                                                      gamma=cfg.gamma)
-            seeded = True
         total, comps, flat, indices = _motion_batch_losses(
             model, batch, cfg, gumbel_rng, zipf_const)
-        opt.zero_grad()
-        total.backward()
-        opt.step(lr=cosine_lr(step, cfg.total_steps, cfg.lr_max, cfg.lr_min))
-        model.codebook.ema_update(flat.value, indices)
-        refreshed = model.codebook.refresh_dead(flat.value, dead_rng)
-
         vals = {k: float(t) for k, t in comps.items()}
-        report.log(step=step, loss=motion_total_from_components(vals, cfg.weights),
-                   **vals, perplexity=vq.codebook_perplexity(indices, cfg.K),
-                   lr=cosine_lr(step, cfg.total_steps, cfg.lr_max, cfg.lr_min),
-                   refreshed=refreshed, wall_clock=time.monotonic() - t0)
+        record = dict(loss=motion_total_from_components(vals, cfg.weights), **vals,
+                      perplexity=vq.codebook_perplexity(indices, cfg.K))
+        return total, record, _codebook_step(model.codebook, flat.value, indices, dead_rng)
 
-    if ckpt_path is not None:
-        save_motion_checkpoint(ckpt_path, model, opt, cfg)
+    report = fit(model, cfg, (windows,), loss_fn, 0, kind="motion_vqvae", prefix="motion.",
+                 ckpt_path=ckpt_path)
     return model, report
-
-
-def save_motion_checkpoint(path, model: MotionVQVAE, opt: AdamW | None, cfg: TrainConfig):
-    meta = cfg.as_meta()
-    meta["kind"] = "motion_vqvae"
-    arrays = model_arrays(model, "motion.")
-    if opt is not None:
-        arrays.update(opt.state_arrays())
-    save_checkpoint(path, meta, arrays)
 
 
 def build_motion_model(ckpt: Checkpoint) -> tuple:
@@ -243,7 +281,9 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
     with frame-aligned, acceleration-normalized IMU data.
 
     The motion tokenizer is loaded frozen from motion_ckpt; only the IMU
-    encoder receives gradients, and the IMU codebook moves by EMA.
+    encoder receives gradients, and the IMU codebook moves by EMA. The
+    checkpoint is self-contained: it embeds the frozen motion model and the
+    acceleration normalization stats used in training.
     """
     if isinstance(motion_ckpt, (str, bytes)) or hasattr(motion_ckpt, "__fspath__"):
         motion_ckpt = load_checkpoint(motion_ckpt)
@@ -253,44 +293,25 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
             f"stage-1 model has K={motion_cfg.K}, d_z={motion_cfg.d_z}; "
             f"config asks K={cfg.K}, d_z={cfg.d_z}")
     motion_model.set_requires_grad(False)
-
-    pairs = list(paired)
-    if not pairs:
-        raise EmptyDataset("empty paired corpus")
-    m_windows = make_windows([np.asarray(m.frames) for m, _ in pairs], cfg.window)
-    i_windows = make_windows([np.asarray(i.frames) for _, i in pairs], cfg.window)
-    if len(m_windows) != len(i_windows):
-        raise EmptyDataset("motion/IMU corpora produced different window counts")
+    windows = paired_windows(paired, cfg.window)
 
     init_rng = _rng(cfg.seed, 10)
-    data_rng = _rng(cfg.seed, 11)
     gumbel_rng = _rng(cfg.seed, 12)
     dead_rng = _rng(cfg.seed, 13)
-
     imu_model = ImuTokenizer(IMU_WIDTH, cfg.K, cfg.d_z, cfg.hidden, rng=init_rng,
                              gamma=cfg.gamma)
-    opt = AdamW(imu_model.params(), lr=cfg.lr_max, weight_decay=cfg.weight_decay)
     zipf_const = vq.zipf_target(ZipfParams(cfg.zipf_alpha, cfg.zipf_beta, cfg.K))
-    report = TrainReport()
 
-    seeded = False
-    t0 = time.monotonic()
-    for step in range(cfg.total_steps):
-        sel = _batch_indices(data_rng, len(i_windows), cfg.batch_size)
-        bm = m_windows[sel]
-        bi = i_windows[sel]
-        xi = gn.Tensor(np.ascontiguousarray(bi.transpose(0, 2, 1)))
-        xm = np.ascontiguousarray(bm.transpose(0, 2, 1))
-
-        z_imu = flatten_latents(imu_model.encode(xi))
-        if not seeded:
+    def loss_fn(batches, step):
+        bm, bi = batches
+        z_imu = flatten_latents(imu_model.encode(gn.Tensor(time_last(bi))))
+        if step == 0:
             imu_model.codebook = vq.Codebook.from_kmeans(z_imu.value, cfg.K,
                                                          rng=init_rng, gamma=cfg.gamma)
-            seeded = True
         idx_imu, codes_imu = vq.quantize(z_imu, imu_model.codebook)
         b_imu = vq.straight_through(z_imu, codes_imu)
 
-        z_mot = flatten_latents(motion_model.encode(gn.Tensor(xm))).value
+        z_mot = flatten_latents(motion_model.encode(gn.Tensor(time_last(bm)))).value
         _, b_mot = vq.quantize(z_mot, motion_model.codebook)
 
         f_imu = vq.batch_token_frequency(z_imu, gn.Tensor(imu_model.codebook.entries),
@@ -299,39 +320,17 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
                                          cfg.temperature, gumbel_rng)
         total, comps = vq.imu_tokenizer_losses(b_imu, b_mot, f_imu, f_mot.value,
                                                zipf_const, cfg.weights)
-        opt.zero_grad()
-        total.backward()
-        opt.step(lr=cosine_lr(step, cfg.total_steps, cfg.lr_max, cfg.lr_min))
-        imu_model.codebook.ema_update(z_imu.value, idx_imu)
-        refreshed = imu_model.codebook.refresh_dead(z_imu.value, dead_rng)
-
         vals = {k: float(t) for k, t in comps.items()}
-        report.log(step=step,
-                   loss=cfg.weights.code * vals["code"] + cfg.weights.dist * vals["dist"],
-                   **vals, perplexity=vq.codebook_perplexity(idx_imu, cfg.K),
-                   lr=cosine_lr(step, cfg.total_steps, cfg.lr_max, cfg.lr_min),
-                   refreshed=refreshed, wall_clock=time.monotonic() - t0)
+        record = dict(loss=cfg.weights.code * vals["code"] + cfg.weights.dist * vals["dist"],
+                      **vals, perplexity=vq.codebook_perplexity(idx_imu, cfg.K))
+        return total, record, _codebook_step(imu_model.codebook, z_imu.value, idx_imu,
+                                             dead_rng)
 
-    if ckpt_path is not None:
-        save_imu_checkpoint(ckpt_path, imu_model, motion_model, opt, cfg, stats,
-                            motion_cfg=motion_cfg)
+    extra = {**model_arrays(motion_model, "motion."),
+             "stats.mean": stats.mean, "stats.std": stats.std}
+    report = fit(imu_model, cfg, windows, loss_fn, 10, kind="imu_tokenizer", prefix="imu.",
+                 extra_arrays=extra, ckpt_path=ckpt_path)
     return imu_model, motion_model, report
-
-
-def save_imu_checkpoint(path, imu_model: ImuTokenizer, motion_model: MotionVQVAE,
-                        opt: AdamW | None, cfg: TrainConfig, stats: NormStats,
-                        motion_cfg: TrainConfig | None = None):
-    """Stage-2 checkpoints are self-contained: they embed the frozen motion
-    model and the acceleration normalization stats used in training."""
-    meta = cfg.as_meta()
-    meta["kind"] = "imu_tokenizer"
-    arrays = model_arrays(imu_model, "imu.")
-    arrays.update(model_arrays(motion_model, "motion."))
-    arrays["stats.mean"] = stats.mean
-    arrays["stats.std"] = stats.std
-    if opt is not None:
-        arrays.update(opt.state_arrays())
-    save_checkpoint(path, meta, arrays)
 
 
 def build_imu_model(ckpt: Checkpoint) -> tuple:

@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from imutok import evalbench
-from imutok.checkpoint import load_checkpoint
-from imutok.errors import CheckpointMismatch, LengthMismatch, TooShort
+from imutok import gradnet as gn
+from imutok.checkpoint import load_checkpoint, save_checkpoint
+from imutok.errors import (CheckpointMismatch, ConfigInvalid, EmptyDataset, LengthMismatch,
+                           TooShort)
 from imutok.evalbench import (BENCH_NOISE, MetricReport, augment_and_normalize,
-                              corrupt_sensors, jitter, joint_positions, mpjpe,
-                              read_report_file, render_report, run_noise_benchmark,
-                              synthesize_pairs, train_baseline_poser,
+                              build_baseline_model, corrupt_sensors, jitter,
+                              joint_positions, mpjpe, read_report_file, render_report,
+                              run_noise_benchmark, synthesize_pairs, train_baseline_poser,
                               write_report_file)
-from imutok.motion import MotionSequence
+from imutok.gradnet import Conv1d
+from imutok.models import LEAKY_SLOPE, SMOOTH_KERNEL, BaselinePoser, _sigmoid_contacts
+from imutok.motion import MOTION_WIDTH, MotionSequence
 from imutok.trainer import TrainConfig, train_imu_tokenizer, train_motion_vqvae
+
+from tests.test_trainer import shorten
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +104,125 @@ class TestCorruptSensors:
         a = corrupt_sensors(imu, (0, 2), seed=9)
         b = corrupt_sensors(imu, (0, 2), seed=9)
         assert np.array_equal(a.frames, b.frames)
+
+
+class NineLayerPoser:
+    """The baseline as a hand-written stack of nine stride-1 convs, the
+    reference the encoder/decoder assembly must reproduce bit for bit."""
+
+    LAYERS = ("e1", "e2", "e3", "eproj", "dproj", "d1", "d2", "d3", "head")
+    # the checkpoint names of these layers before and after the rebuild
+    OLD_NAMES = ("enc.e1", "enc.e2", "enc.e3", "enc.eproj", "dec.dproj", "dec.d1", "dec.d2",
+                 "dec.d3", "dec.head")
+    NEW_NAMES = ("enc.c1", "enc.c2", "enc.c3", "enc.proj", "dec.proj", "dec.c1", "dec.c2",
+                 "dec.c3", "dec.head")
+
+    def __init__(self, imu_width, d_z, hidden, *, rng, dtype):
+        self.e1 = Conv1d(imu_width, hidden, 4, stride=1, padding=2, rng=rng, dtype=dtype)
+        self.e2 = Conv1d(hidden, hidden, 4, stride=1, padding=1, rng=rng, dtype=dtype)
+        self.e3 = Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)
+        self.eproj = Conv1d(hidden, d_z, 1, rng=rng, dtype=dtype)
+        self.dproj = Conv1d(d_z, hidden, 1, rng=rng, dtype=dtype)
+        self.d1 = Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)
+        self.d2 = Conv1d(hidden, hidden, 5, stride=1, padding=2, rng=rng, dtype=dtype)
+        self.d3 = Conv1d(hidden, hidden, 5, stride=1, padding=2, rng=rng, dtype=dtype)
+        self.head = Conv1d(hidden, MOTION_WIDTH, 5, stride=1, padding=2, rng=rng,
+                           dtype=dtype)
+
+    def __call__(self, x):
+        h = x
+        for name in self.LAYERS[:3]:
+            h = gn.leaky_relu(getattr(self, name)(h), LEAKY_SLOPE)
+        h = gn.leaky_relu(self.dproj(self.eproj(h)), LEAKY_SLOPE)
+        for name in ("d1", "d2", "d3"):
+            h = gn.leaky_relu(getattr(self, name)(h), LEAKY_SLOPE)
+        return _sigmoid_contacts(gn.depthwise_smooth(self.head(h), SMOOTH_KERNEL))
+
+    def params(self):
+        """Parameters keyed by their names in the encoder/decoder assembly."""
+        out = {}
+        for name, new in zip(self.LAYERS, self.NEW_NAMES):
+            for key, p in getattr(self, name).params(name).items():
+                out[new + key[len(name):]] = p
+        return out
+
+
+class TestBaselinePoser:
+    @pytest.mark.parametrize("T", [31, 32])
+    def test_matches_nine_layer_reference_bitwise(self, T):
+        ref = NineLayerPoser(72, 16, 24, rng=np.random.default_rng(5), dtype=np.float64)
+        new = BaselinePoser(72, 16, 24, rng=np.random.default_rng(5), dtype=np.float64)
+        assert list(new.params()) == list(ref.params())
+        rng = np.random.default_rng(T)
+        x = rng.normal(size=(3, 72, T))
+        probe = rng.normal(size=(3, MOTION_WIDTH, T))
+        grads = []
+        for model in (ref, new):
+            xt = gn.Tensor(x.copy(), requires_grad=True)
+            out = model(xt)
+            gn.tsum(gn.mul(out, probe)).backward()
+            grads.append((out.value, xt.grad, {k: p.grad for k, p in model.params().items()}))
+        (out_r, gx_r, gp_r), (out_n, gx_n, gp_n) = grads
+        assert out_n.shape == (3, MOTION_WIDTH, T)
+        assert np.array_equal(out_n, out_r)
+        assert np.array_equal(gx_n, gx_r)
+        for k in gp_r:
+            assert np.array_equal(gp_n[k], gp_r[k]), k
+
+    def test_checkpoint_with_nine_layer_names_does_not_load(self, baseline_run, tmp_path):
+        path, _ = baseline_run
+        ckpt = load_checkpoint(path)
+        renamed = {}
+        for key, arr in ckpt.arrays.items():
+            for new, old in zip(NineLayerPoser.NEW_NAMES, NineLayerPoser.OLD_NAMES):
+                key = key.replace(f".{new}.", f".{old}.")
+            renamed[key] = arr
+        assert "baseline.enc.e1.w" in renamed and "baseline.dec.dproj.b" in renamed
+        old_path = tmp_path / "old.mjc"
+        save_checkpoint(old_path, ckpt.meta, renamed)
+        with pytest.raises(ConfigInvalid):
+            build_baseline_model(load_checkpoint(old_path))
+
+    def test_checkpoint_round_trip(self, baseline_run):
+        path, (model, _) = baseline_run
+        loaded, _, _ = build_baseline_model(load_checkpoint(path))
+        assert list(loaded.params()) == list(model.params())
+        for (k, p), q in zip(model.params().items(), loaded.params().values()):
+            assert np.array_equal(p.value, q.value), k
+
+    def test_record_keys(self, baseline_run):
+        _, (_, report) = baseline_run
+        assert len(report.records) == 5
+        for step, rec in enumerate(report.records):
+            assert set(rec) == {"step", "loss", "lr", "wall_clock"}
+            assert rec["step"] == step
+
+    def test_empty_corpus(self, small_pairs):
+        _, stats = small_pairs
+        with pytest.raises(EmptyDataset):
+            train_baseline_poser([], SMALL_CFG, stats)
+
+    @pytest.mark.parametrize("motion,imu", [((0,), (1,)), ((1,), ()), ((), (0,))])
+    def test_misaligned_pairs_raise(self, small_pairs, motion, imu):
+        pairs, stats = small_pairs
+        with pytest.raises(LengthMismatch):
+            train_baseline_poser(shorten(pairs, 32, motion, imu), SMALL_CFG, stats)
+
+
+SMALL_CFG = TrainConfig(K=12, d_z=16, hidden=32, batch_size=4, total_steps=5, window=32,
+                        seed=6)
+
+
+@pytest.fixture(scope="module")
+def small_pairs():
+    return augment_and_normalize(synthesize_pairs(range(3), duration_s=2.0, fps=60.0), seed=2)
+
+
+@pytest.fixture(scope="module")
+def baseline_run(small_pairs, tmp_path_factory):
+    pairs, stats = small_pairs
+    path = tmp_path_factory.mktemp("baseline") / "base.mjc"
+    return path, train_baseline_poser(pairs, SMALL_CFG, stats, ckpt_path=path)
 
 
 @pytest.fixture(scope="module")

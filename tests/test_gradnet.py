@@ -129,6 +129,17 @@ class TestElementwiseGradients:
             x.value[np.abs(x.value) < 0.05] += 0.1
             fd_gradcheck(lambda: op(x), [x], seed=trial)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_gradient_equals_mask_product(self, dtype):
+        # reference: the upstream gradient times a {1, slope} mask in the input dtype
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(6, 40)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(6, 40)).astype(dtype)
+        gn.tsum(gn.mul(gn.leaky_relu(x, 0.2), g)).backward()
+        want = g * np.where(x.value > 0, 1.0, 0.2).astype(dtype)
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, want)
+
     def test_broadcast_add_mul_div(self):
         rng = np.random.default_rng(3)
         a = leaf(rng, 5, 4)

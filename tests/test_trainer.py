@@ -5,12 +5,33 @@ from imutok import gradnet as gn
 from imutok import vqcodec as vq
 from imutok.checkpoint import arrays_digest, load_checkpoint, save_checkpoint
 from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
-                           EmptyDataset, FormatError)
+                           EmptyDataset, FormatError, LengthMismatch)
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
+from imutok.imusim import InertiaSequence
+from imutok.motion import MotionSequence
 from imutok.trainer import (TrainConfig, _motion_batch_losses, _rng, build_imu_model,
                             build_motion_model, make_windows,
                             motion_total_from_components, train_imu_tokenizer,
                             train_motion_vqvae)
+
+# the keys of one report record per stage
+STAGE1_RECORD_KEYS = {"step", "loss", "recon", "commit", "contact", "slide", "zipf_js",
+                      "perplexity", "lr", "refreshed", "wall_clock"}
+STAGE2_RECORD_KEYS = {"step", "loss", "code", "dist", "dist_match", "dist_zipf",
+                      "perplexity", "lr", "refreshed", "wall_clock"}
+
+
+def shorten(pairs, n_frames, motion=(), imu=()):
+    """Copy of ``pairs`` with the motion of the pairs in ``motion`` and the
+    IMU of the pairs in ``imu`` cut ``n_frames`` short."""
+    out = []
+    for k, (m, i) in enumerate(pairs):
+        if k in motion:
+            m = MotionSequence(m.frames[:-n_frames], m.fps)
+        if k in imu:
+            i = InertiaSequence(i.frames[:-n_frames], i.fps)
+        out.append((m, i))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +88,14 @@ class TestWindows:
         with pytest.raises(EmptyDataset):
             make_windows([np.zeros((10, 7))], 32)
 
+    def test_float32_crops_equal_the_cast_of_float64_crops(self):
+        frames = [np.random.default_rng(0).normal(size=(n, 5)) for n in (70, 45)]
+        w = make_windows(frames, 32)
+        want = np.stack([f[lo:lo + 32] for f in frames
+                         for lo in range(0, len(f) - 31, 16)]).astype(np.float32)
+        assert w.dtype == np.float32
+        assert np.array_equal(w, want)
+
 
 class TestStageOne:
     def test_same_seed_runs_are_bitwise_identical(self, tiny_cfg, tiny_pairs, tmp_path):
@@ -96,14 +125,15 @@ class TestStageOne:
 
         # rebuild the exact step-0 state: same init/data/gumbel streams
         from imutok.models import MotionVQVAE, flatten_latents
-        from imutok.trainer import _batch_indices
         windows = make_windows([np.asarray(m.frames) for m in corpus], tiny_cfg.window)
         init_rng = _rng(tiny_cfg.seed, 0)
         data_rng = _rng(tiny_cfg.seed, 1)
         gumbel_rng = _rng(tiny_cfg.seed, 2)
         model = MotionVQVAE(tiny_cfg.K, tiny_cfg.d_z, tiny_cfg.hidden, rng=init_rng,
                             gamma=tiny_cfg.gamma)
-        batch = windows[_batch_indices(data_rng, len(windows), tiny_cfg.batch_size)]
+        sel = data_rng.choice(len(windows), size=min(tiny_cfg.batch_size, len(windows)),
+                              replace=False)
+        batch = windows[sel]
         z0 = model.encode(gn.Tensor(np.ascontiguousarray(batch.transpose(0, 2, 1))))
         model.codebook = vq.Codebook.from_kmeans(flatten_latents(z0).value, tiny_cfg.K,
                                                  rng=init_rng, gamma=tiny_cfg.gamma)
@@ -130,6 +160,14 @@ class TestStageOne:
         _, report = train_motion_vqvae(corpus, tiny_cfg)
         for rec in report.records:
             assert 1.0 <= rec["perplexity"] <= tiny_cfg.K
+
+    def test_record_keys(self, tiny_cfg, tiny_pairs):
+        pairs, _ = tiny_pairs
+        _, report = train_motion_vqvae([m for m, _ in pairs], tiny_cfg)
+        assert len(report.records) == tiny_cfg.total_steps
+        for step, rec in enumerate(report.records):
+            assert set(rec) == STAGE1_RECORD_KEYS
+            assert rec["step"] == step
 
     def test_empty_corpus(self, tiny_cfg):
         with pytest.raises(EmptyDataset):
@@ -252,3 +290,32 @@ class TestStageTwo:
         assert np.array_equal(loaded_stats.mean, stats.mean)
         assert np.array_equal(loaded_stats.std, stats.std)
         assert imu_model.codebook.entries.shape == (tiny_cfg.K, tiny_cfg.d_z)
+
+    def test_record_keys(self, tiny_cfg, tiny_pairs, stage1):
+        pairs, stats = tiny_pairs
+        _, _, report = train_imu_tokenizer(pairs, stage1, tiny_cfg, stats)
+        assert len(report.records) == tiny_cfg.total_steps
+        for step, rec in enumerate(report.records):
+            assert set(rec) == STAGE2_RECORD_KEYS
+            assert rec["step"] == step
+
+    def test_empty_corpus(self, tiny_cfg, tiny_pairs, stage1):
+        _, stats = tiny_pairs
+        with pytest.raises(EmptyDataset):
+            train_imu_tokenizer([], stage1, tiny_cfg, stats)
+
+    def test_misaligned_pairs_with_equal_window_counts_raise(self, tiny_cfg, tiny_pairs,
+                                                             stage1):
+        # pair 0 loses motion frames and pair 1 IMU frames: the window
+        # totals still agree, so only a per-pair check can catch it
+        pairs, stats = tiny_pairs
+        bad = shorten(pairs, 32, motion=(0,), imu=(1,))
+        assert len(make_windows([m.frames for m, _ in bad], 32)) == \
+            len(make_windows([i.frames for _, i in bad], 32))
+        with pytest.raises(LengthMismatch):
+            train_imu_tokenizer(bad, stage1, tiny_cfg, stats)
+
+    def test_one_short_motion_raises(self, tiny_cfg, tiny_pairs, stage1):
+        pairs, stats = tiny_pairs
+        with pytest.raises(LengthMismatch):
+            train_imu_tokenizer(shorten(pairs, 32, motion=(2,)), stage1, tiny_cfg, stats)
