@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -29,7 +30,6 @@ from .imusim import (DEFAULT_PLACEMENT, InertiaSequence, NoiseConfig, NormStats,
                      normalize_acceleration, synthesize_imu)
 from .motion import (MotionSequence, build_motion_representation,
                      generate_synthetic_motion, track_from_motion)
-from .skeleton import DEFAULT_SKELETON
 from .trainer import TrainConfig, train_imu_tokenizer, train_motion_vqvae
 
 
@@ -51,10 +51,8 @@ def parse_config_file(path) -> TrainConfig:
 
 def _load_config(args) -> TrainConfig:
     cfg = parse_config_file(args.config) if args.config else TrainConfig()
-    if getattr(args, "steps", None) is not None:
-        meta = cfg.as_meta()
-        meta["total_steps"] = args.steps
-        cfg = TrainConfig.from_meta(meta)
+    if args.steps is not None:
+        cfg = dataclasses.replace(cfg, total_steps=args.steps)
     return cfg
 
 
@@ -105,7 +103,7 @@ def cmd_imu_simulate(args):
     seq = _read_motion(args.motion)
     placement = _load_placement(args.placement) if args.placement else DEFAULT_PLACEMENT
     track = track_from_motion(seq, fallback=False)
-    imu = synthesize_imu(track, DEFAULT_SKELETON, placement)
+    imu = synthesize_imu(track, placement)
     if args.noise_profile:
         noise = _load_noise_profile(args.noise_profile)
         imu = apply_corruption(apply_drift(imu, noise), noise)

@@ -13,13 +13,13 @@ import numpy as np
 from . import gradnet as gn
 from .checkpoint import Checkpoint, arrays_digest, load_checkpoint
 from .errors import CheckpointMismatch, LengthMismatch, TooShort
-from .imusim import (DEFAULT_PLACEMENT, IMU_WIDTH, InertiaSequence, NoiseConfig, NormStats,
+from .imusim import (IMU_WIDTH, InertiaSequence, NoiseConfig, NormStats,
                      apply_corruption, apply_drift, fit_norm_stats,
                      normalize_acceleration, synthesize_imu)
-from .models import BaselinePoser, load_model_arrays
+from .models import BaselinePoser, checkpoint_array, load_model_arrays
 from .motion import (MotionSequence, build_motion_representation,
                      generate_synthetic_motion, track_from_motion)
-from .skeleton import DEFAULT_SKELETON, Skeleton, forward_kinematics_sequence
+from .skeleton import DEFAULT_SKELETON, forward_kinematics_sequence
 from .stream import InferencePipeline, _prepare_frames, decode_tokens, tokenize_sequence
 from .trainer import TrainConfig, _rng, fit, paired_windows, time_last
 
@@ -50,17 +50,18 @@ class MetricReport:
         raise KeyError(f"no row for method={method} level={level}")
 
 
-def joint_positions(seq: MotionSequence, skel: Skeleton = DEFAULT_SKELETON) -> np.ndarray:
+def joint_positions(seq: MotionSequence) -> np.ndarray:
     """World joint positions (T, 22, 3) via FK with the root state applied."""
     track = track_from_motion(seq, fallback=True)
-    return forward_kinematics_sequence(skel, track.root_pos, track.root_rot, track.local_rots)
+    return forward_kinematics_sequence(DEFAULT_SKELETON, track.root_pos, track.root_rot,
+                                       track.local_rots)
 
 
-def mpjpe(pred: MotionSequence, gt: MotionSequence, skel: Skeleton = DEFAULT_SKELETON) -> float:
+def mpjpe(pred: MotionSequence, gt: MotionSequence) -> float:
     """Mean per-joint position error in centimeters."""
     if len(pred) != len(gt):
         raise LengthMismatch(f"prediction has {len(pred)} frames, ground truth {len(gt)}")
-    d = np.linalg.norm(joint_positions(pred, skel) - joint_positions(gt, skel), axis=2)
+    d = np.linalg.norm(joint_positions(pred) - joint_positions(gt), axis=2)
     return float(d.mean() * 100.0)
 
 
@@ -83,17 +84,16 @@ def jitter(positions: np.ndarray, fps: float) -> float:
 # ---------------------------------------------------------------------------
 # data synthesis helpers (desk-scale stand-in corpora)
 
-def synthesize_pairs(seeds, duration_s: float = 8.0, fps: float = 60.0,
-                     skel: Skeleton = DEFAULT_SKELETON, placement=DEFAULT_PLACEMENT):
+def synthesize_pairs(seeds, duration_s: float = 8.0, fps: float = 60.0):
     """Deterministic (MotionSequence, raw InertiaSequence) pairs, styles
     cycling through the four generators."""
     from .motion import STYLES
     pairs = []
     for n, seed in enumerate(seeds):
         style = STYLES[n % len(STYLES)]
-        track = generate_synthetic_motion(seed, duration_s, fps, style, skel)
-        motion = build_motion_representation(track, skel)
-        imu = synthesize_imu(track, skel, placement)
+        track = generate_synthetic_motion(seed, duration_s, fps, style)
+        motion = build_motion_representation(track)
+        imu = synthesize_imu(track)
         pairs.append((motion, imu))
     return pairs
 
@@ -140,7 +140,8 @@ def build_baseline_model(ckpt: Checkpoint):
     cfg = TrainConfig.from_meta(ckpt.meta)
     model = BaselinePoser(IMU_WIDTH, cfg.d_z, cfg.hidden, rng=np.random.default_rng(0))
     load_model_arrays(model, ckpt.arrays, "baseline.")
-    stats = NormStats(mean=ckpt.arrays["stats.mean"], std=ckpt.arrays["stats.std"])
+    stats = NormStats(mean=checkpoint_array(ckpt.arrays, "stats.mean"),
+                      std=checkpoint_array(ckpt.arrays, "stats.std"))
     return model, cfg, stats
 
 

@@ -12,6 +12,9 @@ import struct
 import numpy as np
 
 from .errors import FormatError
+from .imusim import IMU_WIDTH, SENSOR_COUNT
+from .motion import MOTION_WIDTH
+from .skeleton import JOINT_COUNT
 
 MOTION_MAGIC = b"MJT1"
 IMU_MAGIC = b"MJI1"
@@ -29,10 +32,10 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def write_motion_file(path, frames: np.ndarray, fps: float, joint_count: int = 22) -> None:
+def write_motion_file(path, frames: np.ndarray, fps: float) -> None:
     frames = np.ascontiguousarray(frames, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(_MOTION_HEADER.pack(MOTION_MAGIC, fps, frames.shape[0], joint_count))
+        fh.write(_MOTION_HEADER.pack(MOTION_MAGIC, fps, frames.shape[0], JOINT_COUNT))
         fh.write(frames.tobytes())
 
 
@@ -42,7 +45,6 @@ def read_motion_file(path):
         magic, fps, count, joints = _MOTION_HEADER.unpack(_read_exact(fh, _MOTION_HEADER.size))
         if magic != MOTION_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MOTION_MAGIC!r}")
-        from .motion import MOTION_WIDTH
         payload = _read_exact(fh, count * MOTION_WIDTH * 4)
         if fh.read(1):
             raise FormatError("trailing bytes after motion payload")
@@ -50,10 +52,10 @@ def read_motion_file(path):
     return frames, fps, joints
 
 
-def write_imu_file(path, frames: np.ndarray, fps: float, sensor_count: int = 6) -> None:
+def write_imu_file(path, frames: np.ndarray, fps: float) -> None:
     frames = np.ascontiguousarray(frames, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(_IMU_HEADER.pack(IMU_MAGIC, fps, frames.shape[0], sensor_count))
+        fh.write(_IMU_HEADER.pack(IMU_MAGIC, fps, frames.shape[0], SENSOR_COUNT))
         fh.write(frames.tobytes())
 
 
@@ -63,7 +65,6 @@ def read_imu_file(path):
         magic, fps, count, sensors = _IMU_HEADER.unpack(_read_exact(fh, _IMU_HEADER.size))
         if magic != IMU_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {IMU_MAGIC!r}")
-        from .imusim import IMU_WIDTH
         payload = _read_exact(fh, count * IMU_WIDTH * 4)
         if fh.read(1):
             raise FormatError("trailing bytes after IMU payload")

@@ -31,54 +31,11 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def dtype(self):
-        return self.value.dtype
-
     def __float__(self) -> float:
         return float(self.value)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, grad={self.requires_grad})"
-
-    # -- graph ---------------------------------------------------------
-
     def backward(self) -> None:
         backward(self)
-
-    # -- operators -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -569,15 +526,17 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> floa
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamW:
     """Decoupled weight-decay Adam with bias-corrected moments."""
 
-    def __init__(self, params: dict, lr: float = 2e-4, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params: dict, lr: float = 2e-4, weight_decay: float = 0.01):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {k: np.zeros_like(p.value) for k, p in self.params.items()}
@@ -592,8 +551,8 @@ class AdamW:
             lr = self.lr
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        c1 = 1.0 - ADAM_BETA1 ** t
+        c2 = 1.0 - ADAM_BETA2 ** t
         for k, p in self.params.items():
             g = p.grad
             if g is None:
@@ -602,11 +561,11 @@ class AdamW:
                 raise ShapeMismatch(f"gradient shape {g.shape} != param shape {p.value.shape}")
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             p.value -= lr * (update + self.weight_decay * p.value)
 
     def state_arrays(self) -> dict:

@@ -4,9 +4,8 @@ An inertia frame is a flat 72-dim vector for N=6 sensors laid out as
 [6 sensor orientations 6D (36), 6 free accelerations (18),
  6 angular velocities (18)], sensor-major inside each block.
 
-Free acceleration excludes gravity by definition; the synthetic path never
-adds a gravity term, so the ``gravity`` argument of synthesize_imu only
-documents the convention of the coordinate frame (y-up, gravity -y).
+Free acceleration excludes gravity by definition, so the synthetic path
+never adds a gravity term. The coordinate frame is y-up (gravity along -y).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 from . import geom
 from .errors import EmptyCorpus, InvalidArgument, ShapeMismatch, TooShort
 from .motion import RawPoseTrack
-from .skeleton import DEFAULT_SKELETON, Skeleton, forward_kinematics_sequence
+from .skeleton import DEFAULT_SKELETON, forward_kinematics_sequence
 
 SENSOR_COUNT = 6
 IMU_WIDTH = 72
@@ -26,8 +25,6 @@ IMU_WIDTH = 72
 SL_ORI = slice(0, 36)
 SL_ACC = slice(36, 54)
 SL_GYR = slice(54, 72)
-
-GRAVITY = np.array([0.0, -9.81, 0.0])
 
 # default sensor set: pelvis, head, both wrists, both knees
 _DEFAULT_SENSOR_JOINTS = (0, 15, 18, 21, 2, 7)
@@ -144,10 +141,9 @@ def _sensor_rng(seed: int, op: int, sensor: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(op, sensor)))
 
 
-def synthesize_imu(track: RawPoseTrack, skel: Skeleton = DEFAULT_SKELETON,
-                   placement: SensorPlacement = DEFAULT_PLACEMENT,
-                   gravity: np.ndarray = GRAVITY) -> InertiaSequence:
-    """Simulate sensor readings from a pose track.
+def synthesize_imu(track: RawPoseTrack,
+                   placement: SensorPlacement = DEFAULT_PLACEMENT) -> InertiaSequence:
+    """Simulate sensor readings from a pose track on the fixed skeleton.
 
     Orientation: bone global rotation times mounting rotation. Free
     acceleration: second central difference of the sensor world position
@@ -161,7 +157,8 @@ def synthesize_imu(track: RawPoseTrack, skel: Skeleton = DEFAULT_SKELETON,
     dt = 1.0 / fps
 
     pos, glob = forward_kinematics_sequence(
-        skel, track.root_pos, track.root_rot, track.local_rots, return_rotations=True)
+        DEFAULT_SKELETON, track.root_pos, track.root_rot, track.local_rots,
+        return_rotations=True)
 
     frames = np.empty((T, IMU_WIDTH), dtype=np.float64)
     for i in range(SENSOR_COUNT):

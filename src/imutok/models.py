@@ -196,19 +196,25 @@ def model_arrays(model, prefix: str = "") -> dict:
     return out
 
 
+def checkpoint_array(arrays: dict, key: str) -> np.ndarray:
+    """``arrays[key]``; raises ConfigInvalid when the checkpoint lacks it."""
+    if key not in arrays:
+        raise ConfigInvalid(f"checkpoint missing array {key}")
+    return arrays[key]
+
+
 def load_model_arrays(model, arrays: dict, prefix: str = "") -> None:
     """Restore parameters and codebook state in place."""
     for name, p in model.params().items():
         key = f"{prefix}{name}"
-        if key not in arrays:
-            raise ConfigInvalid(f"checkpoint missing parameter {key}")
-        if arrays[key].shape != p.value.shape:
-            raise ConfigInvalid(f"parameter {key} has shape {arrays[key].shape}, "
+        value = checkpoint_array(arrays, key)
+        if value.shape != p.value.shape:
+            raise ConfigInvalid(f"parameter {key} has shape {value.shape}, "
                                 f"expected {p.value.shape}")
-        p.value = arrays[key].copy()
+        p.value = value.copy()
     cb = getattr(model, "codebook", None)
     if cb is not None:
-        cb.entries = arrays[f"{prefix}cb.entries"].copy()
-        cb.ema_sigma = arrays[f"{prefix}cb.sigma"].copy()
-        cb.ema_delta = arrays[f"{prefix}cb.delta"].copy()
-        cb.dead_steps = arrays[f"{prefix}cb.dead"].copy()
+        cb.entries = checkpoint_array(arrays, f"{prefix}cb.entries").copy()
+        cb.ema_sigma = checkpoint_array(arrays, f"{prefix}cb.sigma").copy()
+        cb.ema_delta = checkpoint_array(arrays, f"{prefix}cb.delta").copy()
+        cb.dead_steps = checkpoint_array(arrays, f"{prefix}cb.dead").copy()

@@ -16,7 +16,7 @@ import numpy as np
 from . import geom
 from .errors import InvalidArgument, ShapeMismatch, TooShort
 from .skeleton import (DEFAULT_SKELETON, LOCAL_JOINT_COUNT, STANDING_ROOT_HEIGHT,
-                       Skeleton, forward_kinematics_sequence)
+                       forward_kinematics_sequence)
 
 MOTION_WIDTH = 271
 
@@ -134,7 +134,7 @@ def derive_contacts(foot_positions: np.ndarray, fps: float) -> np.ndarray:
     return ((height < CONTACT_HEIGHT_THRESH) & (speed < CONTACT_SPEED_THRESH)).astype(np.float64)
 
 
-def build_motion_representation(track: RawPoseTrack, skel: Skeleton = DEFAULT_SKELETON) -> MotionSequence:
+def build_motion_representation(track: RawPoseTrack) -> MotionSequence:
     """Assemble the 271-dim representation from a raw pose track.
 
     Velocities use central finite differences (one-sided at boundaries).
@@ -147,7 +147,8 @@ def build_motion_representation(track: RawPoseTrack, skel: Skeleton = DEFAULT_SK
         raise TooShort(f"need at least 3 frames for finite differences, got {T}")
     dt = 1.0 / track.fps
 
-    pos = forward_kinematics_sequence(skel, track.root_pos, track.root_rot, track.local_rots)
+    pos = forward_kinematics_sequence(DEFAULT_SKELETON, track.root_pos, track.root_rot,
+                                      track.local_rots)
 
     r = track.root_pos.astype(np.float64)
     r_dot = _central_difference(r, track.fps)
@@ -163,7 +164,7 @@ def build_motion_representation(track: RawPoseTrack, skel: Skeleton = DEFAULT_SK
     j_p = j_world - r[:, None, :]
     j_v = _central_difference(j_world, track.fps)
 
-    foot_idx = list(skel.foot_joints)
+    foot_idx = list(DEFAULT_SKELETON.foot_joints)
     p = derive_contacts(pos[:, foot_idx], track.fps)
 
     frames = np.concatenate([
@@ -241,16 +242,15 @@ def _identity_rots(T: int) -> np.ndarray:
     return R
 
 
-def _ground_feet(skel: Skeleton, root_pos: np.ndarray, root_rot: np.ndarray,
-                 local: np.ndarray) -> None:
+def _ground_feet(root_pos: np.ndarray, root_rot: np.ndarray, local: np.ndarray) -> None:
     """Shift root height per frame so the lowest foot point sits on y=0."""
-    pos = forward_kinematics_sequence(skel, root_pos, root_rot, local)
-    foot_y = pos[:, list(skel.foot_joints), 1]
+    pos = forward_kinematics_sequence(DEFAULT_SKELETON, root_pos, root_rot, local)
+    foot_y = pos[:, list(DEFAULT_SKELETON.foot_joints), 1]
     root_pos[:, 1] -= foot_y.min(axis=1)
 
 
 def generate_synthetic_motion(seed: int, duration_s: float, fps: float,
-                              style: str, skel: Skeleton = DEFAULT_SKELETON) -> RawPoseTrack:
+                              style: str) -> RawPoseTrack:
     """Deterministic parametric motion of the requested style.
 
     Styles: walk (stepping in place with arm swing), squat, arm_raise,
@@ -310,7 +310,7 @@ def generate_synthetic_motion(seed: int, duration_s: float, fps: float,
         arm = amp(0.5) * 0.5 * (1 - np.cos(w * t))
         local[:, _L_SHOULDER - 1] = _rx(arm)
         local[:, _R_SHOULDER - 1] = _rx(arm)
-        _ground_feet(skel, root_pos, root_rot, local)
+        _ground_feet(root_pos, root_rot, local)
 
     elif style == "walk":
         f = rng.uniform(0.8, 1.1)  # step cycle per leg
@@ -328,6 +328,6 @@ def generate_synthetic_motion(seed: int, duration_s: float, fps: float,
         local[:, _L_SHOULDER - 1] = _rx(swing)
         local[:, _R_SHOULDER - 1] = _rx(-swing)
         root_rot[:] = _ry(amp(0.04) * np.sin(w * t + phase))
-        _ground_feet(skel, root_pos, root_rot, local)
+        _ground_feet(root_pos, root_rot, local)
 
     return RawPoseTrack(root_pos=root_pos, root_rot=root_rot, local_rots=local, fps=float(fps))

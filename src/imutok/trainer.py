@@ -8,7 +8,7 @@ a fixed seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import CheckpointMismatch, ConfigInvalid, EmptyDataset, LengthMismatch
 from .gradnet import AdamW, cosine_lr
 from .imusim import IMU_WIDTH, NormStats
-from .models import (ImuTokenizer, MotionVQVAE, flatten_latents,
-                     load_model_arrays, model_arrays, unflatten_latents)
+from .models import (COMPRESSION, ImuTokenizer, MotionVQVAE, checkpoint_array,
+                     flatten_latents, load_model_arrays, model_arrays, unflatten_latents)
 from .motion import SL_CONTACT, SL_JOINT_VEL
 from .skeleton import DEFAULT_SKELETON
 from .vqcodec import LossWeights, ZipfParams
@@ -35,7 +35,6 @@ class TrainConfig:
 
     K: int = 64
     d_z: int = 64
-    l: int = 4
     gamma: float = 0.99
     weights: LossWeights = field(default_factory=LossWeights)
     lr_max: float = 2e-4
@@ -45,53 +44,52 @@ class TrainConfig:
     total_steps: int = 5000
     window: int = 64
     seed: int = 0
-    fps: float = 60.0
     hidden: int = 128
     temperature: float = vq.GUMBEL_TEMPERATURE
     zipf_alpha: float = 1.0
     zipf_beta: float = 2.7
 
     def __post_init__(self):
-        if self.window % self.l != 0:
-            raise ConfigInvalid(f"compression rate {self.l} must divide window {self.window}")
+        if self.window % COMPRESSION != 0:
+            raise ConfigInvalid(f"compression rate {COMPRESSION} must divide window {self.window}")
         if self.batch_size < 1 or self.total_steps < 1 or self.K < 2:
             raise ConfigInvalid("batch_size/total_steps/K out of range")
         if self.K > MAX_CODEBOOK_SIZE:
             raise ConfigInvalid(f"K={self.K} exceeds {MAX_CODEBOOK_SIZE}, the u16 token id range")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigInvalid("gamma must lie in (0, 1)")
-        if self.l != 4:
-            raise ConfigInvalid("the encoder realizes a fixed compression rate of 4")
 
     def as_meta(self) -> dict:
-        w = self.weights
-        return {
-            "K": self.K, "d_z": self.d_z, "l": self.l, "gamma": self.gamma,
-            "lr_max": self.lr_max, "lr_min": self.lr_min,
-            "weight_decay": self.weight_decay, "batch_size": self.batch_size,
-            "total_steps": self.total_steps, "window": self.window,
-            "seed": self.seed, "fps": self.fps, "hidden": self.hidden,
-            "temperature": self.temperature,
-            "zipf_alpha": self.zipf_alpha, "zipf_beta": self.zipf_beta,
-            "w_recon": w.recon, "w_commit": w.commit, "w_contact": w.contact,
-            "w_slide": w.slide, "w_code": w.code, "w_dist": w.dist, "w_zipf": w.zipf,
-        }
+        """Every field by name, with the loss weights under ``w_<name>``."""
+        meta = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "weights"}
+        meta.update({f"w_{f.name}": getattr(self.weights, f.name) for f in fields(LossWeights)})
+        return meta
 
     @classmethod
     def from_meta(cls, meta: dict) -> "TrainConfig":
-        w = LossWeights(recon=float(meta["w_recon"]), commit=float(meta["w_commit"]),
-                        contact=float(meta["w_contact"]), slide=float(meta["w_slide"]),
-                        code=float(meta["w_code"]), dist=float(meta["w_dist"]),
-                        zipf=float(meta["w_zipf"]))
-        return cls(K=int(meta["K"]), d_z=int(meta["d_z"]), l=int(meta["l"]),
-                   gamma=float(meta["gamma"]), weights=w,
-                   lr_max=float(meta["lr_max"]), lr_min=float(meta["lr_min"]),
-                   weight_decay=float(meta["weight_decay"]),
-                   batch_size=int(meta["batch_size"]), total_steps=int(meta["total_steps"]),
-                   window=int(meta["window"]), seed=int(meta["seed"]),
-                   fps=float(meta["fps"]), hidden=int(meta["hidden"]),
-                   temperature=float(meta["temperature"]),
-                   zipf_alpha=float(meta["zipf_alpha"]), zipf_beta=float(meta["zipf_beta"]))
+        """Inverse of ``as_meta``, from typed or string values; keys it does
+        not write (such as a checkpoint's ``kind``) are ignored. Raises
+        ConfigInvalid naming the key that is missing or does not parse."""
+        weights = LossWeights(**_parse_fields(LossWeights, meta, "w_"))
+        return cls(weights=weights, **_parse_fields(cls, meta, ""))
+
+
+def _parse_fields(cls, meta: dict, prefix: str) -> dict:
+    """Each field of the dataclass ``cls`` that has a plain default, read
+    from ``meta[prefix + name]`` and parsed by the type of that default."""
+    out = {}
+    for f in fields(cls):
+        if f.default is MISSING:
+            continue
+        key = prefix + f.name
+        if key not in meta:
+            raise ConfigInvalid(f"config is missing key {key!r}")
+        try:
+            out[f.name] = type(f.default)(meta[key])
+        except ValueError:
+            raise ConfigInvalid(f"config key {key!r}: {meta[key]!r} does not parse "
+                                f"as {type(f.default).__name__}") from None
+    return out
 
 
 @dataclass
@@ -112,14 +110,12 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
-def make_windows(frame_arrays, window: int, stride: int | None = None) -> np.ndarray:
+def make_windows(frame_arrays, window: int) -> np.ndarray:
     """Fixed-length float32 crops with stride window/2 from a list of (T, D) arrays."""
-    if stride is None:
-        stride = window // 2
     crops = []
     for frames in frame_arrays:
         T = frames.shape[0]
-        for lo in range(0, T - window + 1, stride):
+        for lo in range(0, T - window + 1, window // 2):
             crops.append(frames[lo:lo + window])
     if not crops:
         raise EmptyDataset(f"no window of length {window} fits the corpus")
@@ -345,5 +341,6 @@ def build_imu_model(ckpt: Checkpoint) -> tuple:
                                gamma=cfg.gamma)
     load_model_arrays(motion_model, ckpt.arrays, "motion.")
     motion_model.set_requires_grad(False)
-    stats = NormStats(mean=ckpt.arrays["stats.mean"], std=ckpt.arrays["stats.std"])
+    stats = NormStats(mean=checkpoint_array(ckpt.arrays, "stats.mean"),
+                      std=checkpoint_array(ckpt.arrays, "stats.std"))
     return imu_model, motion_model, cfg, stats

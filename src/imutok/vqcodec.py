@@ -27,6 +27,8 @@ DEAD_FRACTION = 1e-3
 DEAD_PATIENCE = 50
 REINIT_MASS = 1.0
 
+KMEANS_ITERS = 10  # Lloyd iterations of the codebook seeding
+
 # bytes of the (rows, K, d_z) difference block quantize materializes at once
 QUANTIZE_BLOCK_BYTES = 32 << 20
 
@@ -83,13 +85,9 @@ class Codebook:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[1]
-
     @classmethod
     def from_kmeans(cls, latents: np.ndarray, K: int, *, rng: np.random.Generator,
-                    gamma: float = 0.99, iters: int = 10) -> "Codebook":
+                    gamma: float = 0.99) -> "Codebook":
         """Seed the table with k-means (Lloyd) over an encoded batch.
 
         Batches smaller than K (tiny corpora) seed the surplus entries with
@@ -107,7 +105,7 @@ class Codebook:
             spread = latents.std(axis=0, keepdims=True) + 1e-3
             centers += (0.01 * spread * rng.standard_normal(centers.shape)
                         ).astype(centers.dtype)
-        for _ in range(iters):
+        for _ in range(KMEANS_ITERS):
             idx, _ = quantize(latents, centers)
             for k in range(K):
                 members = latents[idx == k]

@@ -7,6 +7,8 @@ from imutok import fileio
 from imutok.cli import main, parse_config_file
 from imutok.errors import ImutokError
 from imutok.stream import read_token_stream
+from imutok.trainer import TrainConfig
+from imutok.vqcodec import LossWeights
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +70,29 @@ class TestConfigFile:
         bad.write_text("learning_rate = 3\n")
         with pytest.raises(ImutokError):
             parse_config_file(bad)
+
+    def test_reads_back_a_file_written_from_as_meta(self, workdir):
+        cfg = TrainConfig(K=24, d_z=8, hidden=16, window=48, seed=2, lr_min=3e-7,
+                          weights=LossWeights(zipf=0.5, commit=0.03))
+        path = workdir / "full.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.as_meta().items()))
+        assert parse_config_file(path) == cfg
+
+    @pytest.mark.parametrize("line", ["l = 4", "fps = 60.0"])
+    def test_removed_keys_rejected(self, workdir, line):
+        bad = workdir / "removed.cfg"
+        bad.write_text(line + "\n")
+        with pytest.raises(ImutokError, match="bad config line"):
+            parse_config_file(bad)
+
+    def test_unparsable_value_exits_with_error(self, workdir, dataset, capsys):
+        bad = workdir / "abc.cfg"
+        bad.write_text("K = abc\n")
+        code = main(["train", "motion", "--data", str(dataset), "--config", str(bad),
+                     "--out", str(workdir / "no.mjc")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'K'" in err
 
 
 class TestMotionAndImuCommands:

@@ -16,7 +16,7 @@ from imutok.models import LEAKY_SLOPE, SMOOTH_KERNEL, BaselinePoser, _sigmoid_co
 from imutok.motion import MOTION_WIDTH, MotionSequence
 from imutok.trainer import TrainConfig, train_imu_tokenizer, train_motion_vqvae
 
-from tests.test_trainer import shorten
+from tests.test_trainer import shorten, without_array
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +182,13 @@ class TestBaselinePoser:
         save_checkpoint(old_path, ckpt.meta, renamed)
         with pytest.raises(ConfigInvalid):
             build_baseline_model(load_checkpoint(old_path))
+
+    @pytest.mark.parametrize("key", ["stats.mean", "stats.std"])
+    def test_checkpoint_without_stats_raises(self, baseline_run, tmp_path, key):
+        path, _ = baseline_run
+        ckpt = without_array(path, key, tmp_path / "cut.mjc")
+        with pytest.raises(ConfigInvalid, match=key):
+            build_baseline_model(ckpt)
 
     def test_checkpoint_round_trip(self, baseline_run):
         path, (model, _) = baseline_run

@@ -322,7 +322,7 @@ class TestOptimizer:
 
     def test_single_step_closed_form(self):
         p = Tensor(np.array([0.7]), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
         p.grad = np.array([1.0])
         opt.step()
         # bias correction makes mhat = vhat = 1, so the step is lr/(1 + eps)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def tiny_pairs():
 class TestConfig:
     def test_defaults_are_consistent(self):
         cfg = TrainConfig()
-        assert cfg.K == 64 and cfg.l == 4 and cfg.gamma == 0.99
+        assert cfg.K == 64 and cfg.gamma == 0.99
         assert cfg.lr_max == 2e-4 and cfg.batch_size == 16
         w = cfg.weights
         assert (w.recon, w.commit, w.contact, w.slide) == (1.0, 0.02, 0.01, 0.01)
@@ -59,6 +61,46 @@ class TestConfig:
     def test_meta_round_trip(self):
         cfg = TrainConfig(K=32, d_z=24, hidden=48, seed=9, lr_min=1e-5)
         assert TrainConfig.from_meta({k: str(v) for k, v in cfg.as_meta().items()}) == cfg
+
+    def test_meta_round_trip_with_every_field_set(self):
+        weights = vq.LossWeights(recon=2.0, commit=0.5, contact=0.25, slide=0.125,
+                                 code=3.0, dist=0.75, zipf=0.0625)
+        cfg = TrainConfig(K=1024, d_z=512, gamma=0.95, weights=weights, lr_max=1e-3,
+                          lr_min=1e-7, weight_decay=0.05, batch_size=512, total_steps=77,
+                          window=96, seed=123, hidden=256, temperature=0.7,
+                          zipf_alpha=1.5, zipf_beta=3.1)
+        default = TrainConfig()
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        for f in dataclasses.fields(vq.LossWeights):
+            assert getattr(weights, f.name) != getattr(default.weights, f.name), f.name
+        meta = {k: str(v) for k, v in cfg.as_meta().items()}
+        assert len(meta) == len(dataclasses.fields(TrainConfig)) - 1 + \
+            len(dataclasses.fields(vq.LossWeights))
+        assert TrainConfig.from_meta(meta) == cfg
+
+    def test_meta_of_older_checkpoints_loads(self):
+        # older checkpoints carry the compression rate ``l`` and ``fps``,
+        # and every checkpoint carries its kind
+        cfg = TrainConfig(K=32, seed=4)
+        meta = {k: str(v) for k, v in cfg.as_meta().items()}
+        meta.update({"l": "4", "fps": "60.0", "kind": "motion_vqvae"})
+        assert TrainConfig.from_meta(meta) == cfg
+
+    @pytest.mark.parametrize("key", ["K", "zipf_beta", "w_recon", "w_zipf"])
+    def test_missing_meta_key_is_named(self, key):
+        meta = TrainConfig().as_meta()
+        del meta[key]
+        with pytest.raises(ConfigInvalid, match=f"'{key}'"):
+            TrainConfig.from_meta(meta)
+
+    @pytest.mark.parametrize("key, value", [("K", "abc"), ("K", "4.0"), ("seed", ""),
+                                            ("lr_max", "fast"), ("w_dist", "1,0")])
+    def test_unparsable_meta_value_is_named(self, key, value):
+        meta = TrainConfig().as_meta()
+        meta[key] = value
+        with pytest.raises(ConfigInvalid, match=f"'{key}'"):
+            TrainConfig.from_meta(meta)
 
     def test_window_must_be_divisible(self):
         with pytest.raises(ConfigInvalid):
@@ -319,3 +361,35 @@ class TestStageTwo:
         pairs, stats = tiny_pairs
         with pytest.raises(LengthMismatch):
             train_imu_tokenizer(shorten(pairs, 32, motion=(2,)), stage1, tiny_cfg, stats)
+
+
+def without_array(path, key, out):
+    """The checkpoint at ``path`` re-saved, with valid digests, minus ``key``."""
+    ckpt = load_checkpoint(path)
+    assert key in ckpt.arrays
+    save_checkpoint(out, ckpt.meta, {k: v for k, v in ckpt.arrays.items() if k != key})
+    return load_checkpoint(out)
+
+
+@pytest.fixture(scope="module")
+def stage2(tiny_cfg, tiny_pairs, stage1, tmp_path_factory):
+    pairs, stats = tiny_pairs
+    path = tmp_path_factory.mktemp("ckpt") / "imu.mjc"
+    train_imu_tokenizer(pairs, stage1, tiny_cfg, stats, ckpt_path=path)
+    return path
+
+
+class TestMissingCheckpointArrays:
+    @pytest.mark.parametrize("key", ["motion.cb.entries", "motion.cb.sigma",
+                                     "motion.cb.delta", "motion.cb.dead"])
+    def test_stage1_codebook_array(self, stage1, tmp_path, key):
+        ckpt = without_array(stage1, key, tmp_path / "cut.mjc")
+        with pytest.raises(ConfigInvalid, match=key):
+            build_motion_model(ckpt)
+
+    @pytest.mark.parametrize("key", ["stats.mean", "stats.std", "imu.cb.dead",
+                                     "motion.cb.entries"])
+    def test_stage2_stats_and_codebook_arrays(self, stage2, tmp_path, key):
+        ckpt = without_array(stage2, key, tmp_path / "cut.mjc")
+        with pytest.raises(ConfigInvalid, match=key):
+            build_imu_model(ckpt)
