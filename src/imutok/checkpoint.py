@@ -7,6 +7,7 @@ at load time.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -37,8 +38,12 @@ def _encode_meta(meta: dict) -> bytes:
 
 
 def _decode_meta(blob: bytes) -> dict:
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("checkpoint meta block is not UTF-8") from None
     meta = {}
-    for line in blob.decode("utf-8").splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         key, _, value = line.partition(" = ")
@@ -96,28 +101,28 @@ def load_checkpoint(path) -> Checkpoint:
         raise DigestMismatch("config digest does not match the meta block")
     (count,) = struct.unpack("<I", grab(4))
     arrays = {}
-    payload_hash = hashlib.sha256()
+    table_start = off
     for _ in range(count):
         (name_len,) = struct.unpack("<H", grab(2))
-        header = struct.pack("<H", name_len)
-        name_b = grab(name_len)
-        name = name_b.decode("utf-8")
+        try:
+            name = grab(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("array name is not UTF-8") from None
         dtype_code, ndim = struct.unpack("<BB", grab(2))
         if dtype_code not in _DTYPE_CODES:
             raise FormatError(f"unknown dtype code {dtype_code}")
-        shape = struct.unpack(f"<{ndim}I", grab(4 * ndim)) if ndim else ()
-        n_items = int(np.prod(shape)) if ndim else 1
+        shape = struct.unpack(f"<{ndim}I", grab(4 * ndim))
         dtype = np.dtype(_DTYPE_CODES[dtype_code])
-        data = grab(n_items * dtype.itemsize)
-        header += name_b + struct.pack("<BB", dtype_code, ndim)
-        header += struct.pack(f"<{ndim}I", *shape) if ndim else b""
-        payload_hash.update(header)
-        payload_hash.update(data)
-        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        data = grab(math.prod(shape) * dtype.itemsize)
+        try:
+            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:
+            raise FormatError(f"array {name!r} has an unusable shape {shape}: {exc}") from None
+    table = memoryview(blob)[table_start:off]
     stored_payload = grab(32)
     if off != len(blob):
         raise FormatError("trailing bytes after checkpoint payload")
-    if payload_hash.digest() != stored_payload:
+    if hashlib.sha256(table).digest() != stored_payload:
         raise DigestMismatch("payload digest mismatch (corrupted array table)")
     return Checkpoint(meta=_decode_meta(meta_blob), arrays=arrays)
 

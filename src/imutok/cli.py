@@ -25,11 +25,10 @@ import numpy as np
 
 from . import evalbench, fileio, stream
 from .errors import ImutokError
-from .imusim import (DEFAULT_PLACEMENT, InertiaSequence, NoiseConfig, NormStats,
-                     SensorPlacement, apply_corruption, apply_drift, fit_norm_stats,
-                     normalize_acceleration, synthesize_imu)
-from .motion import (MotionSequence, build_motion_representation,
-                     generate_synthetic_motion, track_from_motion)
+from .imusim import (DEFAULT_PLACEMENT, NoiseConfig, NormStats, SensorPlacement,
+                     apply_corruption, apply_drift, fit_norm_stats, normalize_acceleration,
+                     synthesize_imu)
+from .motion import build_motion_representation, generate_synthetic_motion, track_from_motion
 from .trainer import TrainConfig, train_imu_tokenizer, train_motion_vqvae
 
 
@@ -56,20 +55,34 @@ def _load_config(args) -> TrainConfig:
     return cfg
 
 
+def _load_json(path, build):
+    """build(blob) for the JSON object in path; malformed JSON, a missing or
+    unknown key, or a bad value is an ImutokError naming the file."""
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+        if not isinstance(blob, dict):
+            raise ImutokError(f"{path}: expected a JSON object")
+        return build(blob)
+    except KeyError as exc:
+        raise ImutokError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ImutokError(f"{path}: {exc}") from None
+
+
 def _load_noise_profile(path) -> NoiseConfig:
-    with open(path) as fh:
-        blob = json.load(fh)
-    blob["corrupted_sensors"] = tuple(blob.get("corrupted_sensors", ()))
-    blob["dropout"] = tuple(blob.get("dropout", (False,) * 6))
-    return NoiseConfig(**blob)
+    def build(blob):
+        blob["corrupted_sensors"] = tuple(blob.get("corrupted_sensors", ()))
+        blob["dropout"] = tuple(blob.get("dropout", (False,) * 6))
+        return NoiseConfig(**blob)
+    return _load_json(path, build)
 
 
 def _load_placement(path) -> SensorPlacement:
-    with open(path) as fh:
-        blob = json.load(fh)
-    return SensorPlacement(joints=tuple(blob["joints"]),
-                           mounts=np.asarray(blob["mounts"], dtype=np.float64),
-                           levers=np.asarray(blob["levers"], dtype=np.float64))
+    return _load_json(path, lambda blob: SensorPlacement(
+        joints=tuple(blob["joints"]),
+        mounts=np.asarray(blob["mounts"], dtype=np.float64),
+        levers=np.asarray(blob["levers"], dtype=np.float64)))
 
 
 def _scan_pairs(data_dir):
@@ -82,16 +95,6 @@ def _scan_pairs(data_dir):
     return motion_files, pairs
 
 
-def _read_motion(path) -> MotionSequence:
-    frames, fps, _ = fileio.read_motion_file(path)
-    return MotionSequence(frames=frames.astype(np.float64), fps=fps)
-
-
-def _read_imu(path) -> InertiaSequence:
-    frames, fps, _ = fileio.read_imu_file(path)
-    return InertiaSequence(frames=frames.astype(np.float64), fps=fps)
-
-
 def cmd_motion_gen(args):
     track = generate_synthetic_motion(args.seed, args.duration, args.fps, args.style)
     seq = build_motion_representation(track)
@@ -100,7 +103,7 @@ def cmd_motion_gen(args):
 
 
 def cmd_imu_simulate(args):
-    seq = _read_motion(args.motion)
+    seq = fileio.read_motion_file(args.motion)
     placement = _load_placement(args.placement) if args.placement else DEFAULT_PLACEMENT
     track = track_from_motion(seq, fallback=False)
     imu = synthesize_imu(track, placement)
@@ -112,7 +115,7 @@ def cmd_imu_simulate(args):
 
 
 def cmd_imu_fit_stats(args):
-    corpus = [_read_imu(p) for p in args.imu]
+    corpus = [fileio.read_imu_file(p) for p in args.imu]
     stats = fit_norm_stats(corpus)
     fileio.write_stats_file(args.out, stats.mean, stats.std)
     print(f"fitted stats over {len(corpus)} sequences -> {args.out}")
@@ -121,7 +124,7 @@ def cmd_imu_fit_stats(args):
 def cmd_train_motion(args):
     cfg = _load_config(args)
     motion_files, _ = _scan_pairs(args.data)
-    corpus = [_read_motion(p) for p in motion_files]
+    corpus = [fileio.read_motion_file(p) for p in motion_files]
     model, report = train_motion_vqvae(corpus, cfg, ckpt_path=args.out)
     if args.report:
         report.write(args.report)
@@ -134,7 +137,7 @@ def _prepared_pairs(args):
     _, pair_files = _scan_pairs(args.data)
     if not pair_files:
         raise ImutokError(f"no paired *.mjt1/*.mji1 files in {args.data}")
-    raw = [(_read_motion(m), _read_imu(i)) for m, i in pair_files]
+    raw = [(fileio.read_motion_file(m), fileio.read_imu_file(i)) for m, i in pair_files]
     if args.stats:
         mean, std = fileio.read_stats_file(args.stats)
         stats = NormStats(mean=mean, std=std)
@@ -180,7 +183,7 @@ def cmd_bench_noise(args):
 
 def cmd_stream_tokenize(args):
     pipe = stream.InferencePipeline.from_checkpoint(args.ckpt)
-    imu = _read_imu(args.imu)
+    imu = fileio.read_imu_file(args.imu)
     chunk = None if args.chunk == 0 else args.chunk
     tok = stream.tokenize_sequence(imu, pipe, chunk_len=chunk)
     stream.write_token_stream(args.out, tok)

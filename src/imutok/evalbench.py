@@ -186,12 +186,9 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
     corrupted inputs; single-sensor level iterates all six sensors, higher
     levels sample seeded sensor combinations. Level 0 rows hold the clean
     pass of each method."""
-    if not isinstance(imu_ckpt, Checkpoint):
-        imu_ckpt = load_checkpoint(imu_ckpt)
-    if not isinstance(motion_ckpt, Checkpoint):
-        motion_ckpt = load_checkpoint(motion_ckpt)
-    if not isinstance(baseline_ckpt, Checkpoint):
-        baseline_ckpt = load_checkpoint(baseline_ckpt)
+    imu_ckpt, motion_ckpt, baseline_ckpt = (
+        c if isinstance(c, Checkpoint) else load_checkpoint(c)
+        for c in (imu_ckpt, motion_ckpt, baseline_ckpt))
 
     if arrays_digest(imu_ckpt.arrays, "motion.") != arrays_digest(motion_ckpt.arrays, "motion."):
         raise CheckpointMismatch("stage-2 checkpoint embeds a different motion model")
@@ -206,61 +203,46 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
         "noise": dict(BENCH_NOISE if noise is None else noise),
         "mesh_error": "unavailable (no body mesh in scope)",
     })
-
-    def accumulate(method_rows, p_gt, pred, fps):
-        n = min(len(p_gt), len(pred))
-        p_pred = joint_positions(MotionSequence(pred.frames[:n], fps))
-        d = np.linalg.norm(p_pred - p_gt[:n], axis=2)
-        method_rows["err_sum"] += float(d.sum())
-        method_rows["err_n"] += d.size
-        jit = jitter(p_pred, fps)
-        method_rows["jit_sum"] += jit
-        method_rows["jit_n"] += 1
-
-    def fresh():
-        return {"err_sum": 0.0, "err_n": 0, "jit_sum": 0.0, "jit_n": 0}
-
-    def finalize(method, level, acc, cases):
-        report.rows.append({
-            "method": method, "level": level,
-            "mpjpe_cm": 100.0 * acc["err_sum"] / max(acc["err_n"], 1),
-            "jitter": acc["jit_sum"] / max(acc["jit_n"], 1),
-            "cases": cases,
-        })
+    # method -> predictor; ground truth (level 0 only) scores the reference
+    # pose itself, which gives its jitter
+    predict = {
+        "tokenized": lambda imu: _tokenized_predict(pipe, imu),
+        "baseline": lambda imu: _baseline_predict(base_model, base_stats, imu),
+        "ground_truth": None,
+    }
 
     # ground-truth FK once per pair; FK is per frame, so a prefix of it is
     # the FK of the truncated sequence
     gt_pos = [joint_positions(gt) for gt, _ in pairs]
 
-    # clean pass (level 0) and ground-truth jitter reference
-    acc_tok, acc_base = fresh(), fresh()
-    gt_jit = fresh()
-    for (gt, imu), p_gt in zip(pairs, gt_pos):
-        pred_t = _tokenized_predict(pipe, imu)
-        pred_b = _baseline_predict(base_model, base_stats, imu)
-        accumulate(acc_tok, p_gt, pred_t, gt.fps)
-        accumulate(acc_base, p_gt, pred_b, gt.fps)
-        gt_jit["jit_sum"] += jitter(p_gt, gt.fps)
-        gt_jit["jit_n"] += 1
-    finalize("tokenized", 0, acc_tok, len(pairs))
-    finalize("baseline", 0, acc_base, len(pairs))
-    report.rows.append({"method": "ground_truth", "level": 0, "mpjpe_cm": 0.0,
-                        "jitter": gt_jit["jit_sum"] / max(gt_jit["jit_n"], 1),
-                        "cases": len(pairs)})
-
-    for level in levels:
-        combos = _sensor_combos(level, seed)
-        acc_tok, acc_base = fresh(), fresh()
+    # level 0 is the clean pass: one empty sensor combination
+    for level in (0, *levels):
+        combos = _sensor_combos(level, seed) if level else [()]
+        methods = [m for m in predict if level == 0 or predict[m]]
+        sums = {m: [0.0, 0, 0.0] for m in methods}  # error sum, error count, jitter sum
         cases = 0
         for ci, combo in enumerate(combos):
             for si, ((gt, imu), p_gt) in enumerate(zip(pairs, gt_pos)):
-                corrupted = corrupt_sensors(imu, combo, _case_seed(seed, level, ci, si), noise)
-                accumulate(acc_tok, p_gt, _tokenized_predict(pipe, corrupted), gt.fps)
-                accumulate(acc_base, p_gt, _baseline_predict(base_model, base_stats, corrupted),
-                           gt.fps)
+                if combo:
+                    imu = corrupt_sensors(imu, combo, _case_seed(seed, level, ci, si), noise)
+                for m in methods:
+                    p = p_gt
+                    if predict[m]:
+                        pred = predict[m](imu)
+                        p = joint_positions(MotionSequence(pred.frames[:len(p_gt)], gt.fps))
+                    d = np.linalg.norm(p - p_gt[:len(p)], axis=2)
+                    sums[m][0] += float(d.sum())
+                    sums[m][1] += d.size
+                    sums[m][2] += jitter(p, gt.fps)
                 cases += 1
-        finalize("tokenized", level, acc_tok, cases)
-        finalize("baseline", level, acc_base, cases)
+        for m in methods:
+            err_sum, err_n, jit_sum = sums[m]
+            report.rows.append({
+                "method": m, "level": level,
+                "mpjpe_cm": 100.0 * err_sum / max(err_n, 1),
+                "jitter": jit_sum / max(cases, 1),
+                "cases": cases,
+            })
     return report
 
 

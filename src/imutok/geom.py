@@ -147,6 +147,18 @@ def angular_velocity(R_prev: np.ndarray, R_next: np.ndarray, dt: float) -> np.nd
     return log_so3(np.swapaxes(R_prev, -1, -2) @ R_next) / dt
 
 
+def angular_rate(R: np.ndarray, fps: float) -> np.ndarray:
+    """Body-frame angular velocity of a (T, ..., 3, 3) rotation track sampled
+    at fps, T >= 2: central over two steps inside, one-sided at both ends;
+    returns (T, ..., 3)."""
+    dt = 1.0 / fps
+    omega = np.empty(R.shape[:-1], dtype=np.float64)
+    omega[1:-1] = angular_velocity(R[:-2], R[2:], 2 * dt)
+    omega[0] = angular_velocity(R[0], R[1], dt)
+    omega[-1] = angular_velocity(R[-2], R[-1], dt)
+    return omega
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation matrix (via a normalized 4-vector)."""
     q = rng.normal(size=4)

@@ -154,33 +154,25 @@ def synthesize_imu(track: RawPoseTrack,
     if T < 5:
         raise TooShort(f"need at least 5 frames for second differences, got {T}")
     fps = track.fps
-    dt = 1.0 / fps
 
     pos, glob = forward_kinematics_sequence(
         DEFAULT_SKELETON, track.root_pos, track.root_rot, track.local_rots,
         return_rotations=True)
 
+    joints = list(placement.joints)
+    Rg = glob[:, joints]                    # (T, 6, 3, 3) bone rotations
+    Rs = Rg @ placement.mounts              # (T, 6, 3, 3) sensor rotations
+    x = pos[:, joints] + np.einsum("tsab,sb->tsa", Rg, placement.levers)
+
+    acc = np.empty((T, SENSOR_COUNT, 3))
+    acc[1:-1] = (x[2:] - 2.0 * x[1:-1] + x[:-2]) * fps * fps
+    acc[0] = (x[2] - 2.0 * x[1] + x[0]) * fps * fps
+    acc[-1] = (x[-1] - 2.0 * x[-2] + x[-3]) * fps * fps
+
     frames = np.empty((T, IMU_WIDTH), dtype=np.float64)
-    for i in range(SENSOR_COUNT):
-        j = placement.joints[i]
-        Rg = glob[:, j]
-        Rs = Rg @ placement.mounts[i]
-        x = pos[:, j] + np.einsum("tab,b->ta", Rg, placement.levers[i])
-
-        acc = np.empty((T, 3))
-        acc[1:-1] = (x[2:] - 2.0 * x[1:-1] + x[:-2]) * fps * fps
-        acc[0] = (x[2] - 2.0 * x[1] + x[0]) * fps * fps
-        acc[-1] = (x[-1] - 2.0 * x[-2] + x[-3]) * fps * fps
-
-        omega = np.empty((T, 3))
-        omega[1:-1] = geom.angular_velocity(Rs[:-2], Rs[2:], 2 * dt)
-        omega[0] = geom.angular_velocity(Rs[0], Rs[1], dt)
-        omega[-1] = geom.angular_velocity(Rs[-2], Rs[-1], dt)
-
-        frames[:, 6 * i:6 * i + 6] = geom.matrix_to_rot6d_batch(Rs)
-        frames[:, SL_ACC][:, 3 * i:3 * i + 3] = acc
-        frames[:, SL_GYR][:, 3 * i:3 * i + 3] = omega
-
+    frames[:, SL_ORI] = geom.matrix_to_rot6d_batch(Rs).reshape(T, -1)
+    frames[:, SL_ACC] = acc.reshape(T, -1)
+    frames[:, SL_GYR] = geom.angular_rate(Rs, fps).reshape(T, -1)
     return InertiaSequence(frames=frames, fps=fps)
 
 

@@ -145,7 +145,6 @@ def build_motion_representation(track: RawPoseTrack) -> MotionSequence:
     T = len(track)
     if T < 3:
         raise TooShort(f"need at least 3 frames for finite differences, got {T}")
-    dt = 1.0 / track.fps
 
     pos = forward_kinematics_sequence(DEFAULT_SKELETON, track.root_pos, track.root_rot,
                                       track.local_rots)
@@ -153,11 +152,7 @@ def build_motion_representation(track: RawPoseTrack) -> MotionSequence:
     r = track.root_pos.astype(np.float64)
     r_dot = _central_difference(r, track.fps)
     phi = geom.matrix_to_rot6d_batch(track.root_rot)
-
-    phi_dot = np.empty((T, 3), dtype=np.float64)
-    phi_dot[1:-1] = geom.angular_velocity(track.root_rot[:-2], track.root_rot[2:], 2 * dt)
-    phi_dot[0] = geom.angular_velocity(track.root_rot[0], track.root_rot[1], dt)
-    phi_dot[-1] = geom.angular_velocity(track.root_rot[-2], track.root_rot[-1], dt)
+    phi_dot = geom.angular_rate(track.root_rot, track.fps)
 
     j_r = geom.matrix_to_rot6d_batch(track.local_rots)
     j_world = pos[:, 1:]
@@ -199,40 +194,17 @@ _L_SHOULDER, _L_ELBOW = 16, 17
 _R_SHOULDER, _R_ELBOW = 19, 20
 
 
-def _rx(angles: np.ndarray) -> np.ndarray:
-    """Batch rotation matrices about x for (T,) angles."""
+def _rot(axis: int, angles: np.ndarray) -> np.ndarray:
+    """Batch rotation matrices about coordinate axis 0, 1 or 2 (x, y, z) for
+    (T,) angles."""
     c, s = np.cos(angles), np.sin(angles)
-    T = angles.shape[0]
-    R = np.zeros((T, 3, 3))
-    R[:, 0, 0] = 1.0
-    R[:, 1, 1] = c
-    R[:, 1, 2] = -s
-    R[:, 2, 1] = s
-    R[:, 2, 2] = c
-    return R
-
-
-def _rz(angles: np.ndarray) -> np.ndarray:
-    c, s = np.cos(angles), np.sin(angles)
-    T = angles.shape[0]
-    R = np.zeros((T, 3, 3))
-    R[:, 2, 2] = 1.0
-    R[:, 0, 0] = c
-    R[:, 0, 1] = -s
-    R[:, 1, 0] = s
-    R[:, 1, 1] = c
-    return R
-
-
-def _ry(angles: np.ndarray) -> np.ndarray:
-    c, s = np.cos(angles), np.sin(angles)
-    T = angles.shape[0]
-    R = np.zeros((T, 3, 3))
-    R[:, 1, 1] = 1.0
-    R[:, 0, 0] = c
-    R[:, 0, 2] = s
-    R[:, 2, 0] = -s
-    R[:, 2, 2] = c
+    j, k = (axis + 1) % 3, (axis + 2) % 3
+    R = np.zeros((angles.shape[0], 3, 3))
+    R[:, axis, axis] = 1.0
+    R[:, j, j] = c
+    R[:, j, k] = -s
+    R[:, k, j] = s
+    R[:, k, k] = c
     return R
 
 
@@ -278,23 +250,23 @@ def generate_synthetic_motion(seed: int, duration_s: float, fps: float,
         f = rng.uniform(0.2, 0.4)
         w = 2 * np.pi * f
         sway = amp(0.04) * np.sin(w * t + phase)
-        local[:, _SPINE1 - 1] = _rz(sway)
-        local[:, _SPINE2 - 1] = _rz(0.5 * sway)
+        local[:, _SPINE1 - 1] = _rot(2, sway)
+        local[:, _SPINE2 - 1] = _rot(2, 0.5 * sway)
         arm = amp(0.05) * np.sin(w * t + phase + rng.uniform(0, np.pi))
-        local[:, _L_SHOULDER - 1] = _rx(arm)
-        local[:, _R_SHOULDER - 1] = _rx(-arm)
-        root_rot[:] = _ry(amp(0.03) * np.sin(w * t + phase * 0.7))
+        local[:, _L_SHOULDER - 1] = _rot(0, arm)
+        local[:, _R_SHOULDER - 1] = _rot(0, -arm)
+        root_rot[:] = _rot(1, amp(0.03) * np.sin(w * t + phase * 0.7))
 
     elif style == "arm_raise":
         f = rng.uniform(0.4, 0.7)
         w = 2 * np.pi * f
         lift = amp(1.0) * 0.5 * (1 - np.cos(w * t))  # starts at rest
-        local[:, _L_SHOULDER - 1] = _rz(lift)
-        local[:, _R_SHOULDER - 1] = _rz(-lift)
+        local[:, _L_SHOULDER - 1] = _rot(2, lift)
+        local[:, _R_SHOULDER - 1] = _rot(2, -lift)
         bend = amp(0.25) * 0.5 * (1 - np.cos(w * t))
-        local[:, _L_ELBOW - 1] = _rz(bend)
-        local[:, _R_ELBOW - 1] = _rz(-bend)
-        local[:, _CHEST - 1] = _rx(amp(0.05) * np.sin(w * t))
+        local[:, _L_ELBOW - 1] = _rot(2, bend)
+        local[:, _R_ELBOW - 1] = _rot(2, -bend)
+        local[:, _CHEST - 1] = _rot(0, amp(0.05) * np.sin(w * t))
 
     elif style == "squat":
         f = rng.uniform(0.35, 0.55)
@@ -303,13 +275,13 @@ def generate_synthetic_motion(seed: int, duration_s: float, fps: float,
         bend = depth * 0.5 * (1 - np.cos(w * t))
         # hips flex back, knees fold forward, ankles compensate
         for hip, knee, ankle in ((_L_HIP, _L_KNEE, _L_ANKLE), (_R_HIP, _R_KNEE, _R_ANKLE)):
-            local[:, hip - 1] = _rx(-bend)
-            local[:, knee - 1] = _rx(2.0 * bend)
-            local[:, ankle - 1] = _rx(-bend)
-        local[:, _SPINE1 - 1] = _rx(amp(0.15) * 0.5 * (1 - np.cos(w * t)))
+            local[:, hip - 1] = _rot(0, -bend)
+            local[:, knee - 1] = _rot(0, 2.0 * bend)
+            local[:, ankle - 1] = _rot(0, -bend)
+        local[:, _SPINE1 - 1] = _rot(0, amp(0.15) * 0.5 * (1 - np.cos(w * t)))
         arm = amp(0.5) * 0.5 * (1 - np.cos(w * t))
-        local[:, _L_SHOULDER - 1] = _rx(arm)
-        local[:, _R_SHOULDER - 1] = _rx(arm)
+        local[:, _L_SHOULDER - 1] = _rot(0, arm)
+        local[:, _R_SHOULDER - 1] = _rot(0, arm)
         _ground_feet(root_pos, root_rot, local)
 
     elif style == "walk":
@@ -319,15 +291,15 @@ def generate_synthetic_motion(seed: int, duration_s: float, fps: float,
         lift_r = np.maximum(0.0, np.sin(w * t + phase + np.pi)) ** 2
         a_hip = amp(0.5)
         a_knee = amp(0.9)
-        local[:, _L_HIP - 1] = _rx(-a_hip * lift_l)
-        local[:, _L_KNEE - 1] = _rx(a_knee * lift_l)
-        local[:, _R_HIP - 1] = _rx(-a_hip * lift_r)
-        local[:, _R_KNEE - 1] = _rx(a_knee * lift_r)
+        local[:, _L_HIP - 1] = _rot(0, -a_hip * lift_l)
+        local[:, _L_KNEE - 1] = _rot(0, a_knee * lift_l)
+        local[:, _R_HIP - 1] = _rot(0, -a_hip * lift_r)
+        local[:, _R_KNEE - 1] = _rot(0, a_knee * lift_r)
         # counter-phase arm swing
         swing = amp(0.3) * np.sin(w * t + phase)
-        local[:, _L_SHOULDER - 1] = _rx(swing)
-        local[:, _R_SHOULDER - 1] = _rx(-swing)
-        root_rot[:] = _ry(amp(0.04) * np.sin(w * t + phase))
+        local[:, _L_SHOULDER - 1] = _rot(0, swing)
+        local[:, _R_SHOULDER - 1] = _rot(0, -swing)
+        root_rot[:] = _rot(1, amp(0.04) * np.sin(w * t + phase))
         _ground_feet(root_pos, root_rot, local)
 
     return RawPoseTrack(root_pos=root_pos, root_rot=root_rot, local_rots=local, fps=float(fps))

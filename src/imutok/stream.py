@@ -19,7 +19,7 @@ from . import vqcodec as vq
 from .checkpoint import Checkpoint, load_checkpoint
 from .errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from .imusim import IMU_WIDTH, SL_ACC, InertiaSequence, NormStats
-from .models import flatten_latents, unflatten_latents
+from .models import COMPRESSION, flatten_latents, unflatten_latents
 from .motion import MotionSequence
 from .trainer import build_imu_model
 
@@ -168,12 +168,15 @@ def tokenize_sequence(seq: InertiaSequence, pipe: InferencePipeline,
             for lo in range(0, frames.shape[0] - chunk_len + 1, chunk_len)
         ]
         ids = np.concatenate(parts) if parts else np.empty(0, np.uint16)
-    return TokenSequence(tokens=ids, l=4, fps=seq.fps, K=pipe.imu_model.K,
+    return TokenSequence(tokens=ids, l=COMPRESSION, fps=seq.fps, K=pipe.imu_model.K,
                          codebook_digest=pipe.codebook_digest())
 
 
 def decode_tokens(tok: TokenSequence, pipe: InferencePipeline) -> MotionSequence:
     """Gather code vectors and run the motion decoder: 4 frames per token."""
+    if tok.l != COMPRESSION:
+        raise InvalidArgument(f"token stream has {tok.l} frames per token, the decoder "
+                              f"{COMPRESSION}")
     if tok.codebook_digest != pipe.codebook_digest():
         raise DigestMismatch("token stream was produced by a different codebook")
     ids = tok.tokens.astype(np.int64)
@@ -241,6 +244,8 @@ def read_token_stream(path) -> TokenSequence:
         raise FormatError(f"bad magic {magic!r}, expected {TOKEN_MAGIC!r}")
     if version != TOKEN_VERSION:
         raise FormatError(f"unsupported token stream version {version}")
+    if l != COMPRESSION:
+        raise FormatError(f"token stream declares {l} frames per token, expected {COMPRESSION}")
     expected = HEADER_BYTES + 2 * count + CRC_BYTES
     if len(blob) != expected:
         raise FormatError(f"token stream length {len(blob)} != expected {expected}")

@@ -114,8 +114,8 @@ class TestMotionAndImuCommands:
         assert main(["imu", "simulate", "--motion", motion, "--out", str(clean)]) == 0
         assert main(["imu", "simulate", "--motion", motion, "--out", str(noisy),
                      "--noise-profile", str(profile)]) == 0
-        a, _, _ = fileio.read_imu_file(clean)
-        b, _, _ = fileio.read_imu_file(noisy)
+        a = fileio.read_imu_file(clean).frames
+        b = fileio.read_imu_file(noisy).frames
         assert not np.array_equal(a, b)
 
     def test_fit_stats(self, workdir, dataset):
@@ -139,9 +139,23 @@ class TestMotionAndImuCommands:
         default = workdir / "default.mji1"
         assert main(["imu", "simulate", "--motion", str(dataset / "seq0.mjt1"),
                      "--out", str(default)]) == 0
-        a, _, _ = fileio.read_imu_file(out)
-        b, _, _ = fileio.read_imu_file(default)
+        a = fileio.read_imu_file(out).frames
+        b = fileio.read_imu_file(default).frames
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("flag, content", [
+        ("--noise-profile", json.dumps({"drift_sigma_orii": 0.01})),
+        ("--placement", json.dumps({"joints": [0, 15, 18, 21, 2, 7],
+                                    "levers": [[0.0, 0.0, 0.0]] * 6})),
+        ("--noise-profile", "{\"drift_sigma_ori\": 0.01,"),
+    ], ids=["unknown_noise_key", "placement_without_mounts", "malformed_json"])
+    def test_bad_json_input_exits_with_error(self, workdir, dataset, capsys, flag, content):
+        bad = workdir / "bad.json"
+        bad.write_text(content)
+        code = main(["imu", "simulate", "--motion", str(dataset / "seq0.mjt1"),
+                     flag, str(bad), "--out", str(workdir / "no.mji1")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 class TestTrainAndStreamCommands:
@@ -155,7 +169,7 @@ class TestTrainAndStreamCommands:
         assert len(tok) > 0 and tok.l == 4
         assert main(["stream", "decode", "--tokens", str(tokens), "--ckpt", str(ip),
                      "--out", str(decoded)]) == 0
-        frames, fps, _ = fileio.read_motion_file(decoded)
+        frames = fileio.read_motion_file(decoded).frames
         assert frames.shape == (4 * len(tok), 271)
 
     def test_bench_noise(self, workdir, checkpoints, capsys):

@@ -141,6 +141,21 @@ class TestAngularVelocity:
             assert abs(np.linalg.norm(w) * dt - angle) < 1e-7
 
 
+class TestAngularRate:
+    @pytest.mark.parametrize("shape", [(2,), (7,), (9, 4)])
+    def test_matches_per_frame_angular_velocity(self, shape):
+        # central over two steps inside, one-sided at both ends
+        rng = np.random.default_rng(17)
+        R = geom.exp_so3(rng.normal(scale=0.6, size=shape + (3,)))
+        fps = 50.0
+        T = shape[0]
+        want = np.empty(shape + (3,))
+        for t in range(T):
+            lo, hi = max(t - 1, 0), min(t + 1, T - 1)
+            want[t] = geom.angular_velocity(R[lo], R[hi], (hi - lo) / fps)
+        assert_allclose(geom.angular_rate(R, fps), want, rtol=1e-12, atol=1e-12)
+
+
 # Per-element references: the scalar SO(3) maps as they were before the
 # batched versions replaced them.
 

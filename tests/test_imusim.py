@@ -4,12 +4,13 @@ from numpy.testing import assert_allclose
 
 from imutok import fileio, geom, imusim
 from imutok.errors import EmptyCorpus, InvalidArgument, TooShort
-from imutok.imusim import (IMU_WIDTH, SL_ACC, InertiaSequence,
+from imutok.imusim import (IMU_WIDTH, SL_ACC, SL_GYR, InertiaSequence,
                            NoiseConfig, NormStats, SensorPlacement, apply_corruption,
                            apply_drift, fit_norm_stats,
                            normalize_acceleration, synthesize_imu)
-from imutok.motion import RawPoseTrack
-from imutok.skeleton import STANDING_ROOT_HEIGHT
+from imutok.motion import RawPoseTrack, generate_synthetic_motion
+from imutok.skeleton import (DEFAULT_SKELETON, STANDING_ROOT_HEIGHT,
+                             forward_kinematics_sequence)
 from tests.test_geom import ref_exp_so3
 
 
@@ -70,6 +71,38 @@ class TestSynthesize:
     def test_too_short(self):
         with pytest.raises(TooShort):
             synthesize_imu(_static_track(T=4))
+
+    def test_equals_per_sensor_loop(self):
+        # oracle: the per-sensor loop the batched pass replaced
+        rng = np.random.default_rng(5)
+        placement = SensorPlacement(
+            joints=(0, 15, 18, 21, 3, 8),
+            mounts=np.stack([geom.random_rotation(rng) for _ in range(6)]),
+            levers=rng.normal(scale=0.05, size=(6, 3)))
+        track = generate_synthetic_motion(11, 2.0, 60.0, "walk")
+        fps, dt = track.fps, 1.0 / track.fps
+        pos, glob = forward_kinematics_sequence(
+            DEFAULT_SKELETON, track.root_pos, track.root_rot, track.local_rots,
+            return_rotations=True)
+        T = len(track)
+        want = np.empty((T, IMU_WIDTH))
+        for i in range(6):
+            j = placement.joints[i]
+            Rg = glob[:, j]
+            Rs = Rg @ placement.mounts[i]
+            x = pos[:, j] + np.einsum("tab,b->ta", Rg, placement.levers[i])
+            acc = np.empty((T, 3))
+            acc[1:-1] = (x[2:] - 2.0 * x[1:-1] + x[:-2]) * fps * fps
+            acc[0] = (x[2] - 2.0 * x[1] + x[0]) * fps * fps
+            acc[-1] = (x[-1] - 2.0 * x[-2] + x[-3]) * fps * fps
+            omega = np.empty((T, 3))
+            omega[1:-1] = geom.angular_velocity(Rs[:-2], Rs[2:], 2 * dt)
+            omega[0] = geom.angular_velocity(Rs[0], Rs[1], dt)
+            omega[-1] = geom.angular_velocity(Rs[-2], Rs[-1], dt)
+            want[:, 6 * i:6 * i + 6] = geom.matrix_to_rot6d_batch(Rs)
+            want[:, SL_ACC][:, 3 * i:3 * i + 3] = acc
+            want[:, SL_GYR][:, 3 * i:3 * i + 3] = omega
+        assert np.array_equal(synthesize_imu(track, placement).frames, want)
 
     def test_placement_validation(self):
         with pytest.raises(InvalidArgument):
@@ -273,6 +306,6 @@ class TestImuFile:
         seq = _random_imu(T=64)
         path = tmp_path / "x.mji1"
         fileio.write_imu_file(path, seq.frames, seq.fps)
-        frames, fps, sensors = fileio.read_imu_file(path)
-        assert fps == 60.0 and sensors == 6
-        assert np.array_equal(frames, seq.frames.astype(np.float32))
+        back = fileio.read_imu_file(path)
+        assert back.fps == 60.0
+        assert np.array_equal(back.frames, seq.frames.astype(np.float32))

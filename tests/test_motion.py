@@ -173,6 +173,19 @@ class TestContacts:
         assert_allclose(labels[:, 1:], 1.0)
 
 
+class TestAxisRotation:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_matches_closed_form(self, axis):
+        a = np.linspace(-3.0, 3.0, 13)
+        c, s, o, z = np.cos(a), np.sin(a), np.ones_like(a), np.zeros_like(a)
+        closed = [
+            [[o, z, z], [z, c, -s], [z, s, c]],   # x
+            [[c, z, s], [z, o, z], [-s, z, c]],   # y
+            [[c, -s, z], [s, c, z], [z, z, o]],   # z
+        ][axis]
+        assert np.array_equal(motion._rot(axis, a), np.moveaxis(np.array(closed), -1, 0))
+
+
 class TestSyntheticMotion:
     def test_same_seed_is_bitwise_identical(self):
         a = generate_synthetic_motion(42, 2.0, 60.0, "walk")
@@ -233,9 +246,9 @@ class TestMotionFile:
         seq = build_motion_representation(_static_track(T=16))
         path = tmp_path / "static.mjt1"
         fileio.write_motion_file(path, seq.frames, seq.fps)
-        frames, fps, joints = fileio.read_motion_file(path)
-        assert fps == 60.0 and joints == 22
-        assert np.array_equal(frames, seq.frames.astype(np.float32))
+        back = fileio.read_motion_file(path)
+        assert back.fps == 60.0
+        assert np.array_equal(back.frames, seq.frames.astype(np.float32))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mjt1"

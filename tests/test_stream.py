@@ -122,6 +122,12 @@ class TestDecode:
         with pytest.raises(DigestMismatch):
             decode_tokens(tok, pipeline)
 
+    def test_other_frames_per_token_rejected(self, pipeline, imu_640):
+        tok = tokenize_sequence(imu_640, pipeline, chunk_len=16)
+        tok.l = 8
+        with pytest.raises(InvalidArgument):
+            decode_tokens(tok, pipeline)
+
     def test_noise_cannot_pass_through_identical_tokens(self, pipeline, imu_640):
         # two inputs quantizing to the same ids give byte-identical motion
         tok = tokenize_sequence(imu_640, pipeline, chunk_len=16)
@@ -222,6 +228,14 @@ class TestWireFormat:
         blob = bytearray(path.read_bytes())
         blob[HEADER_BYTES + 37] ^= 0x01
         path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            read_token_stream(path)
+
+    def test_other_frames_per_token_rejected(self, tmp_path):
+        tok = _tok(n=15)
+        tok.l = 8
+        path = tmp_path / "l8.mjt"
+        write_token_stream(path, tok)
         with pytest.raises(FormatError):
             read_token_stream(path)
 
