@@ -294,6 +294,10 @@ def main(argv=None) -> int:
     except ImutokError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,6 +12,7 @@ Design notes:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -390,10 +391,12 @@ def binary_cross_entropy(p, target, eps: float = 1e-7) -> Tensor:
 # ---------------------------------------------------------------------------
 # 1D convolution
 
-def _conv_taps(T: int, Tout: int, k: int, stride: int, padding: int):
+@functools.lru_cache
+def _conv_taps(T: int, Tout: int, k: int, stride: int, padding: int) -> tuple:
     """Per kernel tap j, the output steps [t0, t1) whose input position
     stride*t + j - padding lies inside [0, T), and the input slice they read.
-    Taps that read only padding are left out."""
+    Taps that read only padding are left out. Cached: every conv call of one
+    shape uses the same plan."""
     taps = []
     for j in range(k):
         t0 = max(0, -((j - padding) // stride))
@@ -401,7 +404,7 @@ def _conv_taps(T: int, Tout: int, k: int, stride: int, padding: int):
         if t1 > t0:
             s0 = stride * t0 + j - padding
             taps.append((j, t0, t1, slice(s0, s0 + stride * (t1 - t0 - 1) + 1, stride)))
-    return taps
+    return tuple(taps)
 
 
 def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:

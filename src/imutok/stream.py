@@ -98,12 +98,24 @@ def _check_finite(frames: np.ndarray) -> None:
         raise InvalidArgument("IMU frames contain NaN or infinite values")
 
 
-def _encode_chunk(pipe: InferencePipeline, chunk: np.ndarray) -> np.ndarray:
-    """Raw (n, 72) frames -> token ids for one chunk."""
-    x = _prepare_frames(chunk, pipe.stats)
-    z = pipe.imu_model.encode(gn.Tensor(np.ascontiguousarray(x.T)[None]))
-    flat = flatten_latents(z).value
-    indices, _ = vq.quantize(flat, pipe.imu_model.codebook)
+def _encode_chunks(pipe: InferencePipeline, frames: np.ndarray, chunk_len: int) -> np.ndarray:
+    """Token ids of raw (n, 72) frames encoded in independent chunk_len-frame
+    blocks, one encoder pass per block; frames short of a block are left out.
+
+    Each block is encoded at batch size 1: a batched conv GEMM sums in
+    another order and moves latents in their last bits. The latents of all
+    blocks then go through one quantize call, whose distances do not depend
+    on the batch, so the ids equal those of quantizing each block on its own.
+    """
+    if len(frames) < chunk_len:
+        return np.empty(0, dtype=np.uint16)
+    x = _prepare_frames(frames[:len(frames) - len(frames) % chunk_len], pipe.stats)
+    latents = [
+        flatten_latents(pipe.imu_model.encode(
+            gn.Tensor(np.ascontiguousarray(x[lo:lo + chunk_len].T)[None]))).value
+        for lo in range(0, len(x), chunk_len)
+    ]
+    indices, _ = vq.quantize(np.concatenate(latents), pipe.imu_model.codebook)
     return indices.astype(np.uint16)
 
 
@@ -113,7 +125,7 @@ class StreamState:
 
     pipeline: InferencePipeline
     chunk_len: int = DEFAULT_CHUNK
-    buffer: list = field(default_factory=list)
+    buffer: np.ndarray = field(default_factory=lambda: np.empty((0, IMU_WIDTH)))
     frames_seen: int = 0
     tokens_emitted: int = 0
 
@@ -127,22 +139,18 @@ class StreamState:
 def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
     """Buffer incoming (n, 72) frames; emit chunk_len/4 tokens per full chunk.
 
-    Raises InvalidArgument, buffering nothing, if any frame is not finite.
+    Pending frames wait in one float64 array; the chunks a push completes
+    are quantized in one call. Raises InvalidArgument, buffering nothing, if
+    any frame is not finite.
     """
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != IMU_WIDTH:
         raise FormatError(f"stream frames must be (n, {IMU_WIDTH}), got {frames.shape}")
     _check_finite(frames)
-    state.buffer.extend(np.asarray(f, dtype=np.float64) for f in frames)
+    pending = np.concatenate([state.buffer, frames], dtype=np.float64)
+    tokens = _encode_chunks(state.pipeline, pending, state.chunk_len)
+    state.buffer = pending[len(pending) - len(pending) % state.chunk_len:].copy()
     state.frames_seen += frames.shape[0]
-    out = []
-    while len(state.buffer) >= state.chunk_len:
-        chunk = np.stack(state.buffer[:state.chunk_len])
-        del state.buffer[:state.chunk_len]
-        out.append(_encode_chunk(state.pipeline, chunk))
-    if not out:
-        return np.empty(0, dtype=np.uint16)
-    tokens = np.concatenate(out)
     state.tokens_emitted += tokens.size
     return tokens
 
@@ -159,15 +167,10 @@ def tokenize_sequence(seq: InertiaSequence, pipe: InferencePipeline,
     frames = np.asarray(seq.frames, dtype=np.float64)
     _check_finite(frames)
     if chunk_len is None:
-        ids = _encode_chunk(pipe, frames) if frames.shape[0] >= 4 else np.empty(0, np.uint16)
-    else:
-        if chunk_len % 4 != 0 or chunk_len < 4:
-            raise InvalidArgument("chunk length must be a positive multiple of 4")
-        parts = [
-            _encode_chunk(pipe, frames[lo:lo + chunk_len])
-            for lo in range(0, frames.shape[0] - chunk_len + 1, chunk_len)
-        ]
-        ids = np.concatenate(parts) if parts else np.empty(0, np.uint16)
+        chunk_len = max(len(frames), 4)  # one block; under 4 frames make no token
+    elif chunk_len % 4 != 0 or chunk_len < 4:
+        raise InvalidArgument("chunk length must be a positive multiple of 4")
+    ids = _encode_chunks(pipe, frames, chunk_len)
     return TokenSequence(tokens=ids, l=COMPRESSION, fps=seq.fps, K=pipe.imu_model.K,
                          codebook_digest=pipe.codebook_digest())
 

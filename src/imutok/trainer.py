@@ -15,7 +15,8 @@ import numpy as np
 from . import gradnet as gn
 from . import vqcodec as vq
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .errors import CheckpointMismatch, ConfigInvalid, EmptyDataset, LengthMismatch
+from .errors import (CheckpointMismatch, ConfigInvalid, EmptyDataset, InvalidArgument,
+                     LengthMismatch)
 from .gradnet import AdamW, cosine_lr
 from .imusim import IMU_WIDTH, NormStats
 from .models import (COMPRESSION, ImuTokenizer, MotionVQVAE, checkpoint_array,
@@ -111,9 +112,15 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def make_windows(frame_arrays, window: int) -> np.ndarray:
-    """Fixed-length float32 crops with stride window/2 from a list of (T, D) arrays."""
+    """Fixed-length float32 crops with stride window/2 from a list of (T, D) arrays.
+
+    Raises InvalidArgument if any frame is NaN or infinite: one such value
+    would turn every loss and, through the optimizer, every weight to NaN.
+    """
     crops = []
-    for frames in frame_arrays:
+    for n, frames in enumerate(frame_arrays):
+        if not np.isfinite(frames).all():
+            raise InvalidArgument(f"sequence {n}: frames contain NaN or infinite values")
         T = frames.shape[0]
         for lo in range(0, T - window + 1, window // 2):
             crops.append(frames[lo:lo + window])

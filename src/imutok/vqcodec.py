@@ -29,7 +29,7 @@ REINIT_MASS = 1.0
 
 KMEANS_ITERS = 10  # Lloyd iterations of the codebook seeding
 
-# bytes of the (rows, K, d_z) difference block quantize materializes at once
+# bytes of the rows x K x d_z difference block quantize materializes at once
 QUANTIZE_BLOCK_BYTES = 32 << 20
 
 
@@ -161,13 +161,44 @@ def _entry_table(cb) -> np.ndarray:
     return cb.entries if isinstance(cb, Codebook) else np.asarray(cb)
 
 
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum a 3-D array over its middle axis in the order np.sum uses along
+    a contiguous axis, with every add vectorized over the outer two.
+
+    That order is numpy's pairwise summation: under 8 elements, index order;
+    up to 128, 8 interleaved partial sums combined as a tree, then the
+    remainder in index order; beyond 128, the two halves (the first a
+    multiple of 8 long) summed separately and added.
+    """
+    p, n, q = x.shape
+    if n < 8:
+        return x.sum(axis=1)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[:, :half]) + _pairwise_sum(x[:, half:])
+    m = n - n % 8
+    lanes = x[:, :m].reshape(p, m // 8, 8, q).sum(axis=1)
+    lanes = lanes[:, 0::2] + lanes[:, 1::2]
+    lanes = lanes[:, 0::2] + lanes[:, 1::2]
+    total = lanes[:, 0] + lanes[:, 1]
+    for i in range(m, n):
+        total += x[:, i]
+    return total
+
+
 def quantize(latents, cb) -> tuple:
     """Nearest codebook entry per latent row under squared Euclidean distance.
 
     Distances are evaluated as elementwise (z-c)^2 sums (not the expanded
     inner-product form), so exact ties resolve identically to a per-pair
-    scan: the lowest index wins. Latent rows are processed in blocks whose
-    difference array stays within QUANTIZE_BLOCK_BYTES (at least one row).
+    scan: the lowest index wins. Every distance is summed over d_z in the
+    order np.sum uses for one contiguous vector, whatever the memory layout
+    of the latents and however many rows a call gets, so equal latent values
+    give equal tokens however they are stored or batched. Latent rows are
+    processed in blocks whose difference array stays within
+    QUANTIZE_BLOCK_BYTES (at least one row). A block of at least K rows is
+    laid out (K, d_z, rows) and a shorter one (d_z, rows, K), so the longer
+    of the two is the contiguous inner axis of every add.
 
     Returns (indices (S,), codes (S, d_z)).
     """
@@ -175,15 +206,22 @@ def quantize(latents, cb) -> tuple:
     C = _entry_table(cb)
     if Z.ndim != 2 or Z.shape[1] != C.shape[1]:
         raise ShapeMismatch(f"latents {Z.shape} incompatible with codebook {C.shape}")
-    S = Z.shape[0]
+    (S, d), K = Z.shape, C.shape[0]
+    ZT, CT = np.ascontiguousarray(Z.T), np.ascontiguousarray(C.T)
+    dtype = np.result_type(Z, C)
     indices = np.empty(S, dtype=np.int64)
-    row_bytes = C.shape[0] * C.shape[1] * np.result_type(Z, C).itemsize
-    block = max(1, QUANTIZE_BLOCK_BYTES // max(row_bytes, 1))
+    block = max(1, QUANTIZE_BLOCK_BYTES // max(K * d * dtype.itemsize, 1))
     for lo in range(0, S, block):
         hi = min(lo + block, S)
-        diff = Z[lo:hi, None, :] - C[None, :, :]
-        d = np.sum(np.square(diff, out=diff), axis=2)
-        indices[lo:hi] = np.argmin(d, axis=1)
+        if hi - lo >= K:
+            diff = np.empty((K, d, hi - lo), dtype)
+            np.subtract(ZT[None, :, lo:hi], C[:, :, None], out=diff)
+            indices[lo:hi] = np.argmin(_pairwise_sum(np.square(diff, out=diff)), axis=0)
+        else:
+            diff = np.empty((d, hi - lo, K), dtype)
+            np.subtract(ZT[:, lo:hi, None], CT[:, None, :], out=diff)
+            dist = _pairwise_sum(np.square(diff, out=diff).reshape(1, d, (hi - lo) * K))
+            indices[lo:hi] = np.argmin(dist.reshape(hi - lo, K), axis=1)
     return indices, C[indices]
 
 

@@ -6,7 +6,7 @@ import pytest
 from imutok import fileio
 from imutok.cli import main, parse_config_file
 from imutok.errors import ImutokError
-from imutok.stream import read_token_stream
+from imutok.stream import TokenSequence, read_token_stream, write_token_stream
 from imutok.trainer import TrainConfig
 from imutok.vqcodec import LossWeights
 
@@ -182,6 +182,39 @@ class TestTrainAndStreamCommands:
         assert "tokenized" in text and "baseline" in text
         blob = json.loads(out.read_text())
         assert any(r["method"] == "tokenized" and r["level"] == 1 for r in blob["rows"])
+
+    def test_non_finite_motion_frame_exits_with_error(self, workdir, dataset, tiny_config,
+                                                      capsys):
+        data = workdir / "nan_data"
+        data.mkdir()
+        for seed in range(3):
+            seq = fileio.read_motion_file(dataset / f"seq{seed}.mjt1")
+            if seed == 1:
+                seq.frames[20, 50] = np.nan
+            fileio.write_motion_file(data / f"seq{seed}.mjt1", seq.frames, seq.fps)
+        out = workdir / "nan.mjc"
+        code = main(["train", "motion", "--data", str(data), "--config", str(tiny_config),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("nope.mjt1", ["imu", "simulate", "--motion", "{missing}", "--out", "{out}"]),
+        ("nope.mjc", ["stream", "decode", "--tokens", "{tokens}", "--ckpt", "{missing}",
+                      "--out", "{out}"]),
+    ], ids=["imu_simulate_motion", "stream_decode_ckpt"])
+    def test_missing_input_path_exits_with_error(self, workdir, capsys, name, argv):
+        tokens = workdir / "some.mjt"
+        write_token_stream(tokens, TokenSequence(tokens=np.zeros(4, np.uint16), l=4, fps=60.0,
+                                                 K=12, codebook_digest=bytes(32)))
+        missing, out = workdir / name, workdir / "never.out"
+        paths = {"missing": missing, "out": out, "tokens": tokens}
+        code = main([a.format(**paths) for a in argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {missing}: No such file or directory\n"
+        assert not out.exists()
 
     def test_error_reporting_returns_nonzero(self, workdir, capsys):
         missing = workdir / "minty"

@@ -92,6 +92,30 @@ class TestPushFrames:
             with pytest.raises(InvalidArgument):
                 tokenize_sequence(seq, pipeline, chunk_len=chunk_len)
 
+    def test_one_push_of_several_chunks_keeps_the_remainder(self, pipeline, imu_640):
+        frames = imu_640.frames[:37]
+        state = StreamState(pipeline, chunk_len=16)
+        toks = push_frames(state, frames)
+        assert toks.shape == (8,)
+        assert np.array_equal(state.buffer, frames[32:])
+        assert (state.frames_seen, state.tokens_emitted) == (37, 8)
+        one_by_one = StreamState(pipeline, chunk_len=16)
+        got = np.concatenate([push_frames(one_by_one, f[None]) for f in frames])
+        assert np.array_equal(toks, got)
+        offline = tokenize_sequence(InertiaSequence(frames, imu_640.fps), pipeline, chunk_len=16)
+        assert np.array_equal(toks, offline.tokens)
+
+    def test_non_finite_packet_leaves_a_partial_buffer_alone(self, pipeline, imu_640):
+        state = StreamState(pipeline, chunk_len=16)
+        push_frames(state, imu_640.frames[:21])
+        before = state.buffer.copy()
+        bad = imu_640.frames[21:40].copy()
+        bad[3, 10] = np.nan
+        with pytest.raises(InvalidArgument):
+            push_frames(state, bad)
+        assert np.array_equal(state.buffer, before) and len(before) == 5
+        assert (state.frames_seen, state.tokens_emitted) == (21, 4)
+
     def test_chunk_must_be_multiple_of_rate(self, pipeline):
         with pytest.raises(InvalidArgument):
             StreamState(pipeline, chunk_len=10)

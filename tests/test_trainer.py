@@ -7,7 +7,7 @@ from imutok import gradnet as gn
 from imutok import vqcodec as vq
 from imutok.checkpoint import arrays_digest, load_checkpoint, save_checkpoint
 from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
-                           EmptyDataset, FormatError, LengthMismatch)
+                           EmptyDataset, FormatError, InvalidArgument, LengthMismatch)
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import InertiaSequence
 from imutok.motion import MotionSequence
@@ -214,6 +214,15 @@ class TestStageOne:
     def test_empty_corpus(self, tiny_cfg):
         with pytest.raises(EmptyDataset):
             train_motion_vqvae([], tiny_cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, tiny_cfg, tiny_pairs, bad):
+        # one such value used to reach every loss and, through AdamW, every weight
+        pairs, _ = tiny_pairs
+        corpus = [m.frames.copy() for m, _ in pairs]
+        corpus[1][37, 100] = bad
+        with pytest.raises(InvalidArgument, match="sequence 1"):
+            train_motion_vqvae(corpus, tiny_cfg)
 
 
 class TestCheckpoint:

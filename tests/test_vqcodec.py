@@ -83,6 +83,43 @@ class TestQuantize:
         with pytest.raises(ShapeMismatch):
             quantize(np.zeros((3, 4)), np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pairwise_sum_follows_np_sum_of_a_contiguous_vector(self, dtype):
+        rng = np.random.default_rng(3)
+        for n in [*range(1, 40), 63, 64, 65, 127, 128, 129, 200, 256, 513]:
+            x = np.square(rng.normal(size=(6, n, 50))).astype(dtype)
+            want = np.sum(np.ascontiguousarray(x.transpose(0, 2, 1)), axis=2)
+            assert np.array_equal(vq._pairwise_sum(x), want)
+
+    @pytest.mark.parametrize("S, block_rows", [(4, None), (80, None), (80, 70)])
+    def test_near_ties_do_not_depend_on_layout(self, monkeypatch, S, block_rows):
+        # each latent sits between two float32 entries whose offsets are the
+        # same 64 values in another order, so its two distances agree up to
+        # rounding and the summation order picks the winner. A sum in index
+        # order and numpy's sum of a contiguous vector pick differently here;
+        # quantize used to give the first for F-ordered latents and the
+        # second for C-ordered ones.
+        K = d = 64
+        rng = np.random.default_rng(0)
+        base = rng.normal(size=(K // 2, d)).astype(np.float32)
+        v = (0.1 * rng.normal(size=(K // 2, d))).astype(np.float32)
+        C = np.concatenate([base + v, base + v[:, rng.permutation(d)]])
+        Z = base[np.arange(S) % (K // 2)]
+        want = np.array([np.argmin([np.sum(np.square(z - c)) for c in C]) for z in Z])
+        index_order = np.zeros((S, K), np.float32)
+        for j in range(d):
+            index_order += (Z[:, None, j] - C[None, :, j]) ** 2
+        assert not np.array_equal(np.argmin(index_order, axis=1), want)
+        if block_rows is not None:
+            # a 70-row block laid out (K, d, rows), then a 10-row (d, rows, K) one
+            monkeypatch.setattr(vq, "QUANTIZE_BLOCK_BYTES", block_rows * C.size * C.itemsize)
+        strided = np.zeros((S, 2 * d), np.float32)[:, ::2]
+        strided[:] = Z
+        for layout in (np.ascontiguousarray(Z), np.asfortranarray(Z), strided):
+            idx, codes = quantize(layout, C)
+            assert np.array_equal(idx, want)
+            assert np.array_equal(codes, C[want])
+
 
 class TestStraightThrough:
     def test_forward_value_is_codes(self):
