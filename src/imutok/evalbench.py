@@ -251,11 +251,11 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
 
 def render_report(report: MetricReport) -> str:
     """Aligned text table; the mesh-error column is reserved but unavailable."""
-    header = f"{'method':<14}{'level':<8}{'MPJPE(cm)':<12}{'MeshErr':<10}{'Jitter(1e2 m/s^3)':<20}{'cases':<6}"
+    header = f"{'method':<14}{'level':<10}{'MPJPE(cm)':<12}{'MeshErr':<10}{'Jitter(1e2 m/s^3)':<20}{'cases':<6}"
     lines = [header, "-" * len(header)]
     for r in report.rows:
         level = "clean" if r["level"] == 0 else f"noised={r['level']}"
-        lines.append(f"{r['method']:<14}{level:<8}{r['mpjpe_cm']:<12.4f}{'n/a':<10}"
+        lines.append(f"{r['method']:<14}{level:<10}{r['mpjpe_cm']:<12.4f}{'n/a':<10}"
                      f"{r['jitter']:<20.6f}{r['cases']:<6d}")
     return "\n".join(lines)
 

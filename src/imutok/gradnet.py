@@ -109,79 +109,60 @@ def backward(root: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # elementwise and structural ops
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value + b.value
+def _unary(a: Tensor, out_val, grad) -> Tensor:
+    """Node with one input; backward accumulates ``grad(g)`` into ``a``."""
+    return _make(out_val, (a,), lambda g: _accum(a, grad(g)))
 
+
+def _binary(a: Tensor, b: Tensor, out_val, grad_a, grad_b) -> Tensor:
+    """Node with two inputs; backward accumulates ``grad_a(g)`` into ``a``,
+    then ``grad_b(g)`` into ``b``, each summed back over broadcast axes and
+    computed only when that input requires grad."""
     def bw(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(grad_a(g), a.value.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(grad_b(g), b.value.shape))
 
     return _make(out_val, (a, b), bw)
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _binary(a, b, a.value + b.value, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value - b.value
-
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(-g, b.value.shape))
-
-    return _make(out_val, (a, b), bw)
+    return _binary(a, b, a.value - b.value, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value * b.value
-
-    def bw(g):
-        _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        _accum(b, _unbroadcast(g * a.value, b.value.shape))
-
-    return _make(out_val, (a, b), bw)
+    return _binary(a, b, a.value * b.value, lambda g: g * b.value, lambda g: g * a.value)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value / b.value
-
-    def bw(g):
-        _accum(a, _unbroadcast(g / b.value, a.value.shape))
-        _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-
-    return _make(out_val, (a, b), bw)
+    return _binary(a, b, a.value / b.value, lambda g: g / b.value,
+                   lambda g: -g * a.value / (b.value * b.value))
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_val = a.value @ b.value
-
-    def bw(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
-
-    return _make(out_val, (a, b), bw)
+    return _binary(a, b, a.value @ b.value, lambda g: g @ np.swapaxes(b.value, -1, -2),
+                   lambda g: np.swapaxes(a.value, -1, -2) @ g)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out_val = np.log(a.value)
-
-    def bw(g):
-        _accum(a, g / a.value)
-
-    return _make(out_val, (a,), bw)
+    return _unary(a, np.log(a.value), lambda g: g / a.value)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_val = np.exp(a.value)
-
-    def bw(g):
-        _accum(a, g * out_val)
-
-    return _make(out_val, (a,), bw)
+    return _unary(a, out_val, lambda g: g * out_val)
 
 
 def sigmoid(a) -> Tensor:
@@ -189,63 +170,34 @@ def sigmoid(a) -> Tensor:
     x = a.value
     out_val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def bw(g):
-        _accum(a, g * out_val * (1.0 - out_val))
-
-    return _make(out_val, (a,), bw)
+    return _unary(a, out_val, lambda g: g * out_val * (1.0 - out_val))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
     x = a.value
-    out_val = np.where(x > 0, x, slope * x)
-
-    def bw(g):
-        _accum(a, np.where(x > 0, g, g * x.dtype.type(slope)))
-
-    return _make(out_val, (a,), bw)
+    return _unary(a, np.where(x > 0, x, slope * x),
+                  lambda g: np.where(x > 0, g, g * x.dtype.type(slope)))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes only where the input was inside [lo, hi]."""
+    """Clamp values; gradient passes only where the input was inside [lo, hi].
+    ``clip(a, lo, np.inf)`` is the floor at lo."""
     a = as_tensor(a)
     x = a.value
-    out_val = np.clip(x, lo, hi)
     inside = ((x >= lo) & (x <= hi)).astype(x.dtype)
-
-    def bw(g):
-        _accum(a, g * inside)
-
-    return _make(out_val, (a,), bw)
-
-
-def maximum_const(a, c: float) -> Tensor:
-    """Elementwise floor at c; gradient passes where the input dominates."""
-    a = as_tensor(a)
-    x = a.value
-    out_val = np.maximum(x, c)
-    mask = (x >= c).astype(x.dtype)
-
-    def bw(g):
-        _accum(a, g * mask)
-
-    return _make(out_val, (a,), bw)
+    return _unary(a, np.clip(x, lo, hi), lambda g: g * inside)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out_val = a.value.sum(axis=axis, keepdims=keepdims)
 
-    def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.value.shape).copy())
-            return
-        if not keepdims:
+    def grad(g):
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.value.shape).copy())
+        return np.broadcast_to(g, a.value.shape)
 
-    return _make(out_val, (a,), bw)
+    return _unary(a, a.value.sum(axis=axis, keepdims=keepdims), grad)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -256,23 +208,13 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out_val = a.value.reshape(shape)
-
-    def bw(g):
-        _accum(a, g.reshape(a.value.shape))
-
-    return _make(out_val, (a,), bw)
+    return _unary(a, a.value.reshape(shape), lambda g: g.reshape(a.value.shape))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    out_val = a.value.transpose(axes)
     inv = np.argsort(axes)
-
-    def bw(g):
-        _accum(a, g.transpose(inv))
-
-    return _make(out_val, (a,), bw)
+    return _unary(a, a.value.transpose(axes), lambda g: g.transpose(inv))
 
 
 def take(a, idx) -> Tensor:
@@ -327,12 +269,8 @@ def softmax(a, axis: int = -1) -> Tensor:
 def upsample_nearest(a, factor: int) -> Tensor:
     """Repeat each step along the last (time) axis ``factor`` times."""
     a = as_tensor(a)
-    out_val = np.repeat(a.value, factor, axis=-1)
-
-    def bw(g):
-        _accum(a, g.reshape(*a.value.shape, factor).sum(axis=-1))
-
-    return _make(out_val, (a,), bw)
+    return _unary(a, np.repeat(a.value, factor, axis=-1),
+                  lambda g: g.reshape(*a.value.shape, factor).sum(axis=-1))
 
 
 def depthwise_smooth(a, weights) -> Tensor:
@@ -358,9 +296,7 @@ def depthwise_smooth(a, weights) -> Tensor:
     for j in range(k):
         out_val += x.dtype.type(w[j]) * xp[..., j:j + T]
 
-    def bw(g):
-        if not a.requires_grad:
-            return
+    def grad(g):
         gp = np.zeros_like(xp)
         for j in range(k):
             gp[..., j:j + T] += x.dtype.type(w[j]) * g
@@ -369,9 +305,9 @@ def depthwise_smooth(a, weights) -> Tensor:
         for j in range(half):
             gx[..., 0] += gp[..., j]
             gx[..., -1] += gp[..., half + T + j]
-        _accum(a, gx)
+        return gx
 
-    return _make(out_val, (a,), bw)
+    return _unary(a, out_val, grad)
 
 
 def mse(pred, target) -> Tensor:
@@ -408,7 +344,7 @@ def _conv_taps(T: int, Tout: int, k: int, stride: int, padding: int) -> tuple:
 
 
 def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """Strided cross-correlation over (B, C, T) or (C, T) input.
+    """Strided cross-correlation over a (B, C, T) input.
 
     Output time length is floor((T + 2*padding - k) / stride) + 1.
 
@@ -419,10 +355,9 @@ def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor
     reshapes to (Cout, B*Tout) without a copy.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    squeeze = x.value.ndim == 2
-    xv = x.value[None] if squeeze else x.value
+    xv = x.value
     if xv.ndim != 3:
-        raise ShapeMismatch(f"conv input must be 2-D or 3-D, got {x.value.shape}")
+        raise ShapeMismatch(f"conv input must be (B, C, T), got {xv.shape}")
     B, Cin, T = xv.shape
     Cout, Cw, k = weight.value.shape
     if Cw != Cin:
@@ -442,11 +377,9 @@ def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor
     np.matmul(w_flat, cols, out=y.reshape(Cout, B * Tout))
     y += bias.value[:, None, None]
     out_val = y.transpose(1, 0, 2)
-    if squeeze:
-        out_val = out_val[0]
 
     def bw(g):
-        g2 = (g[:, None] if squeeze else g.transpose(1, 0, 2)).reshape(Cout, B * Tout)
+        g2 = g.transpose(1, 0, 2).reshape(Cout, B * Tout)
         _accum(weight, (g2 @ cols.T).reshape(weight.value.shape))
         _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
@@ -454,7 +387,7 @@ def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor
             gx = np.zeros((Cin, B, T), dtype=xv.dtype)
             for j, t0, t1, dst in taps:
                 gx[:, :, dst] += gcols[:, j, :, t0:t1]
-            _accum(x, gx[:, 0] if squeeze else gx.transpose(1, 0, 2))
+            _accum(x, gx.transpose(1, 0, 2))
 
     return _make(out_val, (x, weight, bias), bw)
 

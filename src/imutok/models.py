@@ -135,10 +135,6 @@ class MotionVQVAE:
         out.update(self.decoder.params("dec"))
         return out
 
-    def set_requires_grad(self, flag: bool) -> None:
-        for p in self.params().values():
-            p.requires_grad = flag
-
 
 class ImuTokenizer:
     """IMU encoder with its own codebook; decodes through a motion decoder."""
@@ -204,7 +200,9 @@ def checkpoint_array(arrays: dict, key: str) -> np.ndarray:
 
 
 def load_model_arrays(model, arrays: dict, prefix: str = "") -> None:
-    """Restore parameters and codebook state in place."""
+    """Restore parameters and codebook state in place. The restored
+    parameters are frozen (``requires_grad`` False): a loaded model only runs
+    inference, so its forward passes record no backward graph."""
     for name, p in model.params().items():
         key = f"{prefix}{name}"
         value = checkpoint_array(arrays, key)
@@ -212,6 +210,7 @@ def load_model_arrays(model, arrays: dict, prefix: str = "") -> None:
             raise ConfigInvalid(f"parameter {key} has shape {value.shape}, "
                                 f"expected {p.value.shape}")
         p.value = value.copy()
+        p.requires_grad = False
     cb = getattr(model, "codebook", None)
     if cb is not None:
         cb.entries = checkpoint_array(arrays, f"{prefix}cb.entries").copy()

@@ -229,7 +229,7 @@ def pipe_tokenize(reader, writer, pipe: InferencePipeline,
         if len(payload) != count * IMU_WIDTH * 4:
             raise FormatError("truncated frame packet")
         frames = np.frombuffer(payload, dtype="<f4").reshape(count, IMU_WIDTH)
-        tokens = push_frames(state, frames.astype(np.float64))
+        tokens = push_frames(state, frames)
         writer.write(struct.pack("<I", tokens.size))
         writer.write(tokens.astype("<u2").tobytes())
         writer.flush()

@@ -295,7 +295,6 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
         raise CheckpointMismatch(
             f"stage-1 model has K={motion_cfg.K}, d_z={motion_cfg.d_z}; "
             f"config asks K={cfg.K}, d_z={cfg.d_z}")
-    motion_model.set_requires_grad(False)
     windows = paired_windows(paired, cfg.window)
 
     init_rng = _rng(cfg.seed, 10)
@@ -347,7 +346,6 @@ def build_imu_model(ckpt: Checkpoint) -> tuple:
     motion_model = MotionVQVAE(cfg.K, cfg.d_z, cfg.hidden, rng=np.random.default_rng(0),
                                gamma=cfg.gamma)
     load_model_arrays(motion_model, ckpt.arrays, "motion.")
-    motion_model.set_requires_grad(False)
     stats = NormStats(mean=checkpoint_array(ckpt.arrays, "stats.mean"),
                       std=checkpoint_array(ckpt.arrays, "stats.std"))
     return imu_model, motion_model, cfg, stats

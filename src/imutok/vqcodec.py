@@ -230,13 +230,7 @@ def straight_through(latents: Tensor, codes: np.ndarray) -> Tensor:
     codes = np.asarray(codes)
     if codes.shape != latents.value.shape:
         raise ShapeMismatch("codes must match latent shape")
-    if not isinstance(latents, Tensor) or not latents.requires_grad:
-        return Tensor(codes)
-
-    def bw(g):
-        gn._accum(latents, g)
-
-    return Tensor(codes, requires_grad=True, _parents=(latents,), _backward=bw)
+    return gn._unary(latents, codes, lambda g: g)
 
 
 def batch_token_frequency(latents, cb, temperature: float = GUMBEL_TEMPERATURE,
@@ -295,8 +289,8 @@ def js_divergence(p, q) -> Tensor:
     Q = q if isinstance(q, Tensor) else Tensor(np.asarray(q, dtype=np.float64))
     if P.value.shape != Q.value.shape:
         raise LengthMismatch(f"distributions differ in length: {P.value.shape} vs {Q.value.shape}")
-    Pf = gn.maximum_const(P, JS_FLOOR)
-    Qf = gn.maximum_const(Q, JS_FLOOR)
+    Pf = gn.clip(P, JS_FLOOR, np.inf)
+    Qf = gn.clip(Q, JS_FLOOR, np.inf)
     Pn = gn.div(Pf, gn.tsum(Pf))
     Qn = gn.div(Qf, gn.tsum(Qf))
     M = gn.mul(gn.add(Pn, Qn), 0.5)

@@ -196,6 +196,7 @@ class TestBaselinePoser:
         assert list(loaded.params()) == list(model.params())
         for (k, p), q in zip(model.params().items(), loaded.params().values()):
             assert np.array_equal(p.value, q.value), k
+            assert not q.requires_grad, k
 
     def test_record_keys(self, baseline_run):
         _, (_, report) = baseline_run
@@ -343,6 +344,15 @@ class TestReportRendering:
         text = render_report(self._report())
         assert len(text.splitlines()) == 2 + 3
         assert "n/a" in text  # mesh error column reserved but unavailable
+
+    def test_noised_levels_keep_columns_apart(self):
+        # "noised=N" must not run into the MPJPE value beside it
+        rows = [{"method": "tokenized", "level": level, "mpjpe_cm": 1105.5156,
+                 "jitter": 0.5, "cases": 12} for level in (1, 2, 3)]
+        lines = render_report(MetricReport(rows=rows)).splitlines()[2:]
+        for level, line in zip((1, 2, 3), lines):
+            assert line.split() == ["tokenized", f"noised={level}", "1105.5156", "n/a",
+                                    "0.500000", "12"]
 
     def test_file_round_trip_is_exact(self, tmp_path):
         report = self._report()

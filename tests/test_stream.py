@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from imutok import gradnet as gn
 from imutok import stream
 from imutok.checkpoint import load_checkpoint
 from imutok.errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
-from imutok.imusim import InertiaSequence
+from imutok.imusim import IMU_WIDTH, InertiaSequence
 from imutok.stream import (CRC_BYTES, HEADER_BYTES, InferencePipeline, StreamState,
                            TokenSequence, decode_tokens, push_frames,
                            read_token_stream, tokenize_sequence, write_token_stream)
@@ -125,6 +126,17 @@ class TestPushFrames:
         broken = dataclasses.replace(pipeline, stats=None)
         with pytest.raises(StatsMissing):
             StreamState(broken)
+
+
+class TestLoadedModels:
+    def test_encode_and_decode_record_no_graph(self, pipeline):
+        # restored parameters are frozen, so inference builds no backward graph
+        x = gn.Tensor(np.ones((1, IMU_WIDTH, 16), dtype=np.float32))
+        z = pipeline.imu_model.encode(x)
+        out = pipeline.motion_model.decode(z)
+        for t in (z, out):
+            assert not t.requires_grad
+            assert t._parents == ()
 
 
 class TestDecode:
