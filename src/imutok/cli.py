@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import evalbench, fileio, stream
-from .errors import ImutokError
+from .errors import ImutokError, InvalidArgument
 from .imusim import (DEFAULT_PLACEMENT, NoiseConfig, NormStats, SensorPlacement,
                      apply_corruption, apply_drift, fit_norm_stats, normalize_acceleration,
                      synthesize_imu)
@@ -169,7 +169,11 @@ def cmd_train_baseline(args):
 
 
 def cmd_bench_noise(args):
-    levels = tuple(int(x) for x in args.levels.split(",") if x)
+    try:
+        levels = tuple(int(x) for x in args.levels.split(",") if x)
+    except ValueError:
+        raise InvalidArgument(
+            f"--levels takes comma-separated integers, got {args.levels!r}") from None
     seeds = [args.corpus_seed + n for n in range(args.count)]
     pairs = evalbench.synthesize_pairs(seeds, duration_s=args.duration, fps=args.fps)
     report = evalbench.run_noise_benchmark(args.imu_ckpt, args.motion_ckpt,

@@ -11,17 +11,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gradnet as gn
-from .checkpoint import Checkpoint, arrays_digest, load_checkpoint
-from .errors import CheckpointMismatch, LengthMismatch, TooShort
-from .imusim import (IMU_WIDTH, InertiaSequence, NoiseConfig, NormStats,
-                     apply_corruption, apply_drift, fit_norm_stats,
-                     normalize_acceleration, synthesize_imu)
-from .models import BaselinePoser, checkpoint_array, load_model_arrays
+from .checkpoint import arrays_digest
+from .errors import CheckpointMismatch, EmptyCorpus, InvalidArgument, LengthMismatch, TooShort
+from .imusim import (SENSOR_COUNT, InertiaSequence, NoiseConfig, NormStats, apply_corruption,
+                     apply_drift, fit_norm_stats, normalize_acceleration, synthesize_imu)
+from .models import BaselinePoser, model_arrays
 from .motion import (MotionSequence, build_motion_representation,
                      generate_synthetic_motion, track_from_motion)
 from .skeleton import DEFAULT_SKELETON, forward_kinematics_sequence
 from .stream import InferencePipeline, _prepare_frames, decode_tokens, tokenize_sequence
-from .trainer import TrainConfig, _rng, fit, paired_windows, time_last
+from .trainer import TrainConfig, _rng, fit, load_trained, paired_windows, time_last
 
 # benchmark corruption defaults: a severely malfunctioning sensor. Strong
 # orientation drift feeds a continuous regressor in-distribution values it
@@ -120,29 +119,16 @@ def train_baseline_poser(paired, cfg: TrainConfig, stats: NormStats, ckpt_path=N
     """Train the matched-capacity continuous poser with reconstruction loss
     only, on the same normalized pairs the IMU tokenizer sees."""
     windows = paired_windows(paired, cfg.window)
-    model = BaselinePoser(IMU_WIDTH, cfg.d_z, cfg.hidden, rng=_rng(cfg.seed, 20))
+    model = BaselinePoser(cfg, rng=_rng(cfg.seed, 20))
 
     def loss_fn(batches, step):
         bm, bi = batches
         loss = gn.mse(model(gn.Tensor(time_last(bi))), time_last(bm))
         return loss, {"loss": float(loss)}, None
 
-    report = fit(model, cfg, windows, loss_fn, 20, kind="baseline_poser", prefix="baseline.",
-                 extra_arrays={"stats.mean": stats.mean, "stats.std": stats.std},
+    report = fit((model,), cfg, windows, loss_fn, 20, kind="baseline_poser", stats=stats,
                  ckpt_path=ckpt_path)
     return model, report
-
-
-def build_baseline_model(ckpt: Checkpoint):
-    """(model, cfg, stats) from a baseline checkpoint."""
-    if ckpt.kind != "baseline_poser":
-        raise CheckpointMismatch(f"expected a baseline_poser checkpoint, got {ckpt.kind!r}")
-    cfg = TrainConfig.from_meta(ckpt.meta)
-    model = BaselinePoser(IMU_WIDTH, cfg.d_z, cfg.hidden, rng=np.random.default_rng(0))
-    load_model_arrays(model, ckpt.arrays, "baseline.")
-    stats = NormStats(mean=checkpoint_array(ckpt.arrays, "stats.mean"),
-                      std=checkpoint_array(ckpt.arrays, "stats.std"))
-    return model, cfg, stats
 
 
 def _baseline_predict(model, stats: NormStats, imu: InertiaSequence) -> MotionSequence:
@@ -185,19 +171,23 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
     """Evaluate the tokenized pipeline and the continuous baseline on shared
     corrupted inputs; single-sensor level iterates all six sensors, higher
     levels sample seeded sensor combinations. Level 0 rows hold the clean
-    pass of each method."""
-    imu_ckpt, motion_ckpt, baseline_ckpt = (
-        c if isinstance(c, Checkpoint) else load_checkpoint(c)
-        for c in (imu_ckpt, motion_ckpt, baseline_ckpt))
+    pass of each method. Each checkpoint is a ``Checkpoint`` or a path;
+    ``levels`` must be distinct corrupted-sensor counts in 1..6."""
+    pairs = list(pairs)
+    if not pairs:
+        raise EmptyCorpus("the noise benchmark needs at least one held-out pair")
+    if len(set(levels)) != len(levels) or not set(levels) <= set(range(1, SENSOR_COUNT + 1)):
+        raise InvalidArgument(f"levels must be distinct values in 1..{SENSOR_COUNT}, "
+                              f"got {list(levels)}")
 
-    if arrays_digest(imu_ckpt.arrays, "motion.") != arrays_digest(motion_ckpt.arrays, "motion."):
-        raise CheckpointMismatch("stage-2 checkpoint embeds a different motion model")
     pipe = InferencePipeline.from_checkpoint(imu_ckpt)
-    base_model, base_cfg, base_stats = build_baseline_model(baseline_ckpt)
+    (motion_model,), _, _ = load_trained(motion_ckpt, "motion_vqvae")
+    if arrays_digest(model_arrays(pipe.motion_model)) != arrays_digest(model_arrays(motion_model)):
+        raise CheckpointMismatch("stage-2 checkpoint embeds a different motion model")
+    (base_model,), base_cfg, base_stats = load_trained(baseline_ckpt, "baseline_poser")
     if (base_cfg.d_z, base_cfg.hidden) != (pipe.cfg.d_z, pipe.cfg.hidden):
         raise CheckpointMismatch("baseline capacity differs from the tokenizer encoder")
 
-    pairs = list(pairs)
     report = MetricReport(meta={
         "seed": seed, "levels": list(levels), "sequences": len(pairs),
         "noise": dict(BENCH_NOISE if noise is None else noise),

@@ -129,10 +129,13 @@ class NormStats:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
         self.std = np.asarray(self.std, dtype=np.float64).reshape(-1)
-        if self.mean.shape != self.std.shape:
-            raise ShapeMismatch("mean/std length mismatch")
-        if (self.std <= 0).any():
-            raise InvalidArgument("std must be positive (floored at 1e-6)")
+        dims = (3 * SENSOR_COUNT,)
+        if self.mean.shape != dims or self.std.shape != dims:
+            raise ShapeMismatch(f"stats need {dims[0]} means and stds, got {self.mean.size} "
+                                f"and {self.std.size}")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()
+                and (self.std > 0).all()):
+            raise InvalidArgument("stats must be finite, with positive std (floored at 1e-6)")
 
 
 def _sensor_rng(seed: int, op: int, sensor: int) -> np.random.Generator:

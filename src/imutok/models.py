@@ -14,6 +14,7 @@ import numpy as np
 from . import gradnet as gn
 from .errors import ConfigInvalid
 from .gradnet import Conv1d, Tensor
+from .imusim import IMU_WIDTH
 from .motion import MOTION_WIDTH, SL_CONTACT
 from .vqcodec import Codebook
 
@@ -115,14 +116,12 @@ def unflatten_latents(flat, batch: int, d_z: int):
 class MotionVQVAE:
     """Motion autoencoder with a discrete bottleneck."""
 
-    def __init__(self, K: int, d_z: int, hidden: int, *, rng, gamma: float = 0.99,
-                 dtype=np.float32):
-        self.encoder = ConvEncoder(MOTION_WIDTH, hidden, d_z, rng=rng, dtype=dtype)
-        self.decoder = ConvDecoder(d_z, hidden, MOTION_WIDTH, rng=rng, dtype=dtype)
+    def __init__(self, cfg, *, rng, dtype=np.float32):
+        self.encoder = ConvEncoder(MOTION_WIDTH, cfg.hidden, cfg.d_z, rng=rng, dtype=dtype)
+        self.decoder = ConvDecoder(cfg.d_z, cfg.hidden, MOTION_WIDTH, rng=rng, dtype=dtype)
         # placeholder table until k-means seeding from the first batch
-        init = rng.normal(0.0, 0.1, size=(K, d_z)).astype(dtype)
-        self.codebook = Codebook(init, gamma=gamma)
-        self.K, self.d_z, self.hidden = K, d_z, hidden
+        init = rng.normal(0.0, 0.1, size=(cfg.K, cfg.d_z)).astype(dtype)
+        self.codebook = Codebook(init, gamma=cfg.gamma)
 
     def encode(self, x) -> Tensor:
         return self.encoder(x)
@@ -139,12 +138,10 @@ class MotionVQVAE:
 class ImuTokenizer:
     """IMU encoder with its own codebook; decodes through a motion decoder."""
 
-    def __init__(self, imu_width: int, K: int, d_z: int, hidden: int, *, rng,
-                 gamma: float = 0.99, dtype=np.float32):
-        self.encoder = ConvEncoder(imu_width, hidden, d_z, rng=rng, dtype=dtype)
-        init = rng.normal(0.0, 0.1, size=(K, d_z)).astype(dtype)
-        self.codebook = Codebook(init, gamma=gamma)
-        self.K, self.d_z, self.hidden = K, d_z, hidden
+    def __init__(self, cfg, *, rng, dtype=np.float32):
+        self.encoder = ConvEncoder(IMU_WIDTH, cfg.hidden, cfg.d_z, rng=rng, dtype=dtype)
+        init = rng.normal(0.0, 0.1, size=(cfg.K, cfg.d_z)).astype(dtype)
+        self.codebook = Codebook(init, gamma=cfg.gamma)
 
     def encode(self, x) -> Tensor:
         return self.encoder(x)
@@ -163,11 +160,11 @@ class BaselinePoser:
     classic inertial posers regress pose from raw signals.
     """
 
-    def __init__(self, imu_width: int, d_z: int, hidden: int, *, rng, dtype=np.float32):
-        self.encoder = ConvEncoder(imu_width, hidden, d_z, rng=rng, dtype=dtype, stride=1)
-        self.decoder = ConvDecoder(d_z, hidden, MOTION_WIDTH, rng=rng, dtype=dtype,
+    def __init__(self, cfg, *, rng, dtype=np.float32):
+        self.encoder = ConvEncoder(IMU_WIDTH, cfg.hidden, cfg.d_z, rng=rng, dtype=dtype,
+                                   stride=1)
+        self.decoder = ConvDecoder(cfg.d_z, cfg.hidden, MOTION_WIDTH, rng=rng, dtype=dtype,
                                    upsample=1)
-        self.d_z, self.hidden = d_z, hidden
 
     def __call__(self, x) -> Tensor:
         return _sigmoid_contacts(self.decoder(self.encoder(x)))
@@ -199,10 +196,10 @@ def checkpoint_array(arrays: dict, key: str) -> np.ndarray:
     return arrays[key]
 
 
-def load_model_arrays(model, arrays: dict, prefix: str = "") -> None:
-    """Restore parameters and codebook state in place. The restored
-    parameters are frozen (``requires_grad`` False): a loaded model only runs
-    inference, so its forward passes record no backward graph."""
+def load_model_arrays(model, arrays: dict, prefix: str = ""):
+    """Restore parameters and codebook state in place and return ``model``.
+    The restored parameters are frozen (``requires_grad`` False): a loaded
+    model only runs inference, so its forward passes record no backward graph."""
     for name, p in model.params().items():
         key = f"{prefix}{name}"
         value = checkpoint_array(arrays, key)
@@ -217,3 +214,4 @@ def load_model_arrays(model, arrays: dict, prefix: str = "") -> None:
         cb.ema_sigma = checkpoint_array(arrays, f"{prefix}cb.sigma").copy()
         cb.ema_delta = checkpoint_array(arrays, f"{prefix}cb.delta").copy()
         cb.dead_steps = checkpoint_array(arrays, f"{prefix}cb.dead").copy()
+    return model

@@ -16,12 +16,11 @@ import numpy as np
 
 from . import gradnet as gn
 from . import vqcodec as vq
-from .checkpoint import Checkpoint, load_checkpoint
 from .errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from .imusim import IMU_WIDTH, SL_ACC, InertiaSequence, NormStats
 from .models import COMPRESSION, flatten_latents, unflatten_latents
 from .motion import MotionSequence
-from .trainer import build_imu_model
+from .trainer import load_trained
 
 TOKEN_MAGIC = b"MJT2"
 TOKEN_VERSION = 1
@@ -75,9 +74,8 @@ class InferencePipeline:
 
     @classmethod
     def from_checkpoint(cls, ckpt) -> "InferencePipeline":
-        if not isinstance(ckpt, Checkpoint):
-            ckpt = load_checkpoint(ckpt)
-        imu_model, motion_model, cfg, stats = build_imu_model(ckpt)
+        """From a stage-2 ``Checkpoint`` or its path."""
+        (imu_model, motion_model), cfg, stats = load_trained(ckpt, "imu_tokenizer")
         return cls(imu_model, motion_model, cfg, stats)
 
     def codebook_digest(self) -> bytes:
@@ -171,7 +169,7 @@ def tokenize_sequence(seq: InertiaSequence, pipe: InferencePipeline,
     elif chunk_len % 4 != 0 or chunk_len < 4:
         raise InvalidArgument("chunk length must be a positive multiple of 4")
     ids = _encode_chunks(pipe, frames, chunk_len)
-    return TokenSequence(tokens=ids, l=COMPRESSION, fps=seq.fps, K=pipe.imu_model.K,
+    return TokenSequence(tokens=ids, l=COMPRESSION, fps=seq.fps, K=pipe.cfg.K,
                          codebook_digest=pipe.codebook_digest())
 
 
@@ -184,7 +182,7 @@ def decode_tokens(tok: TokenSequence, pipe: InferencePipeline) -> MotionSequence
         raise DigestMismatch("token stream was produced by a different codebook")
     ids = tok.tokens.astype(np.int64)
     codes = pipe.imu_model.codebook.entries[ids]
-    z = unflatten_latents(codes, 1, pipe.imu_model.d_z)
+    z = unflatten_latents(codes, 1, pipe.cfg.d_z)
     frames = pipe.motion_model.decode(gn.Tensor(z)).value[0].T
     return MotionSequence(frames=np.ascontiguousarray(frames), fps=tok.fps)
 

@@ -7,6 +7,7 @@ a fixed seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -18,8 +19,8 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import (CheckpointMismatch, ConfigInvalid, EmptyDataset, InvalidArgument,
                      LengthMismatch)
 from .gradnet import AdamW, cosine_lr
-from .imusim import IMU_WIDTH, NormStats
-from .models import (COMPRESSION, ImuTokenizer, MotionVQVAE, checkpoint_array,
+from .imusim import NormStats
+from .models import (COMPRESSION, BaselinePoser, ImuTokenizer, MotionVQVAE, checkpoint_array,
                      flatten_latents, load_model_arrays, model_arrays, unflatten_latents)
 from .motion import SL_CONTACT, SL_JOINT_VEL
 from .skeleton import DEFAULT_SKELETON
@@ -27,6 +28,9 @@ from .vqcodec import LossWeights, ZipfParams
 
 # token ids travel as u16 (TokenSequence, the MJT2 wire format)
 MAX_CODEBOOK_SIZE = 1 << 16
+
+# smallest value of each integer TrainConfig field that can train
+_FIELD_MINIMUM = dict(K=2, d_z=1, batch_size=1, total_steps=1, window=1, seed=0, hidden=1)
 
 
 @dataclass
@@ -51,10 +55,13 @@ class TrainConfig:
     zipf_beta: float = 2.7
 
     def __post_init__(self):
+        for key, value in self.as_meta().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigInvalid(f"{key!r} must be finite, got {value}")
+            if key in _FIELD_MINIMUM and value < _FIELD_MINIMUM[key]:
+                raise ConfigInvalid(f"{key!r} must be at least {_FIELD_MINIMUM[key]}, got {value}")
         if self.window % COMPRESSION != 0:
             raise ConfigInvalid(f"compression rate {COMPRESSION} must divide window {self.window}")
-        if self.batch_size < 1 or self.total_steps < 1 or self.K < 2:
-            raise ConfigInvalid("batch_size/total_steps/K out of range")
         if self.K > MAX_CODEBOOK_SIZE:
             raise ConfigInvalid(f"K={self.K} exceeds {MAX_CODEBOOK_SIZE}, the u16 token id range")
         if not 0.0 < self.gamma < 1.0:
@@ -147,20 +154,29 @@ def time_last(batch: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(batch.transpose(0, 2, 1))
 
 
-def fit(model, cfg: TrainConfig, windows: tuple, loss_fn, rng_base: int, *, kind: str,
-        prefix: str, extra_arrays: dict | None = None, ckpt_path=None) -> TrainReport:
-    """The training loop every stage shares.
+# MJC1 checkpoint kinds: the (array prefix, model class) of each model a
+# kind stores, trained model first, and whether stats.mean/stats.std follow
+CHECKPOINT_KINDS = {
+    "motion_vqvae": ((("motion.", MotionVQVAE),), False),
+    "imu_tokenizer": ((("imu.", ImuTokenizer), ("motion.", MotionVQVAE)), True),
+    "baseline_poser": ((("baseline.", BaselinePoser),), True),
+}
+
+
+def fit(models, cfg: TrainConfig, windows: tuple, loss_fn, rng_base: int, *, kind: str,
+        stats: NormStats | None = None, ckpt_path=None) -> TrainReport:
+    """The training loop every stage shares; ``models[0]`` is trained.
 
     Each step draws one batch of rows, the same rows from every array in
     ``windows``, through the stream ``rng_base + 1`` and calls
     ``loss_fn(batches, step) -> (total, record, after)``: ``total`` is the
     loss tensor, ``record`` its logged scalars, and ``after`` (or None) runs
     after the optimizer step and returns more scalars to log. The
-    checkpoint holds ``model`` under ``prefix``, then ``extra_arrays``, then
-    the optimizer state.
+    checkpoint holds ``models`` and ``stats`` as ``CHECKPOINT_KINDS[kind]``
+    lays them out, then the optimizer state.
     """
     data_rng = _rng(cfg.seed, rng_base + 1)
-    opt = AdamW(model.params(), lr=cfg.lr_max, weight_decay=cfg.weight_decay)
+    opt = AdamW(models[0].params(), lr=cfg.lr_max, weight_decay=cfg.weight_decay)
     report = TrainReport()
     n = len(windows[0])
 
@@ -176,13 +192,35 @@ def fit(model, cfg: TrainConfig, windows: tuple, loss_fn, rng_base: int, *, kind
         report.log(step=step, **record, lr=lr, **extra, wall_clock=time.monotonic() - t0)
 
     if ckpt_path is not None:
-        meta = cfg.as_meta()
-        meta["kind"] = kind
-        arrays = model_arrays(model, prefix)
-        arrays.update(extra_arrays or {})
+        specs, has_stats = CHECKPOINT_KINDS[kind]
+        arrays = {}
+        for (prefix, _), model in zip(specs, models, strict=True):
+            arrays.update(model_arrays(model, prefix))
+        if has_stats:
+            arrays.update({"stats.mean": stats.mean, "stats.std": stats.std})
         arrays.update(opt.state_arrays())
-        save_checkpoint(ckpt_path, meta, arrays)
+        save_checkpoint(ckpt_path, {**cfg.as_meta(), "kind": kind}, arrays)
     return report
+
+
+def load_trained(ckpt, kind: str) -> tuple:
+    """(models, cfg, stats) from a checkpoint of ``kind``, or its path: the
+    models in ``CHECKPOINT_KINDS[kind]`` order, restored frozen, and stats
+    None for a kind that stores none. Raises CheckpointMismatch for a file
+    of another kind."""
+    if not isinstance(ckpt, Checkpoint):
+        ckpt = load_checkpoint(ckpt)
+    if ckpt.kind != kind:
+        raise CheckpointMismatch(f"expected a {kind} checkpoint, got {ckpt.kind!r}")
+    specs, has_stats = CHECKPOINT_KINDS[kind]
+    cfg = TrainConfig.from_meta(ckpt.meta)
+    models = [load_model_arrays(cls(cfg, rng=np.random.default_rng(0)), ckpt.arrays, prefix)
+              for prefix, cls in specs]
+    stats = None
+    if has_stats:
+        stats = NormStats(mean=checkpoint_array(ckpt.arrays, "stats.mean"),
+                          std=checkpoint_array(ckpt.arrays, "stats.std"))
+    return models, cfg, stats
 
 
 # channel rows of the foot-joint velocities inside the 271-wide frame,
@@ -194,11 +232,15 @@ _FOOT_VEL_ROWS = [
 
 
 def _motion_batch_losses(model: MotionVQVAE, batch: np.ndarray, cfg: TrainConfig,
-                         gumbel_rng, zipf_const: np.ndarray):
-    """Forward pass and full stage-1 objective for one (B, T, 271) batch."""
+                         gumbel_rng, zipf_const: np.ndarray, kmeans_rng=None):
+    """Forward pass and full stage-1 objective for one (B, T, 271) batch.
+    With ``kmeans_rng`` (step 0), k-means over this batch's latents first
+    replaces the placeholder codebook."""
     x = gn.Tensor(time_last(batch))
-    z = model.encode(x)
-    flat = flatten_latents(z)
+    flat = flatten_latents(model.encode(x))
+    if kmeans_rng is not None:
+        model.codebook = vq.Codebook.from_kmeans(flat.value, cfg.K, rng=kmeans_rng,
+                                                 gamma=cfg.gamma)
     indices, codes = vq.quantize(flat, model.codebook)
     st = vq.straight_through(flat, codes)
     recon = model.decode(unflatten_latents(st, batch.shape[0], cfg.d_z))
@@ -245,37 +287,20 @@ def train_motion_vqvae(corpus, cfg: TrainConfig, ckpt_path=None):
     init_rng = _rng(cfg.seed, 0)
     gumbel_rng = _rng(cfg.seed, 2)
     dead_rng = _rng(cfg.seed, 3)
-    model = MotionVQVAE(cfg.K, cfg.d_z, cfg.hidden, rng=init_rng, gamma=cfg.gamma)
+    model = MotionVQVAE(cfg, rng=init_rng)
     zipf_const = vq.zipf_target(ZipfParams(cfg.zipf_alpha, cfg.zipf_beta, cfg.K))
 
     def loss_fn(batches, step):
-        (batch,) = batches
-        if step == 0:
-            # k-means over the first encoded batch replaces the placeholder table
-            lat0 = flatten_latents(model.encode(gn.Tensor(time_last(batch)))).value
-            model.codebook = vq.Codebook.from_kmeans(lat0, cfg.K, rng=init_rng,
-                                                     gamma=cfg.gamma)
         total, comps, flat, indices = _motion_batch_losses(
-            model, batch, cfg, gumbel_rng, zipf_const)
+            model, batches[0], cfg, gumbel_rng, zipf_const, init_rng if step == 0 else None)
         vals = {k: float(t) for k, t in comps.items()}
         record = dict(loss=motion_total_from_components(vals, cfg.weights), **vals,
                       perplexity=vq.codebook_perplexity(indices, cfg.K))
         return total, record, _codebook_step(model.codebook, flat.value, indices, dead_rng)
 
-    report = fit(model, cfg, (windows,), loss_fn, 0, kind="motion_vqvae", prefix="motion.",
+    report = fit((model,), cfg, (windows,), loss_fn, 0, kind="motion_vqvae",
                  ckpt_path=ckpt_path)
     return model, report
-
-
-def build_motion_model(ckpt: Checkpoint) -> tuple:
-    """(model, cfg) reconstructed from a stage-1 checkpoint."""
-    if ckpt.kind != "motion_vqvae":
-        raise CheckpointMismatch(f"expected a motion_vqvae checkpoint, got {ckpt.kind!r}")
-    cfg = TrainConfig.from_meta(ckpt.meta)
-    model = MotionVQVAE(cfg.K, cfg.d_z, cfg.hidden, rng=np.random.default_rng(0),
-                        gamma=cfg.gamma)
-    load_model_arrays(model, ckpt.arrays, "motion.")
-    return model, cfg
 
 
 def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
@@ -288,20 +313,19 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
     checkpoint is self-contained: it embeds the frozen motion model and the
     acceleration normalization stats used in training.
     """
-    if isinstance(motion_ckpt, (str, bytes)) or hasattr(motion_ckpt, "__fspath__"):
-        motion_ckpt = load_checkpoint(motion_ckpt)
-    motion_model, motion_cfg = build_motion_model(motion_ckpt)
-    if motion_cfg.K != cfg.K or motion_cfg.d_z != cfg.d_z:
+    (motion_model,), motion_cfg, _ = load_trained(motion_ckpt, "motion_vqvae")
+    # the stage-2 file rebuilds the embedded motion model from this config
+    if (motion_cfg.K, motion_cfg.d_z, motion_cfg.hidden) != (cfg.K, cfg.d_z, cfg.hidden):
         raise CheckpointMismatch(
-            f"stage-1 model has K={motion_cfg.K}, d_z={motion_cfg.d_z}; "
-            f"config asks K={cfg.K}, d_z={cfg.d_z}")
+            f"stage-1 model has K={motion_cfg.K}, d_z={motion_cfg.d_z}, "
+            f"hidden={motion_cfg.hidden}; config asks K={cfg.K}, d_z={cfg.d_z}, "
+            f"hidden={cfg.hidden}")
     windows = paired_windows(paired, cfg.window)
 
     init_rng = _rng(cfg.seed, 10)
     gumbel_rng = _rng(cfg.seed, 12)
     dead_rng = _rng(cfg.seed, 13)
-    imu_model = ImuTokenizer(IMU_WIDTH, cfg.K, cfg.d_z, cfg.hidden, rng=init_rng,
-                             gamma=cfg.gamma)
+    imu_model = ImuTokenizer(cfg, rng=init_rng)
     zipf_const = vq.zipf_target(ZipfParams(cfg.zipf_alpha, cfg.zipf_beta, cfg.K))
 
     def loss_fn(batches, step):
@@ -328,24 +352,6 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
         return total, record, _codebook_step(imu_model.codebook, z_imu.value, idx_imu,
                                              dead_rng)
 
-    extra = {**model_arrays(motion_model, "motion."),
-             "stats.mean": stats.mean, "stats.std": stats.std}
-    report = fit(imu_model, cfg, windows, loss_fn, 10, kind="imu_tokenizer", prefix="imu.",
-                 extra_arrays=extra, ckpt_path=ckpt_path)
+    report = fit((imu_model, motion_model), cfg, windows, loss_fn, 10, kind="imu_tokenizer",
+                 stats=stats, ckpt_path=ckpt_path)
     return imu_model, motion_model, report
-
-
-def build_imu_model(ckpt: Checkpoint) -> tuple:
-    """(imu_model, motion_model, cfg, stats) from a stage-2 checkpoint."""
-    if ckpt.kind != "imu_tokenizer":
-        raise CheckpointMismatch(f"expected an imu_tokenizer checkpoint, got {ckpt.kind!r}")
-    cfg = TrainConfig.from_meta(ckpt.meta)
-    imu_model = ImuTokenizer(IMU_WIDTH, cfg.K, cfg.d_z, cfg.hidden,
-                             rng=np.random.default_rng(0), gamma=cfg.gamma)
-    load_model_arrays(imu_model, ckpt.arrays, "imu.")
-    motion_model = MotionVQVAE(cfg.K, cfg.d_z, cfg.hidden, rng=np.random.default_rng(0),
-                               gamma=cfg.gamma)
-    load_model_arrays(motion_model, ckpt.arrays, "motion.")
-    stats = NormStats(mean=checkpoint_array(ckpt.arrays, "stats.mean"),
-                      std=checkpoint_array(ckpt.arrays, "stats.std"))
-    return imu_model, motion_model, cfg, stats

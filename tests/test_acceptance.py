@@ -346,8 +346,7 @@ def test_criterion_8_distribution_matching(training_data, heldout_raw, motion_ck
 
     zipf = vq.zipf_target(vq.ZipfParams(K=cfg.K))
     js_trained = float(vq.js_divergence(f_m, zipf))
-    rand_model = MotionVQVAE(cfg.K, cfg.d_z, cfg.hidden, rng=_rng(999, 0),
-                             gamma=cfg.gamma)
+    rand_model = MotionVQVAE(cfg, rng=_rng(999, 0))
     z_r = flatten_latents(rand_model.encode(xm)).value
     rand_model.codebook = vq.Codebook.from_kmeans(z_r, cfg.K, rng=_rng(999, 1),
                                                   gamma=cfg.gamma)

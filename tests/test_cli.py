@@ -183,6 +183,33 @@ class TestTrainAndStreamCommands:
         blob = json.loads(out.read_text())
         assert any(r["method"] == "tokenized" and r["level"] == 1 for r in blob["rows"])
 
+    @pytest.mark.parametrize("extra", [["--levels", "7"], ["--levels", "x"], ["--levels", "-1"],
+                                       ["--levels", "0"], ["--levels", "1,1"],
+                                       ["--count", "0"]],
+                             ids=["level_7", "level_x", "level_-1", "level_0", "level_1_twice",
+                                  "count_0"])
+    def test_bench_noise_bad_arguments_exit_with_error(self, workdir, checkpoints, capsys,
+                                                       extra):
+        mp, ip, bp = checkpoints
+        code = main(["bench", "noise", "--imu-ckpt", str(ip), "--motion-ckpt", str(mp),
+                     "--baseline-ckpt", str(bp), "--count", "1", "--duration", "2", *extra])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("stage", ["imu", "baseline"])
+    def test_short_stats_file_exits_with_error(self, workdir, dataset, tiny_config, capsys,
+                                               stage):
+        stats = workdir / "short.mjn"
+        fileio.write_stats_file(stats, np.zeros(5), np.ones(5))
+        out = workdir / f"short_{stage}.mjc"
+        code = main(["train", stage, "--data", str(dataset), "--config", str(tiny_config),
+                     "--stats", str(stats), "--out", str(out),
+                     *(["--motion-ckpt", "unused.mjc"] if stage == "imu" else [])])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: stats need 18")
+        assert not out.exists()
+
     def test_non_finite_motion_frame_exits_with_error(self, workdir, dataset, tiny_config,
                                                       capsys):
         data = workdir / "nan_data"

@@ -4,17 +4,17 @@ import pytest
 from imutok import evalbench
 from imutok import gradnet as gn
 from imutok.checkpoint import load_checkpoint, save_checkpoint
-from imutok.errors import (CheckpointMismatch, ConfigInvalid, EmptyDataset, LengthMismatch,
-                           TooShort)
+from imutok.errors import (CheckpointMismatch, ConfigInvalid, EmptyCorpus, EmptyDataset,
+                           InvalidArgument, LengthMismatch, TooShort)
 from imutok.evalbench import (BENCH_NOISE, MetricReport, augment_and_normalize,
-                              build_baseline_model, corrupt_sensors, jitter,
-                              joint_positions, mpjpe, read_report_file, render_report,
+                              corrupt_sensors, jitter, joint_positions, mpjpe,
+                              read_report_file, render_report,
                               run_noise_benchmark, synthesize_pairs, train_baseline_poser,
                               write_report_file)
 from imutok.gradnet import Conv1d
 from imutok.models import LEAKY_SLOPE, SMOOTH_KERNEL, BaselinePoser, _sigmoid_contacts
 from imutok.motion import MOTION_WIDTH, MotionSequence
-from imutok.trainer import TrainConfig, train_imu_tokenizer, train_motion_vqvae
+from imutok.trainer import TrainConfig, load_trained, train_imu_tokenizer, train_motion_vqvae
 
 from tests.test_trainer import shorten, without_array
 
@@ -151,7 +151,8 @@ class TestBaselinePoser:
     @pytest.mark.parametrize("T", [31, 32])
     def test_matches_nine_layer_reference_bitwise(self, T):
         ref = NineLayerPoser(72, 16, 24, rng=np.random.default_rng(5), dtype=np.float64)
-        new = BaselinePoser(72, 16, 24, rng=np.random.default_rng(5), dtype=np.float64)
+        new = BaselinePoser(TrainConfig(d_z=16, hidden=24), rng=np.random.default_rng(5),
+                            dtype=np.float64)
         assert list(new.params()) == list(ref.params())
         rng = np.random.default_rng(T)
         x = rng.normal(size=(3, 72, T))
@@ -181,18 +182,18 @@ class TestBaselinePoser:
         old_path = tmp_path / "old.mjc"
         save_checkpoint(old_path, ckpt.meta, renamed)
         with pytest.raises(ConfigInvalid):
-            build_baseline_model(load_checkpoint(old_path))
+            load_trained(old_path, "baseline_poser")
 
     @pytest.mark.parametrize("key", ["stats.mean", "stats.std"])
     def test_checkpoint_without_stats_raises(self, baseline_run, tmp_path, key):
         path, _ = baseline_run
         ckpt = without_array(path, key, tmp_path / "cut.mjc")
         with pytest.raises(ConfigInvalid, match=key):
-            build_baseline_model(ckpt)
+            load_trained(ckpt, "baseline_poser")
 
     def test_checkpoint_round_trip(self, baseline_run):
         path, (model, _) = baseline_run
-        loaded, _, _ = build_baseline_model(load_checkpoint(path))
+        (loaded,), _, _ = load_trained(load_checkpoint(path), "baseline_poser")
         assert list(loaded.params()) == list(model.params())
         for (k, p), q in zip(model.params().items(), loaded.params().values()):
             assert np.array_equal(p.value, q.value), k
@@ -322,6 +323,23 @@ class TestBenchmark:
         train_motion_vqvae([m for m, _ in pairs], cfg, ckpt_path=other)
         with pytest.raises(CheckpointMismatch):
             run_noise_benchmark(ip, other, bp, bench_pairs, levels=(1,), seed=0)
+
+    def test_stage_two_file_as_motion_checkpoint_rejected(self, trained_trio, bench_pairs):
+        # it embeds the very motion arrays it is compared against
+        _, ip, bp = trained_trio
+        with pytest.raises(CheckpointMismatch, match="expected a motion_vqvae checkpoint"):
+            run_noise_benchmark(ip, ip, bp, bench_pairs, levels=(1,), seed=0)
+
+    @pytest.mark.parametrize("levels", [(7,), (0,), (-1,), (1, 1), (2, 1, 2)])
+    def test_bad_levels_rejected(self, trained_trio, bench_pairs, levels):
+        mp, ip, bp = trained_trio
+        with pytest.raises(InvalidArgument, match="levels"):
+            run_noise_benchmark(ip, mp, bp, bench_pairs, levels=levels, seed=0)
+
+    def test_no_pairs_rejected(self, trained_trio):
+        mp, ip, bp = trained_trio
+        with pytest.raises(EmptyCorpus):
+            run_noise_benchmark(ip, mp, bp, [], levels=(1,), seed=0)
 
 
 class TestReportRendering:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from imutok import fileio, geom, imusim
-from imutok.errors import EmptyCorpus, InvalidArgument, TooShort
+from imutok.errors import EmptyCorpus, ImutokError, InvalidArgument, TooShort
 from imutok.imusim import (IMU_WIDTH, SL_ACC, SL_GYR, InertiaSequence,
                            NoiseConfig, NormStats, SensorPlacement, apply_corruption,
                            apply_drift, fit_norm_stats,
@@ -277,6 +277,14 @@ class TestNormStats:
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpus):
             fit_norm_stats([])
+
+    @pytest.mark.parametrize("mean, std", [
+        (np.zeros(5), np.ones(5)), (np.zeros(18), np.ones(19)),
+        (np.full(18, np.nan), np.ones(18)), (np.zeros(18), np.full(18, np.inf)),
+    ], ids=["five", "long_std", "nan_mean", "inf_std"])
+    def test_needs_18_finite_entries(self, mean, std):
+        with pytest.raises(ImutokError, match="stats"):
+            NormStats(mean=mean, std=std)
 
     def test_normalizing_fit_corpus_standardizes(self):
         seq = _random_imu(T=2000, seed=5)

@@ -154,7 +154,7 @@ class TestDecode:
         assert np.array_equal(a.frames, b.frames)
 
     def test_digest_mismatch_rejected(self, pipeline):
-        tok = _tok(K=pipeline.imu_model.K)
+        tok = _tok(K=pipeline.cfg.K)
         with pytest.raises(DigestMismatch):
             decode_tokens(tok, pipeline)
 

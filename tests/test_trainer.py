@@ -11,10 +11,9 @@ from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import InertiaSequence
 from imutok.motion import MotionSequence
-from imutok.trainer import (TrainConfig, _motion_batch_losses, _rng, build_imu_model,
-                            build_motion_model, make_windows,
-                            motion_total_from_components, train_imu_tokenizer,
-                            train_motion_vqvae)
+from imutok.trainer import (CHECKPOINT_KINDS, TrainConfig, _motion_batch_losses, _rng,
+                            load_trained, make_windows, motion_total_from_components,
+                            train_imu_tokenizer, train_motion_vqvae)
 
 # the keys of one report record per stage
 STAGE1_RECORD_KEYS = {"step", "loss", "recon", "commit", "contact", "slide", "zipf_js",
@@ -94,8 +93,14 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match=f"'{key}'"):
             TrainConfig.from_meta(meta)
 
+    # the later values parse but cannot train: each used to end in a bare
+    # ValueError or ZeroDivisionError, or (NaN) in a NaN loss and exit 0
     @pytest.mark.parametrize("key, value", [("K", "abc"), ("K", "4.0"), ("seed", ""),
-                                            ("lr_max", "fast"), ("w_dist", "1,0")])
+                                            ("lr_max", "fast"), ("w_dist", "1,0"),
+                                            ("window", "0"), ("hidden", "0"), ("d_z", "0"),
+                                            ("seed", "-1"), ("lr_max", "nan"),
+                                            ("zipf_beta", "nan"), ("w_recon", "nan"),
+                                            ("temperature", "inf")])
     def test_unparsable_meta_value_is_named(self, key, value):
         meta = TrainConfig().as_meta()
         meta[key] = value
@@ -171,8 +176,7 @@ class TestStageOne:
         init_rng = _rng(tiny_cfg.seed, 0)
         data_rng = _rng(tiny_cfg.seed, 1)
         gumbel_rng = _rng(tiny_cfg.seed, 2)
-        model = MotionVQVAE(tiny_cfg.K, tiny_cfg.d_z, tiny_cfg.hidden, rng=init_rng,
-                            gamma=tiny_cfg.gamma)
+        model = MotionVQVAE(tiny_cfg, rng=init_rng)
         sel = data_rng.choice(len(windows), size=min(tiny_cfg.batch_size, len(windows)),
                               replace=False)
         batch = windows[sel]
@@ -276,7 +280,8 @@ class TestCheckpoint:
         corpus = [m for m, _ in pairs]
         path = tmp_path / "m.mjc"
         model, _ = train_motion_vqvae(corpus, tiny_cfg, ckpt_path=path)
-        loaded, cfg = build_motion_model(load_checkpoint(path))
+        (loaded,), cfg, stats = load_trained(load_checkpoint(path), "motion_vqvae")
+        assert stats is None
         assert cfg == tiny_cfg
         for (k1, p1), (k2, p2) in zip(sorted(model.params().items()),
                                       sorted(loaded.params().items())):
@@ -332,11 +337,18 @@ class TestStageTwo:
         with pytest.raises(CheckpointMismatch):
             train_imu_tokenizer(pairs, stage1, bad, stats)
 
+    def test_mismatched_hidden_width_raises(self, tiny_cfg, tiny_pairs, stage1, tmp_path):
+        # the file would rebuild its stage-1 model at hidden=24 and fail to load
+        pairs, stats = tiny_pairs
+        bad = dataclasses.replace(tiny_cfg, hidden=24, total_steps=2)
+        with pytest.raises(CheckpointMismatch, match="hidden=32; config asks .*hidden=24"):
+            train_imu_tokenizer(pairs, stage1, bad, stats, ckpt_path=tmp_path / "i.mjc")
+
     def test_imu_checkpoint_is_self_contained(self, tiny_cfg, tiny_pairs, stage1, tmp_path):
         pairs, stats = tiny_pairs
         out = tmp_path / "imu.mjc"
         train_imu_tokenizer(pairs, stage1, tiny_cfg, stats, ckpt_path=out)
-        imu_model, motion_model, cfg, loaded_stats = build_imu_model(load_checkpoint(out))
+        (imu_model, motion_model), cfg, loaded_stats = load_trained(out, "imu_tokenizer")
         assert cfg == tiny_cfg
         assert np.array_equal(loaded_stats.mean, stats.mean)
         assert np.array_equal(loaded_stats.std, stats.std)
@@ -394,11 +406,51 @@ class TestMissingCheckpointArrays:
     def test_stage1_codebook_array(self, stage1, tmp_path, key):
         ckpt = without_array(stage1, key, tmp_path / "cut.mjc")
         with pytest.raises(ConfigInvalid, match=key):
-            build_motion_model(ckpt)
+            load_trained(ckpt, "motion_vqvae")
 
     @pytest.mark.parametrize("key", ["stats.mean", "stats.std", "imu.cb.dead",
                                      "motion.cb.entries"])
     def test_stage2_stats_and_codebook_arrays(self, stage2, tmp_path, key):
         ckpt = without_array(stage2, key, tmp_path / "cut.mjc")
         with pytest.raises(ConfigInvalid, match=key):
-            build_imu_model(ckpt)
+            load_trained(ckpt, "imu_tokenizer")
+
+
+@pytest.fixture(scope="module")
+def trained_kinds(tiny_cfg, tiny_pairs, stage1, tmp_path_factory):
+    """kind -> (checkpoint path, the trained models in table order, stats or None)."""
+    from imutok.evalbench import train_baseline_poser
+    pairs, stats = tiny_pairs
+    d = tmp_path_factory.mktemp("kinds")
+    motion, _ = train_motion_vqvae([m for m, _ in pairs], tiny_cfg, ckpt_path=d / "m.mjc")
+    imu, frozen, _ = train_imu_tokenizer(pairs, d / "m.mjc", tiny_cfg, stats,
+                                         ckpt_path=d / "i.mjc")
+    base, _ = train_baseline_poser(pairs, tiny_cfg, stats, ckpt_path=d / "b.mjc")
+    return {"motion_vqvae": (d / "m.mjc", (motion,), None),
+            "imu_tokenizer": (d / "i.mjc", (imu, frozen), stats),
+            "baseline_poser": (d / "b.mjc", (base,), stats)}
+
+
+@pytest.mark.parametrize("kind", list(CHECKPOINT_KINDS))
+def test_checkpoint_kind_round_trips_and_rejects_other_kinds(kind, trained_kinds, tiny_cfg):
+    path, trained, stats = trained_kinds[kind]
+    models, cfg, loaded_stats = load_trained(path, kind)
+    assert cfg == tiny_cfg
+    assert [type(m) for m in models] == [cls for _, cls in CHECKPOINT_KINDS[kind][0]]
+    for model, loaded in zip(trained, models, strict=True):
+        assert list(loaded.params()) == list(model.params())
+        for (k, p), q in zip(model.params().items(), loaded.params().values()):
+            assert np.array_equal(p.value, q.value), k
+            assert not q.requires_grad, k
+        if hasattr(model, "codebook"):
+            assert np.array_equal(model.codebook.entries, loaded.codebook.entries)
+            assert np.array_equal(model.codebook.dead_steps, loaded.codebook.dead_steps)
+    if stats is None:
+        assert loaded_stats is None
+    else:
+        assert np.array_equal(loaded_stats.mean, stats.mean)
+        assert np.array_equal(loaded_stats.std, stats.std)
+    for other, (other_path, _, _) in trained_kinds.items():
+        if other != kind:
+            with pytest.raises(CheckpointMismatch, match=f"expected a {kind} checkpoint"):
+                load_trained(other_path, kind)
