@@ -6,7 +6,7 @@ byte-identical corrupted inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .imusim import (SENSOR_COUNT, InertiaSequence, NoiseConfig, NormStats, appl
 from .models import BaselinePoser, model_arrays
 from .motion import (MotionSequence, build_motion_representation,
                      generate_synthetic_motion, track_from_motion)
-from .skeleton import DEFAULT_SKELETON, forward_kinematics_sequence
-from .stream import InferencePipeline, _prepare_frames, decode_tokens, tokenize_sequence
+from .skeleton import forward_kinematics_sequence
+from .stream import InferencePipeline, decode_tokens, tokenize_sequence
 from .trainer import TrainConfig, _rng, fit, load_trained, paired_windows, time_last
 
 # benchmark corruption defaults: a severely malfunctioning sensor. Strong
@@ -52,8 +52,7 @@ class MetricReport:
 def joint_positions(seq: MotionSequence) -> np.ndarray:
     """World joint positions (T, 22, 3) via FK with the root state applied."""
     track = track_from_motion(seq, fallback=True)
-    return forward_kinematics_sequence(DEFAULT_SKELETON, track.root_pos, track.root_rot,
-                                       track.local_rots)
+    return forward_kinematics_sequence(track.root_pos, track.root_rot, track.local_rots)
 
 
 def mpjpe(pred: MotionSequence, gt: MotionSequence) -> float:
@@ -97,14 +96,13 @@ def synthesize_pairs(seeds, duration_s: float = 8.0, fps: float = 60.0):
     return pairs
 
 
-def augment_and_normalize(pairs, seed: int = 0, drift: NoiseConfig | None = None):
-    """Training-side preprocessing: per-sequence random-walk drift on the raw
-    IMU signals, then acceleration normalization with stats fitted on the
-    augmented set. Returns (normalized pairs, stats)."""
-    if drift is None:
-        drift = NoiseConfig()
+def augment_and_normalize(pairs, seed: int = 0):
+    """Training-side preprocessing: per-sequence random-walk drift at the
+    default ``NoiseConfig`` on the raw IMU signals, then acceleration
+    normalization with stats fitted on the augmented set. Returns
+    (normalized pairs, stats)."""
     drifted = [
-        (m, apply_drift(i, replace(drift, seed=seed + 1000 * n)))
+        (m, apply_drift(i, NoiseConfig(seed=seed + 1000 * n)))
         for n, (m, i) in enumerate(pairs)
     ]
     stats = fit_norm_stats([i for _, i in drifted])
@@ -132,7 +130,7 @@ def train_baseline_poser(paired, cfg: TrainConfig, stats: NormStats, ckpt_path=N
 
 
 def _baseline_predict(model, stats: NormStats, imu: InertiaSequence) -> MotionSequence:
-    x = _prepare_frames(imu.frames, stats)
+    x = stats.normalize(imu.frames).astype(np.float32)
     out = model(gn.Tensor(np.ascontiguousarray(x.T)[None])).value[0].T
     return MotionSequence(frames=np.ascontiguousarray(out), fps=imu.fps)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import geom
 from .errors import EmptyCorpus, InvalidArgument, ShapeMismatch, TooShort
 from .motion import RawPoseTrack
-from .skeleton import DEFAULT_SKELETON, forward_kinematics_sequence
+from .skeleton import forward_kinematics_sequence
 
 SENSOR_COUNT = 6
 IMU_WIDTH = 72
@@ -137,6 +137,13 @@ class NormStats:
                 and (self.std > 0).all()):
             raise InvalidArgument("stats must be finite, with positive std (floored at 1e-6)")
 
+    def normalize(self, frames: np.ndarray) -> np.ndarray:
+        """A float64 copy of (n, 72) frames with acceleration channels mapped
+        to (a - mean) / std; other channels untouched."""
+        out = np.array(frames, dtype=np.float64)
+        out[:, SL_ACC] = (out[:, SL_ACC] - self.mean) / self.std
+        return out
+
 
 def _sensor_rng(seed: int, op: int, sensor: int) -> np.random.Generator:
     # independent stream per (operation, sensor): noise on one sensor never
@@ -158,9 +165,8 @@ def synthesize_imu(track: RawPoseTrack,
         raise TooShort(f"need at least 5 frames for second differences, got {T}")
     fps = track.fps
 
-    pos, glob = forward_kinematics_sequence(
-        DEFAULT_SKELETON, track.root_pos, track.root_rot, track.local_rots,
-        return_rotations=True)
+    pos, glob = forward_kinematics_sequence(track.root_pos, track.root_rot, track.local_rots,
+                                            return_rotations=True)
 
     joints = list(placement.joints)
     Rg = glob[:, joints]                    # (T, 6, 3, 3) bone rotations
@@ -204,14 +210,11 @@ def apply_drift(seq: InertiaSequence, cfg: NoiseConfig, sensors=None) -> Inertia
             drifted = R.copy()
             drifted[1:] = D @ R[1:]
             out[:, 6 * i:6 * i + 6] = geom.matrix_to_rot6d_batch(drifted)
-        if cfg.drift_sigma_acc > 0:
-            walk = np.zeros((T, 3))
-            walk[1:] = np.cumsum(rng.normal(0.0, cfg.drift_sigma_acc, size=(T - 1, 3)), axis=0)
-            out[:, SL_ACC.start + 3 * i:SL_ACC.start + 3 * i + 3] += walk
-        if cfg.drift_sigma_gyr > 0:
-            walk = np.zeros((T, 3))
-            walk[1:] = np.cumsum(rng.normal(0.0, cfg.drift_sigma_gyr, size=(T - 1, 3)), axis=0)
-            out[:, SL_GYR.start + 3 * i:SL_GYR.start + 3 * i + 3] += walk
+        for sl, sigma in ((SL_ACC, cfg.drift_sigma_acc), (SL_GYR, cfg.drift_sigma_gyr)):
+            if sigma > 0:
+                walk = np.zeros((T, 3))
+                walk[1:] = np.cumsum(rng.normal(0.0, sigma, size=(T - 1, 3)), axis=0)
+                out[:, sl.start + 3 * i:sl.start + 3 * i + 3] += walk
     return InertiaSequence(frames=out, fps=seq.fps)
 
 
@@ -234,10 +237,9 @@ def apply_corruption(seq: InertiaSequence, cfg: NoiseConfig) -> InertiaSequence:
             zeta = rng.normal(0.0, cfg.gaussian_sigma_ori, size=(T, 3))
             R = geom.rot6d_to_matrix_batch(seq.ori6d[:, i], fallback=True)
             out[:, sl_ori] = geom.matrix_to_rot6d_batch(geom.exp_so3(zeta) @ R)
-        if cfg.gaussian_sigma_acc > 0:
-            out[:, sl_acc] += rng.normal(0.0, cfg.gaussian_sigma_acc, size=(T, 3))
-        if cfg.gaussian_sigma_gyr > 0:
-            out[:, sl_gyr] += rng.normal(0.0, cfg.gaussian_sigma_gyr, size=(T, 3))
+        for sl, sigma in ((sl_acc, cfg.gaussian_sigma_acc), (sl_gyr, cfg.gaussian_sigma_gyr)):
+            if sigma > 0:
+                out[:, sl] += rng.normal(0.0, sigma, size=(T, 3))
         if cfg.dropout[i]:
             rng_drop = _sensor_rng(cfg.seed, 3, i)
             cut = int(rng_drop.integers(T // 4, max(T // 4 + 1, 3 * T // 4)))
@@ -263,7 +265,5 @@ def fit_norm_stats(corpus) -> NormStats:
 
 
 def normalize_acceleration(seq: InertiaSequence, stats: NormStats) -> InertiaSequence:
-    """Map acceleration channels to (a - mean) / std; other channels untouched."""
-    out = seq.frames.copy()
-    out[:, SL_ACC] = (out[:, SL_ACC] - stats.mean) / stats.std
-    return InertiaSequence(frames=out, fps=seq.fps)
+    """``seq`` with ``stats.normalize`` applied to its frames."""
+    return InertiaSequence(frames=stats.normalize(seq.frames), fps=seq.fps)

@@ -104,13 +104,10 @@ def flatten_latents(z: Tensor) -> Tensor:
     return gn.reshape(gn.transpose(z, (0, 2, 1)), (B * S, d))
 
 
-def unflatten_latents(flat, batch: int, d_z: int):
-    """(B*S, d_z) -> (B, d_z, S); accepts Tensor or ndarray."""
-    if isinstance(flat, Tensor):
-        S = flat.value.shape[0] // batch
-        return gn.transpose(gn.reshape(flat, (batch, S, d_z)), (0, 2, 1))
-    S = flat.shape[0] // batch
-    return np.transpose(flat.reshape(batch, S, d_z), (0, 2, 1))
+def unflatten_latents(flat: Tensor, batch: int, d_z: int) -> Tensor:
+    """(B*S, d_z) -> (B, d_z, S)."""
+    S = flat.value.shape[0] // batch
+    return gn.transpose(gn.reshape(flat, (batch, S, d_z)), (0, 2, 1))
 
 
 class MotionVQVAE:

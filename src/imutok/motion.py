@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geom
 from .errors import InvalidArgument, ShapeMismatch, TooShort
-from .skeleton import (DEFAULT_SKELETON, LOCAL_JOINT_COUNT, STANDING_ROOT_HEIGHT,
+from .skeleton import (FOOT_JOINTS, LOCAL_JOINT_COUNT, STANDING_ROOT_HEIGHT,
                        forward_kinematics_sequence)
 
 MOTION_WIDTH = 271
@@ -146,8 +146,7 @@ def build_motion_representation(track: RawPoseTrack) -> MotionSequence:
     if T < 3:
         raise TooShort(f"need at least 3 frames for finite differences, got {T}")
 
-    pos = forward_kinematics_sequence(DEFAULT_SKELETON, track.root_pos, track.root_rot,
-                                      track.local_rots)
+    pos = forward_kinematics_sequence(track.root_pos, track.root_rot, track.local_rots)
 
     r = track.root_pos.astype(np.float64)
     r_dot = _central_difference(r, track.fps)
@@ -159,8 +158,7 @@ def build_motion_representation(track: RawPoseTrack) -> MotionSequence:
     j_p = j_world - r[:, None, :]
     j_v = _central_difference(j_world, track.fps)
 
-    foot_idx = list(DEFAULT_SKELETON.foot_joints)
-    p = derive_contacts(pos[:, foot_idx], track.fps)
+    p = derive_contacts(pos[:, list(FOOT_JOINTS)], track.fps)
 
     frames = np.concatenate([
         r, r_dot, phi, phi_dot,
@@ -216,8 +214,8 @@ def _identity_rots(T: int) -> np.ndarray:
 
 def _ground_feet(root_pos: np.ndarray, root_rot: np.ndarray, local: np.ndarray) -> None:
     """Shift root height per frame so the lowest foot point sits on y=0."""
-    pos = forward_kinematics_sequence(DEFAULT_SKELETON, root_pos, root_rot, local)
-    foot_y = pos[:, list(DEFAULT_SKELETON.foot_joints), 1]
+    pos = forward_kinematics_sequence(root_pos, root_rot, local)
+    foot_y = pos[:, list(FOOT_JOINTS), 1]
     root_pos[:, 1] -= foot_y.min(axis=1)
 
 
@@ -229,8 +227,9 @@ def generate_synthetic_motion(seed: int, duration_s: float, fps: float,
     idle_sway. Phase/amplitude/frequency are smoothly randomized from the
     seed; walk and squat keep the planted foot on the ground plane.
     """
-    if duration_s <= 0:
-        raise InvalidArgument("duration_s must be positive")
+    for name, value in (("duration_s", duration_s), ("fps", fps)):
+        if not 0 < value < np.inf:  # also false for NaN
+            raise InvalidArgument(f"{name} must be finite and positive, got {value}")
     if style not in STYLES:
         raise InvalidArgument(f"unknown style {style!r}, expected one of {STYLES}")
     rng = np.random.default_rng(seed)

@@ -7,8 +7,6 @@ is identity and the root sits at STANDING_ROOT_HEIGHT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 JOINT_COUNT = 22
@@ -39,9 +37,10 @@ JOINT_NAMES = [
     "r_wrist",       # 21
 ]
 
-_PARENTS = [-1, 0, 1, 2, 3, 3, 0, 6, 7, 8, 8, 0, 11, 12, 13, 14, 13, 16, 17, 13, 19, 20]
+PARENTS = (-1, 0, 1, 2, 3, 3, 0, 6, 7, 8, 8, 0, 11, 12, 13, 14, 13, 16, 17, 13, 19, 20)
 
-_REST_OFFSETS = [
+# meters, in the parent's frame
+REST_OFFSETS = np.array([
     [0.00, 0.00, 0.00],    # pelvis
     [0.09, -0.06, 0.00],   # l_hip
     [0.00, -0.40, 0.00],   # l_knee
@@ -64,49 +63,21 @@ _REST_OFFSETS = [
     [-0.16, 0.06, 0.00],   # r_shoulder
     [-0.28, 0.00, 0.00],   # r_elbow
     [-0.26, 0.00, 0.00],   # r_wrist
-]
+], dtype=np.float64)
+REST_OFFSETS.flags.writeable = False  # shared by every caller
+
+# the channel order of the per-frame contact labels: left toe, left heel,
+# right toe, right heel (all leaves of the tree)
+FOOT_JOINTS = (5, 4, 10, 9)
 
 # Root height at which heels/toes touch y=0 with identity rotations:
 # hip 0.06 + knee 0.40 + ankle 0.42 + foot 0.07.
 STANDING_ROOT_HEIGHT = 0.95
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """Kinematic tree: parent indices and rest offsets (meters) per joint.
-
-    foot_joints order is (left toe, left heel, right toe, right heel); it is
-    the channel order of the per-frame contact labels.
-    """
-
-    parents: tuple = field(default_factory=lambda: tuple(_PARENTS))
-    rest_offsets: np.ndarray = field(
-        default_factory=lambda: np.array(_REST_OFFSETS, dtype=np.float64))
-    foot_joints: tuple = (5, 4, 10, 9)
-
-    def __post_init__(self):
-        parents = self.parents
-        if parents[0] != -1 or any(parents[j] >= j for j in range(1, len(parents))):
-            raise ValueError("parent indices must form a tree rooted at joint 0")
-        if not np.isfinite(self.rest_offsets).all():
-            raise ValueError("rest offsets must be finite")
-        children = set(parents)
-        for f in self.foot_joints:
-            if f in children:
-                raise ValueError(f"foot joint {f} is not a leaf")
-
-    @property
-    def joint_count(self) -> int:
-        return len(self.parents)
-
-
-DEFAULT_SKELETON = Skeleton()
-
-
-def forward_kinematics_sequence(skel: Skeleton, root_pos: np.ndarray, root_rot: np.ndarray,
-                                local_rots: np.ndarray,
-                                return_rotations: bool = False):
-    """World joint positions over a sequence.
+def forward_kinematics_sequence(root_pos: np.ndarray, root_rot: np.ndarray,
+                                local_rots: np.ndarray, return_rotations: bool = False):
+    """World joint positions of the fixed skeleton over a sequence.
 
     position(j) = position(parent) + R_global(parent) @ rest_offset(j), with
     R_global composed parent-to-child down the tree, for all frames at once.
@@ -114,19 +85,18 @@ def forward_kinematics_sequence(skel: Skeleton, root_pos: np.ndarray, root_rot: 
     Args:
         root_pos: (T, 3) root translations.
         root_rot: (T, 3, 3) root rotations.
-        local_rots: (T, J-1, 3, 3) local joint rotations.
+        local_rots: (T, 21, 3, 3) local joint rotations.
 
-    Returns (T, J, 3) positions, optionally also (T, J, 3, 3) global rotations.
+    Returns (T, 22, 3) positions, optionally also (T, 22, 3, 3) global rotations.
     """
     T = root_pos.shape[0]
-    J = skel.joint_count
-    pos = np.empty((T, J, 3), dtype=np.float64)
-    glob = np.empty((T, J, 3, 3), dtype=np.float64)
+    pos = np.empty((T, JOINT_COUNT, 3), dtype=np.float64)
+    glob = np.empty((T, JOINT_COUNT, 3, 3), dtype=np.float64)
     pos[:, 0] = root_pos
     glob[:, 0] = root_rot
-    for j in range(1, J):
-        p = skel.parents[j]
-        pos[:, j] = pos[:, p] + np.einsum("tij,j->ti", glob[:, p], skel.rest_offsets[j])
+    for j in range(1, JOINT_COUNT):
+        p = PARENTS[j]
+        pos[:, j] = pos[:, p] + np.einsum("tij,j->ti", glob[:, p], REST_OFFSETS[j])
         glob[:, j] = glob[:, p] @ local_rots[:, j - 1]
     if return_rotations:
         return pos, glob

@@ -17,7 +17,7 @@ import numpy as np
 from . import gradnet as gn
 from . import vqcodec as vq
 from .errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
-from .imusim import IMU_WIDTH, SL_ACC, InertiaSequence, NormStats
+from .imusim import IMU_WIDTH, InertiaSequence, NormStats
 from .models import COMPRESSION, flatten_latents, unflatten_latents
 from .motion import MotionSequence
 from .trainer import load_trained
@@ -82,13 +82,6 @@ class InferencePipeline:
         return self.imu_model.codebook.digest()
 
 
-def _prepare_frames(frames: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Normalize acceleration channels and cast to the model dtype."""
-    x = np.asarray(frames, dtype=np.float64).copy()
-    x[:, SL_ACC] = (x[:, SL_ACC] - stats.mean) / stats.std
-    return x.astype(np.float32)
-
-
 def _check_finite(frames: np.ndarray) -> None:
     # argmin over a NaN distance row returns 0, so a non-finite frame would
     # silently become token 0 for every latent step that sees it
@@ -96,22 +89,22 @@ def _check_finite(frames: np.ndarray) -> None:
         raise InvalidArgument("IMU frames contain NaN or infinite values")
 
 
-def _encode_chunks(pipe: InferencePipeline, frames: np.ndarray, chunk_len: int) -> np.ndarray:
-    """Token ids of raw (n, 72) frames encoded in independent chunk_len-frame
-    blocks, one encoder pass per block; frames short of a block are left out.
+def _encode_chunks(pipe: InferencePipeline, x: np.ndarray, chunk_len: int) -> np.ndarray:
+    """Token ids of (n, 72) normalized float32 frames encoded in independent
+    chunk_len-frame blocks, one encoder pass per block; frames short of a
+    block are left out.
 
     Each block is encoded at batch size 1: a batched conv GEMM sums in
     another order and moves latents in their last bits. The latents of all
     blocks then go through one quantize call, whose distances do not depend
     on the batch, so the ids equal those of quantizing each block on its own.
     """
-    if len(frames) < chunk_len:
+    if len(x) < chunk_len:
         return np.empty(0, dtype=np.uint16)
-    x = _prepare_frames(frames[:len(frames) - len(frames) % chunk_len], pipe.stats)
     latents = [
         flatten_latents(pipe.imu_model.encode(
             gn.Tensor(np.ascontiguousarray(x[lo:lo + chunk_len].T)[None]))).value
-        for lo in range(0, len(x), chunk_len)
+        for lo in range(0, len(x) - chunk_len + 1, chunk_len)
     ]
     indices, _ = vq.quantize(np.concatenate(latents), pipe.imu_model.codebook)
     return indices.astype(np.uint16)
@@ -123,7 +116,8 @@ class StreamState:
 
     pipeline: InferencePipeline
     chunk_len: int = DEFAULT_CHUNK
-    buffer: np.ndarray = field(default_factory=lambda: np.empty((0, IMU_WIDTH)))
+    buffer: np.ndarray = field(
+        default_factory=lambda: np.empty((0, IMU_WIDTH), dtype=np.float32))
     frames_seen: int = 0
     tokens_emitted: int = 0
 
@@ -137,7 +131,8 @@ class StreamState:
 def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
     """Buffer incoming (n, 72) frames; emit chunk_len/4 tokens per full chunk.
 
-    Pending frames wait in one float64 array; the chunks a push completes
+    Each incoming frame is normalized and cast to float32 once, on arrival;
+    pending frames wait in that model-ready form. The chunks a push completes
     are quantized in one call. Raises InvalidArgument, buffering nothing, if
     any frame is not finite.
     """
@@ -145,7 +140,8 @@ def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
     if frames.ndim != 2 or frames.shape[1] != IMU_WIDTH:
         raise FormatError(f"stream frames must be (n, {IMU_WIDTH}), got {frames.shape}")
     _check_finite(frames)
-    pending = np.concatenate([state.buffer, frames], dtype=np.float64)
+    pending = np.concatenate([state.buffer, state.pipeline.stats.normalize(frames)],
+                             dtype=np.float32)
     tokens = _encode_chunks(state.pipeline, pending, state.chunk_len)
     state.buffer = pending[len(pending) - len(pending) % state.chunk_len:].copy()
     state.frames_seen += frames.shape[0]
@@ -162,13 +158,12 @@ def tokenize_sequence(seq: InertiaSequence, pipe: InferencePipeline,
     dropped). With chunk_len=None the whole sequence is encoded in one
     convolutional pass. Raises InvalidArgument if any frame is not finite.
     """
-    frames = np.asarray(seq.frames, dtype=np.float64)
-    _check_finite(frames)
+    _check_finite(seq.frames)
     if chunk_len is None:
-        chunk_len = max(len(frames), 4)  # one block; under 4 frames make no token
+        chunk_len = max(len(seq), 4)  # one block; under 4 frames make no token
     elif chunk_len % 4 != 0 or chunk_len < 4:
         raise InvalidArgument("chunk length must be a positive multiple of 4")
-    ids = _encode_chunks(pipe, frames, chunk_len)
+    ids = _encode_chunks(pipe, pipe.stats.normalize(seq.frames).astype(np.float32), chunk_len)
     return TokenSequence(tokens=ids, l=COMPRESSION, fps=seq.fps, K=pipe.cfg.K,
                          codebook_digest=pipe.codebook_digest())
 
@@ -181,9 +176,8 @@ def decode_tokens(tok: TokenSequence, pipe: InferencePipeline) -> MotionSequence
     if tok.codebook_digest != pipe.codebook_digest():
         raise DigestMismatch("token stream was produced by a different codebook")
     ids = tok.tokens.astype(np.int64)
-    codes = pipe.imu_model.codebook.entries[ids]
-    z = unflatten_latents(codes, 1, pipe.cfg.d_z)
-    frames = pipe.motion_model.decode(gn.Tensor(z)).value[0].T
+    codes = gn.Tensor(pipe.imu_model.codebook.entries[ids])
+    frames = pipe.motion_model.decode(unflatten_latents(codes, 1, pipe.cfg.d_z)).value[0].T
     return MotionSequence(frames=np.ascontiguousarray(frames), fps=tok.fps)
 
 

@@ -23,14 +23,17 @@ from .imusim import NormStats
 from .models import (COMPRESSION, BaselinePoser, ImuTokenizer, MotionVQVAE, checkpoint_array,
                      flatten_latents, load_model_arrays, model_arrays, unflatten_latents)
 from .motion import SL_CONTACT, SL_JOINT_VEL
-from .skeleton import DEFAULT_SKELETON
+from .skeleton import FOOT_JOINTS
 from .vqcodec import LossWeights, ZipfParams
 
 # token ids travel as u16 (TokenSequence, the MJT2 wire format)
 MAX_CODEBOOK_SIZE = 1 << 16
 
-# smallest value of each integer TrainConfig field that can train
-_FIELD_MINIMUM = dict(K=2, d_z=1, batch_size=1, total_steps=1, window=1, seed=0, hidden=1)
+# smallest value of each TrainConfig field that can train, and the bound
+# each of a few more fields must lie strictly above
+_FIELD_MINIMUM = dict(K=2, d_z=1, batch_size=1, total_steps=1, window=1, seed=0, hidden=1,
+                      lr_max=0.0, lr_min=0.0, weight_decay=0.0, zipf_alpha=0.0)
+_FIELD_ABOVE = dict(temperature=0.0, zipf_beta=-1.0)
 
 
 @dataclass
@@ -60,6 +63,8 @@ class TrainConfig:
                 raise ConfigInvalid(f"{key!r} must be finite, got {value}")
             if key in _FIELD_MINIMUM and value < _FIELD_MINIMUM[key]:
                 raise ConfigInvalid(f"{key!r} must be at least {_FIELD_MINIMUM[key]}, got {value}")
+            if key in _FIELD_ABOVE and not value > _FIELD_ABOVE[key]:
+                raise ConfigInvalid(f"{key!r} must be above {_FIELD_ABOVE[key]}, got {value}")
         if self.window % COMPRESSION != 0:
             raise ConfigInvalid(f"compression rate {COMPRESSION} must divide window {self.window}")
         if self.K > MAX_CODEBOOK_SIZE:
@@ -227,7 +232,7 @@ def load_trained(ckpt, kind: str) -> tuple:
 # one (start, stop) per contact channel (toe-L, heel-L, toe-R, heel-R)
 _FOOT_VEL_ROWS = [
     (SL_JOINT_VEL.start + 3 * (j - 1), SL_JOINT_VEL.start + 3 * (j - 1) + 3)
-    for j in DEFAULT_SKELETON.foot_joints
+    for j in FOOT_JOINTS
 ]
 
 

@@ -103,6 +103,16 @@ class TestMotionAndImuCommands:
                          "--duration", "1", "--fps", "60", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--fps", "-60"), ("--fps", "nan"),
+                                             ("--duration", "nan"), ("--duration", "inf")])
+    def test_gen_bad_duration_or_fps_exits_with_error(self, workdir, capsys, flag, value):
+        out = workdir / "bad.mjt1"
+        # the last of a repeated option wins
+        code = main(["motion", "gen", "--style", "walk", "--duration", "1", "--fps", "60",
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
+
     def test_simulate_with_noise_profile(self, workdir, dataset):
         profile = workdir / "noise.json"
         profile.write_text(json.dumps({
@@ -185,9 +195,9 @@ class TestTrainAndStreamCommands:
 
     @pytest.mark.parametrize("extra", [["--levels", "7"], ["--levels", "x"], ["--levels", "-1"],
                                        ["--levels", "0"], ["--levels", "1,1"],
-                                       ["--count", "0"]],
+                                       ["--count", "0"], ["--fps", "-60"]],
                              ids=["level_7", "level_x", "level_-1", "level_0", "level_1_twice",
-                                  "count_0"])
+                                  "count_0", "fps_-60"])
     def test_bench_noise_bad_arguments_exit_with_error(self, workdir, checkpoints, capsys,
                                                        extra):
         mp, ip, bp = checkpoints

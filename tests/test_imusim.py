@@ -9,8 +9,7 @@ from imutok.imusim import (IMU_WIDTH, SL_ACC, SL_GYR, InertiaSequence,
                            apply_drift, fit_norm_stats,
                            normalize_acceleration, synthesize_imu)
 from imutok.motion import RawPoseTrack, generate_synthetic_motion
-from imutok.skeleton import (DEFAULT_SKELETON, STANDING_ROOT_HEIGHT,
-                             forward_kinematics_sequence)
+from imutok.skeleton import STANDING_ROOT_HEIGHT, forward_kinematics_sequence
 from tests.test_geom import ref_exp_so3
 
 
@@ -81,9 +80,8 @@ class TestSynthesize:
             levers=rng.normal(scale=0.05, size=(6, 3)))
         track = generate_synthetic_motion(11, 2.0, 60.0, "walk")
         fps, dt = track.fps, 1.0 / track.fps
-        pos, glob = forward_kinematics_sequence(
-            DEFAULT_SKELETON, track.root_pos, track.root_rot, track.local_rots,
-            return_rotations=True)
+        pos, glob = forward_kinematics_sequence(track.root_pos, track.root_rot,
+                                                track.local_rots, return_rotations=True)
         T = len(track)
         want = np.empty((T, IMU_WIDTH))
         for i in range(6):

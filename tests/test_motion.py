@@ -7,8 +7,8 @@ from imutok.errors import FormatError, InvalidArgument, TooShort
 from imutok.motion import (MOTION_WIDTH, RawPoseTrack,
                            build_motion_representation, derive_contacts,
                            generate_synthetic_motion, track_from_motion)
-from imutok.skeleton import (DEFAULT_SKELETON, STANDING_ROOT_HEIGHT, Skeleton,
-                             forward_kinematics_sequence)
+from imutok.skeleton import (FOOT_JOINTS, JOINT_COUNT, PARENTS, REST_OFFSETS,
+                             STANDING_ROOT_HEIGHT, forward_kinematics_sequence)
 
 
 def _static_track(T=60, fps=60.0, root_y=STANDING_ROOT_HEIGHT):
@@ -21,66 +21,63 @@ def _static_track(T=60, fps=60.0, root_y=STANDING_ROOT_HEIGHT):
 
 class TestSkeleton:
     def test_default_tree_shape(self):
-        skel = DEFAULT_SKELETON
-        assert skel.joint_count == 22
-        assert skel.parents[0] == -1
-        assert all(skel.parents[j] < j for j in range(1, 22))
+        assert len(PARENTS) == JOINT_COUNT == 22
+        assert REST_OFFSETS.shape == (22, 3) and REST_OFFSETS.dtype == np.float64
+        assert np.isfinite(REST_OFFSETS).all()
+        assert PARENTS[0] == -1
+        assert all(0 <= PARENTS[j] < j for j in range(1, 22))
 
     def test_feet_touch_ground_at_standing_height(self):
         track = _static_track(T=5)
-        pos = forward_kinematics_sequence(DEFAULT_SKELETON, track.root_pos,
-                                          track.root_rot, track.local_rots)
-        feet_y = pos[0, list(DEFAULT_SKELETON.foot_joints), 1]
+        pos = forward_kinematics_sequence(track.root_pos, track.root_rot, track.local_rots)
+        feet_y = pos[0, list(FOOT_JOINTS), 1]
         assert_allclose(feet_y, 0.0, atol=1e-12)
 
     def test_foot_joints_are_leaves(self):
-        with pytest.raises(ValueError):
-            Skeleton(foot_joints=(0, 4, 10, 9))
+        assert len(set(FOOT_JOINTS)) == 4
+        assert not set(FOOT_JOINTS) & set(PARENTS)
 
 
-def _fk_frame(skel, root_pos, root_rot, local_rots):
+def _fk_frame(root_pos, root_rot, local_rots):
     """FK of one frame through the sequence function."""
-    return forward_kinematics_sequence(skel, np.asarray(root_pos)[None],
+    return forward_kinematics_sequence(np.asarray(root_pos)[None],
                                        np.asarray(root_rot)[None],
                                        np.asarray(local_rots)[None])[0]
 
 
 class TestForwardKinematics:
     def test_identity_pose_gives_cumulative_offsets(self):
-        skel = DEFAULT_SKELETON
-        pos = _fk_frame(skel, np.zeros(3), np.eye(3), np.tile(np.eye(3), (21, 1, 1)))
+        pos = _fk_frame(np.zeros(3), np.eye(3), np.tile(np.eye(3), (21, 1, 1)))
         expected = np.zeros((22, 3))
         for j in range(1, 22):
-            expected[j] = expected[skel.parents[j]] + skel.rest_offsets[j]
+            expected[j] = expected[PARENTS[j]] + REST_OFFSETS[j]
         assert_allclose(pos, expected, atol=1e-14)
 
     def test_root_translation_equivariance(self):
-        skel = DEFAULT_SKELETON
         rots = np.tile(np.eye(3), (21, 1, 1))
-        base = _fk_frame(skel, np.zeros(3), np.eye(3), rots)
-        moved = _fk_frame(skel, np.array([1.0, 0, 0]), np.eye(3), rots)
+        base = _fk_frame(np.zeros(3), np.eye(3), rots)
+        moved = _fk_frame(np.array([1.0, 0, 0]), np.eye(3), rots)
         assert_allclose(moved, base + np.array([1.0, 0, 0]), atol=1e-14)
 
     def test_two_link_chain_with_bent_middle_joint(self):
-        # two unit bones; rotating the middle joint 90 degrees about z puts
-        # the end effector at (1, 1, 0)
-        skel = Skeleton(parents=(-1, 0, 1),
-                        rest_offsets=np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0.0]]),
-                        foot_joints=(2, 2, 2, 2))
-        rots = np.stack([geom.exp_so3([0, 0, np.pi / 2]), np.eye(3)])
-        pos = _fk_frame(skel, np.zeros(3), np.eye(3), rots)
-        assert_allclose(pos[2], [1.0, 1.0, 0.0], atol=1e-12)
+        # hip -> knee -> ankle: bending the left knee (joint 2) 90 degrees
+        # about x turns the knee-to-ankle bone from (0, -0.42, 0) to
+        # (0, 0, -0.42) and leaves the hip-to-knee bone as it was
+        rots = np.tile(np.eye(3), (21, 1, 1))
+        rots[2 - 1] = geom.exp_so3([np.pi / 2, 0, 0])
+        pos = _fk_frame(np.zeros(3), np.eye(3), rots)
+        assert_allclose(pos[2] - pos[1], [0.0, -0.40, 0.0], atol=1e-12)
+        assert_allclose(pos[3] - pos[2], [0.0, 0.0, -0.42], atol=1e-12)
 
     def test_bone_lengths_are_rigid_for_random_poses(self):
-        skel = DEFAULT_SKELETON
         rng = np.random.default_rng(4)
         T = 20
         rots = np.stack([[geom.random_rotation(rng) for _ in range(21)] for _ in range(T)])
         root_rot = np.stack([geom.random_rotation(rng) for _ in range(T)])
-        pos = forward_kinematics_sequence(skel, rng.normal(size=(T, 3)), root_rot, rots)
+        pos = forward_kinematics_sequence(rng.normal(size=(T, 3)), root_rot, rots)
         for j in range(1, 22):
-            bone = np.linalg.norm(pos[:, j] - pos[:, skel.parents[j]], axis=1)
-            assert_allclose(bone, np.linalg.norm(skel.rest_offsets[j]), atol=1e-12)
+            bone = np.linalg.norm(pos[:, j] - pos[:, PARENTS[j]], axis=1)
+            assert_allclose(bone, np.linalg.norm(REST_OFFSETS[j]), atol=1e-12)
 
 
 class TestRepresentation:
@@ -228,9 +225,9 @@ class TestSyntheticMotion:
     def test_squat_and_walk_keep_a_foot_near_ground(self):
         for style in ("walk", "squat"):
             track = generate_synthetic_motion(11, 4.0, 60.0, style)
-            pos = forward_kinematics_sequence(DEFAULT_SKELETON, track.root_pos,
-                                              track.root_rot, track.local_rots)
-            feet_y = pos[:, list(DEFAULT_SKELETON.foot_joints), 1]
+            pos = forward_kinematics_sequence(track.root_pos, track.root_rot,
+                                              track.local_rots)
+            feet_y = pos[:, list(FOOT_JOINTS), 1]
             assert feet_y.min(axis=1).max() < 1e-9
             assert feet_y.min() > -1e-9
 
@@ -239,6 +236,13 @@ class TestSyntheticMotion:
             generate_synthetic_motion(0, 1.0, 60.0, "moonwalk")
         with pytest.raises(InvalidArgument):
             generate_synthetic_motion(0, -1.0, 60.0, "walk")
+
+    @pytest.mark.parametrize("duration_s, fps", [
+        (1.0, -60.0), (1.0, 0.0), (1.0, float("nan")), (1.0, float("inf")),
+        (float("nan"), 60.0), (float("inf"), 60.0)])
+    def test_duration_and_fps_must_be_finite_and_positive(self, duration_s, fps):
+        with pytest.raises(InvalidArgument):
+            generate_synthetic_motion(0, duration_s, fps, "walk")
 
 
 class TestMotionFile:

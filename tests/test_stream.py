@@ -98,7 +98,8 @@ class TestPushFrames:
         state = StreamState(pipeline, chunk_len=16)
         toks = push_frames(state, frames)
         assert toks.shape == (8,)
-        assert np.array_equal(state.buffer, frames[32:])
+        want = pipeline.stats.normalize(frames[32:]).astype(np.float32)
+        assert state.buffer.dtype == np.float32 and np.array_equal(state.buffer, want)
         assert (state.frames_seen, state.tokens_emitted) == (37, 8)
         one_by_one = StreamState(pipeline, chunk_len=16)
         got = np.concatenate([push_frames(one_by_one, f[None]) for f in frames])

@@ -94,13 +94,17 @@ class TestConfig:
             TrainConfig.from_meta(meta)
 
     # the later values parse but cannot train: each used to end in a bare
-    # ValueError or ZeroDivisionError, or (NaN) in a NaN loss and exit 0
+    # ValueError or ZeroDivisionError, in a NaN or overflowing loss and exit
+    # 0, or in an error only after the corpus was loaded
     @pytest.mark.parametrize("key, value", [("K", "abc"), ("K", "4.0"), ("seed", ""),
                                             ("lr_max", "fast"), ("w_dist", "1,0"),
                                             ("window", "0"), ("hidden", "0"), ("d_z", "0"),
                                             ("seed", "-1"), ("lr_max", "nan"),
                                             ("zipf_beta", "nan"), ("w_recon", "nan"),
-                                            ("temperature", "inf")])
+                                            ("temperature", "inf"), ("lr_max", "-0.5"),
+                                            ("lr_min", "-1e-06"), ("weight_decay", "-0.01"),
+                                            ("temperature", "0.0"), ("zipf_alpha", "-0.5"),
+                                            ("zipf_beta", "-1.0")])
     def test_unparsable_meta_value_is_named(self, key, value):
         meta = TrainConfig().as_meta()
         meta[key] = value
