@@ -344,21 +344,25 @@ def _conv_taps(T: int, Tout: int, k: int, stride: int, padding: int) -> tuple:
 
 
 def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """Strided cross-correlation over a (B, C, T) input.
+    """Strided cross-correlation over a (B, C, T) input or a stack
+    (L, B, C, T) of them; a (B, C, T) input is the stack of one.
 
     Output time length is floor((T + 2*padding - k) / stride) + 1.
 
-    Each pass is one 2-D GEMM over a channel-major (Cin*k, B*Tout) column
-    matrix; padded positions are the zeros the tap copies leave untouched.
-    The output is a (B, Cout, Tout) view of a (Cout, B, Tout) array, so the
-    next conv's tap copies read contiguous rows and the incoming gradient
-    reshapes to (Cout, B*Tout) without a copy.
+    Each stack is one 2-D GEMM over its own channel-major (Cin*k, B*Tout)
+    column matrix, and one np.matmul runs the L GEMMs, so a stack's output
+    is bitwise what a call on it alone gives. (Stacks are not batched into
+    one wider GEMM: another width sums in another order.) Padded positions
+    are the zeros the tap copies leave untouched. The output is a view of a
+    (Cout, L, B, Tout) array, so the next conv's tap copies read contiguous
+    rows and the incoming gradient reshapes to (Cout, L*B*Tout) without a
+    copy; the weight and bias gradients sum over every stack in that matrix.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     xv = x.value
-    if xv.ndim != 3:
-        raise ShapeMismatch(f"conv input must be (B, C, T), got {xv.shape}")
-    B, Cin, T = xv.shape
+    if xv.ndim not in (3, 4):
+        raise ShapeMismatch(f"conv input must be (B, C, T) or (L, B, C, T), got {xv.shape}")
+    L, B, Cin, T = xv.shape if xv.ndim == 4 else (1, *xv.shape)
     Cout, Cw, k = weight.value.shape
     if Cw != Cin:
         raise ShapeMismatch(f"conv expects {Cw} input channels, got {Cin}")
@@ -367,27 +371,28 @@ def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor
         raise ShapeMismatch(f"time axis too short: {T} (+2*{padding}) < kernel {k}")
     Tout = (Tp - k) // stride + 1
     taps = _conv_taps(T, Tout, k, stride, padding)
-    xc = xv.transpose(1, 0, 2)                                  # (Cin, B, T)
-    cols = np.zeros((Cin, k, B, Tout), dtype=xv.dtype)
+    xc = xv.reshape(L, B, Cin, T).transpose(2, 0, 1, 3)         # (Cin, L, B, T)
+    cols = np.zeros((Cin, k, L, B, Tout), dtype=xv.dtype)
     for j, t0, t1, src in taps:
-        cols[:, j, :, t0:t1] = xc[:, :, src]
-    cols = cols.reshape(Cin * k, B * Tout)
+        cols[:, j, :, :, t0:t1] = xc[:, :, :, src]
+    cols = cols.reshape(Cin * k, L * B * Tout)
     w_flat = weight.value.reshape(Cout, Cin * k)
-    y = np.empty((Cout, B, Tout), dtype=np.result_type(xv, w_flat, bias.value))
-    np.matmul(w_flat, cols, out=y.reshape(Cout, B * Tout))
-    y += bias.value[:, None, None]
-    out_val = y.transpose(1, 0, 2)
+    y = np.empty((Cout, L, B, Tout), dtype=np.result_type(xv, w_flat, bias.value))
+    np.matmul(w_flat, cols.reshape(Cin * k, L, B * Tout).swapaxes(0, 1),
+              out=y.reshape(Cout, L, B * Tout).swapaxes(0, 1))
+    y += bias.value[:, None, None, None]
+    out_val = y.transpose(1, 2, 0, 3).reshape(*xv.shape[:-2], Cout, Tout)
 
     def bw(g):
-        g2 = g.transpose(1, 0, 2).reshape(Cout, B * Tout)
+        g2 = g.reshape(L, B, Cout, Tout).transpose(2, 0, 1, 3).reshape(Cout, L * B * Tout)
         _accum(weight, (g2 @ cols.T).reshape(weight.value.shape))
         _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
-            gcols = (w_flat.T @ g2).reshape(Cin, k, B, Tout)
-            gx = np.zeros((Cin, B, T), dtype=xv.dtype)
+            gcols = (w_flat.T @ g2).reshape(Cin, k, L, B, Tout)
+            gx = np.zeros((Cin, L, B, T), dtype=xv.dtype)
             for j, t0, t1, dst in taps:
-                gx[:, :, dst] += gcols[:, j, :, t0:t1]
-            _accum(x, gx.transpose(1, 0, 2))
+                gx[:, :, :, dst] += gcols[:, j, :, :, t0:t1]
+            _accum(x, gx.transpose(1, 2, 0, 3).reshape(xv.shape))
 
     return _make(out_val, (x, weight, bias), bw)
 

@@ -99,9 +99,11 @@ def _sigmoid_contacts(raw: Tensor) -> Tensor:
 
 
 def flatten_latents(z: Tensor) -> Tensor:
-    """(B, d_z, S) -> (B*S, d_z), batch-major then time."""
-    B, d, S = z.value.shape
-    return gn.reshape(gn.transpose(z, (0, 2, 1)), (B * S, d))
+    """(..., d_z, S) -> (N*S, d_z) over the N samples of the leading axes
+    (a (B, d_z, S) batch or an (L, B, d_z, S) stack), batch-major then time."""
+    lead = z.value.ndim - 2
+    axes = (*range(lead), lead + 1, lead)
+    return gn.reshape(gn.transpose(z, axes), (-1, z.value.shape[-2]))
 
 
 def unflatten_latents(flat: Tensor, batch: int, d_z: int) -> Tensor:

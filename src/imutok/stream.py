@@ -3,7 +3,10 @@ binary token wire format ("MJT2").
 
 Chunks are encoded independently (no cross-chunk context), so any partition
 of a frame stream into push_frames calls yields the same token list as
-offline tokenization of the stream in chunk-sized blocks.
+offline tokenization of the stream in chunk-sized blocks. The chunks one
+call completes are encoded in one encoder call, each chunk on its own
+entry of the conv stack axis, and quantized in one call; both keep every
+chunk's latents and ids bitwise those of encoding it alone.
 """
 
 from __future__ import annotations
@@ -91,22 +94,21 @@ def _check_finite(frames: np.ndarray) -> None:
 
 def _encode_chunks(pipe: InferencePipeline, x: np.ndarray, chunk_len: int) -> np.ndarray:
     """Token ids of (n, 72) normalized float32 frames encoded in independent
-    chunk_len-frame blocks, one encoder pass per block; frames short of a
-    block are left out.
+    chunk_len-frame blocks; frames short of a block are left out.
 
-    Each block is encoded at batch size 1: a batched conv GEMM sums in
-    another order and moves latents in their last bits. The latents of all
-    blocks then go through one quantize call, whose distances do not depend
-    on the batch, so the ids equal those of quantizing each block on its own.
+    All blocks go through one encoder call on the conv stack axis, as a
+    (blocks, 1, 72, chunk_len) input: each block is its own batch-1 GEMM,
+    so its latents are bitwise those of encoding it alone. Blocks never
+    share a GEMM on the batch axis, whose wider GEMM sums in another order
+    and moves latents in their last bits. The latents of all blocks then go
+    through one quantize call, whose distances do not depend on the batch.
     """
-    if len(x) < chunk_len:
+    n = len(x) // chunk_len
+    if n == 0:
         return np.empty(0, dtype=np.uint16)
-    latents = [
-        flatten_latents(pipe.imu_model.encode(
-            gn.Tensor(np.ascontiguousarray(x[lo:lo + chunk_len].T)[None]))).value
-        for lo in range(0, len(x) - chunk_len + 1, chunk_len)
-    ]
-    indices, _ = vq.quantize(np.concatenate(latents), pipe.imu_model.codebook)
+    blocks = x[:n * chunk_len].reshape(n, 1, chunk_len, IMU_WIDTH).swapaxes(-1, -2)
+    latents = flatten_latents(pipe.imu_model.encode(gn.Tensor(blocks))).value
+    indices, _ = vq.quantize(latents, pipe.imu_model.codebook)
     return indices.astype(np.uint16)
 
 

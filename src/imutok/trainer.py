@@ -208,6 +208,18 @@ def fit(models, cfg: TrainConfig, windows: tuple, loss_fn, rng_base: int, *, kin
     return report
 
 
+class _NoDraws:
+    """Stands in for the init generator of a model whose every array a
+    checkpoint then overwrites: each draw is a read-only zero view of the
+    requested shape, so loading draws no random init."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+    normal = uniform
+
+
 def load_trained(ckpt, kind: str) -> tuple:
     """(models, cfg, stats) from a checkpoint of ``kind``, or its path: the
     models in ``CHECKPOINT_KINDS[kind]`` order, restored frozen, and stats
@@ -219,7 +231,7 @@ def load_trained(ckpt, kind: str) -> tuple:
         raise CheckpointMismatch(f"expected a {kind} checkpoint, got {ckpt.kind!r}")
     specs, has_stats = CHECKPOINT_KINDS[kind]
     cfg = TrainConfig.from_meta(ckpt.meta)
-    models = [load_model_arrays(cls(cfg, rng=np.random.default_rng(0)), ckpt.arrays, prefix)
+    models = [load_model_arrays(cls(cfg, rng=_NoDraws), ckpt.arrays, prefix)
               for prefix, cls in specs]
     stats = None
     if has_stats:

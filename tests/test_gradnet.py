@@ -478,12 +478,49 @@ class TestConv1d:
             assert_allclose(layer.bias.grad, gb, rtol=1e-12, atol=1e-13)
             assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("cin,cout,k,s,p,T", [(72, 128, 4, 2, 1, 16), (128, 128, 4, 2, 1, 8),
+                                                  (128, 128, 3, 1, 1, 4), (128, 64, 1, 1, 0, 4)])
+    def test_stack_equals_separate_calls_bitwise(self, cin, cout, k, s, p, T):
+        # the IMU encoder's layers at 16-frame chunks, where one batch of L
+        # chunks (a wider GEMM) sums in another order than L batch-1 calls
+        rng = np.random.default_rng(cin + T)
+        layer = Conv1d(cin, cout, k, stride=s, padding=p, rng=rng)
+        for L, B in [(1, 1), (7, 1), (3, 2)]:
+            x = rng.normal(size=(L, B, cin, T)).astype(np.float32)
+            got = layer(Tensor(x)).value
+            assert got.shape == (L, B, cout, (T + 2 * p - k) // s + 1)
+            for i in range(L):
+                assert np.array_equal(got[i], layer(Tensor(x[i])).value)
+
+    def test_gradients_on_a_stack(self):
+        rng = np.random.default_rng(13)
+        layer = Conv1d(3, 4, 4, stride=2, padding=1, rng=rng, dtype=np.float64)
+        x = leaf(rng, 3, 2, 3, 10)
+        fd_gradcheck(lambda: gn.tsum(gn.mul(layer(x), layer(x))),
+                     [x, layer.weight, layer.bias])
+        # weight and bias gradients sum over stacks; each input stack gets its own
+        grads = []
+        for i in range(3):
+            xi = Tensor(x.value[i].copy(), requires_grad=True)
+            layer.weight.grad = layer.bias.grad = None
+            gn.tsum(gn.mul(layer(xi), layer(xi))).backward()
+            grads.append((layer.weight.grad, layer.bias.grad, xi.grad))
+        x.grad = layer.weight.grad = layer.bias.grad = None
+        gn.tsum(gn.mul(layer(x), layer(x))).backward()
+        assert_allclose(layer.weight.grad, sum(g[0] for g in grads), rtol=1e-12)
+        assert_allclose(layer.bias.grad, sum(g[1] for g in grads), rtol=1e-12)
+        assert_allclose(x.grad, np.stack([g[2] for g in grads]), rtol=1e-12)
+
     def test_channel_mismatch_raises(self):
         layer = Conv1d(3, 4, 3, rng=np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             layer(Tensor(np.zeros((1, 2, 10))))
+        with pytest.raises(ShapeMismatch):
+            layer(Tensor(np.zeros((2, 1, 2, 10))))
         with pytest.raises(ShapeMismatch):  # input must carry a batch axis
             layer(Tensor(np.zeros((3, 10))))
+        with pytest.raises(ShapeMismatch):  # and at most one stack axis
+            layer(Tensor(np.zeros((1, 1, 1, 3, 10))))
 
 
 class TestOptimizer:

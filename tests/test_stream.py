@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from imutok.checkpoint import load_checkpoint
 from imutok.errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import IMU_WIDTH, InertiaSequence
+from imutok.models import flatten_latents
 from imutok.stream import (CRC_BYTES, HEADER_BYTES, InferencePipeline, StreamState,
                            TokenSequence, decode_tokens, push_frames,
                            read_token_stream, tokenize_sequence, write_token_stream)
@@ -118,6 +121,24 @@ class TestPushFrames:
         assert np.array_equal(state.buffer, before) and len(before) == 5
         assert (state.frames_seen, state.tokens_emitted) == (21, 4)
 
+    def test_one_max_size_packet_matches_offline_chunked(self, pipeline, imu_640):
+        # 4096 chunks in one encoder call; chunks are independent, so a tiled
+        # recording gives its offline tokens tiled
+        reps = -(-stream.MAX_PACKET_FRAMES // len(imu_640))
+        frames = np.tile(imu_640.frames, (reps, 1))[:stream.MAX_PACKET_FRAMES]
+        offline = tokenize_sequence(imu_640, pipeline, chunk_len=16).tokens
+        state = StreamState(pipeline, chunk_len=16)
+        tracemalloc.start()
+        try:
+            toks = push_frames(state, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(toks, np.tile(offline, reps)[:stream.MAX_PACKET_FRAMES // 4])
+        assert len(state.buffer) == 0
+        # the stacked encoder's temporaries stay a small multiple of the packet
+        assert peak < 2 * frames.nbytes
+
     def test_chunk_must_be_multiple_of_rate(self, pipeline):
         with pytest.raises(InvalidArgument):
             StreamState(pipeline, chunk_len=10)
@@ -135,9 +156,36 @@ class TestLoadedModels:
         x = gn.Tensor(np.ones((1, IMU_WIDTH, 16), dtype=np.float32))
         z = pipeline.imu_model.encode(x)
         out = pipeline.motion_model.decode(z)
-        for t in (z, out):
+        # and a (chunks, 1, 72, 16) stack, as push_frames encodes
+        stacked = pipeline.imu_model.encode(
+            gn.Tensor(np.ones((3, 1, IMU_WIDTH, 16), dtype=np.float32)))
+        flat = flatten_latents(stacked)
+        assert stacked.value.shape == (3, 1, pipeline.cfg.d_z, 4)
+        assert flat.value.shape == (12, pipeline.cfg.d_z)
+        for t in (z, out, stacked, flat):
             assert not t.requires_grad
             assert t._parents == ()
+
+
+class TestEncodeChunks:
+    def test_latents_equal_each_chunk_encoded_alone(self, pipeline, imu_640, monkeypatch):
+        # 40 chunks in one stacked encoder call, and 5 frames left out
+        x = pipeline.stats.normalize(imu_640.frames[:645]).astype(np.float32)
+        seen = []
+        quantize = stream.vq.quantize
+
+        def spy(latents, codebook):
+            seen.append(latents)
+            return quantize(latents, codebook)
+
+        monkeypatch.setattr(stream.vq, "quantize", spy)
+        ids = stream._encode_chunks(pipeline, x, 16)
+        (latents,) = seen
+        alone = [flatten_latents(pipeline.imu_model.encode(
+            gn.Tensor(np.ascontiguousarray(x[lo:lo + 16].T)[None]))).value
+            for lo in range(0, 640, 16)]
+        assert np.array_equal(latents, np.concatenate(alone))
+        assert ids.shape == (160,)
 
 
 class TestDecode:

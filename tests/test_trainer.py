@@ -10,6 +10,7 @@ from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
                            EmptyDataset, FormatError, InvalidArgument, LengthMismatch)
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import InertiaSequence
+from imutok.models import model_arrays
 from imutok.motion import MotionSequence
 from imutok.trainer import (CHECKPOINT_KINDS, TrainConfig, _motion_batch_losses, _rng,
                             load_trained, make_windows, motion_total_from_components,
@@ -438,17 +439,22 @@ def trained_kinds(tiny_cfg, tiny_pairs, stage1, tmp_path_factory):
 @pytest.mark.parametrize("kind", list(CHECKPOINT_KINDS))
 def test_checkpoint_kind_round_trips_and_rejects_other_kinds(kind, trained_kinds, tiny_cfg):
     path, trained, stats = trained_kinds[kind]
-    models, cfg, loaded_stats = load_trained(path, kind)
+    ckpt = load_checkpoint(path)
+    models, cfg, loaded_stats = load_trained(ckpt, kind)
     assert cfg == tiny_cfg
     assert [type(m) for m in models] == [cls for _, cls in CHECKPOINT_KINDS[kind][0]]
     for model, loaded in zip(trained, models, strict=True):
         assert list(loaded.params()) == list(model.params())
         for (k, p), q in zip(model.params().items(), loaded.params().values()):
-            assert np.array_equal(p.value, q.value), k
+            assert np.array_equal(p.value, q.value) and q.value.dtype == p.value.dtype, k
             assert not q.requires_grad, k
         if hasattr(model, "codebook"):
-            assert np.array_equal(model.codebook.entries, loaded.codebook.entries)
-            assert np.array_equal(model.codebook.dead_steps, loaded.codebook.dead_steps)
+            for name in ("entries", "ema_sigma", "ema_delta", "dead_steps"):
+                assert np.array_equal(getattr(model.codebook, name),
+                                      getattr(loaded.codebook, name)), name
+        # loaded arrays are copies, never views of the checkpoint's
+        for arr in model_arrays(loaded).values():
+            assert not any(np.shares_memory(arr, a) for a in ckpt.arrays.values())
     if stats is None:
         assert loaded_stats is None
     else:
