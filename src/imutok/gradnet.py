@@ -174,9 +174,14 @@ def sigmoid(a) -> Tensor:
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
+    """max(slope*x, x): for slope in (0, 1] bitwise where(x > 0, x, slope*x),
+    NaN, infinities and signed zeros included, without a masked select
+    (slope 0 would give NaN at +inf)."""
+    if not 0.0 < slope <= 1.0:
+        raise OutOfRange(f"leaky_relu slope must be in (0, 1], got {slope}")
     a = as_tensor(a)
     x = a.value
-    return _unary(a, np.where(x > 0, x, slope * x),
+    return _unary(a, np.maximum(slope * x, x),
                   lambda g: np.where(x > 0, g, g * x.dtype.type(slope)))
 
 
@@ -213,8 +218,7 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    inv = np.argsort(axes)
-    return _unary(a, a.value.transpose(axes), lambda g: g.transpose(inv))
+    return _unary(a, a.value.transpose(axes), lambda g: g.transpose(np.argsort(axes)))
 
 
 def take(a, idx) -> Tensor:

@@ -5,6 +5,13 @@ exponential-moving-average codebook re-estimation, soft batch token
 frequencies (Gumbel-Softmax over negative squared distances, sorted
 descending), the Zipf rank-frequency target, Jensen-Shannon divergence,
 and the composite losses of the motion autoencoder and the IMU tokenizer.
+
+Quantization returns the ids of an exact per-pair scan, found by a GEMM
+screen: one ``Z @ C.T`` scores every entry, a rounding margin derived from
+the dtype's unit roundoff keeps every entry that could be the exact winner,
+and only rows left with several candidates are re-ranked by the elementwise
+(z-c)^2 scan, which also takes whole any call with non-finite or
+overflow-sized input.
 """
 
 from __future__ import annotations
@@ -107,10 +114,14 @@ class Codebook:
                         ).astype(centers.dtype)
         for _ in range(KMEANS_ITERS):
             idx, _ = quantize(latents, centers)
-            for k in range(K):
-                members = latents[idx == k]
-                if len(members):
-                    centers[k] = members.mean(axis=0)
+            # each entry's members summed from zero in row order, then divided
+            # in float64 and rounded: members.mean(axis=0) bit for bit when
+            # d_z > 1 (a one-column mean sums pairwise instead)
+            sums = np.zeros_like(centers)
+            np.add.at(sums, idx, latents)
+            counts = np.bincount(idx, minlength=K)
+            hit = counts > 0
+            centers[hit] = sums[hit] / counts[hit, None]
         return cls(centers, gamma=gamma)
 
     def ema_update(self, latents: np.ndarray, indices: np.ndarray) -> None:
@@ -186,26 +197,15 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def quantize(latents, cb) -> tuple:
-    """Nearest codebook entry per latent row under squared Euclidean distance.
+def _nearest_exact(Z: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Lowest-index argmin of the elementwise (z-c)^2 distances, each summed
+    over d_z in the order np.sum uses for one contiguous vector.
 
-    Distances are evaluated as elementwise (z-c)^2 sums (not the expanded
-    inner-product form), so exact ties resolve identically to a per-pair
-    scan: the lowest index wins. Every distance is summed over d_z in the
-    order np.sum uses for one contiguous vector, whatever the memory layout
-    of the latents and however many rows a call gets, so equal latent values
-    give equal tokens however they are stored or batched. Latent rows are
-    processed in blocks whose difference array stays within
+    Latent rows are processed in blocks whose difference array stays within
     QUANTIZE_BLOCK_BYTES (at least one row). A block of at least K rows is
     laid out (K, d_z, rows) and a shorter one (d_z, rows, K), so the longer
     of the two is the contiguous inner axis of every add.
-
-    Returns (indices (S,), codes (S, d_z)).
     """
-    Z = latents.value if isinstance(latents, Tensor) else np.asarray(latents)
-    C = _entry_table(cb)
-    if Z.ndim != 2 or Z.shape[1] != C.shape[1]:
-        raise ShapeMismatch(f"latents {Z.shape} incompatible with codebook {C.shape}")
     (S, d), K = Z.shape, C.shape[0]
     ZT, CT = np.ascontiguousarray(Z.T), np.ascontiguousarray(C.T)
     dtype = np.result_type(Z, C)
@@ -222,6 +222,75 @@ def quantize(latents, cb) -> tuple:
             np.subtract(ZT[:, lo:hi, None], CT[:, None, :], out=diff)
             dist = _pairwise_sum(np.square(diff, out=diff).reshape(1, d, (hi - lo) * K))
             indices[lo:hi] = np.argmin(dist.reshape(hi - lo, K), axis=1)
+    return indices
+
+
+def _screen(Z: np.ndarray, C: np.ndarray):
+    """quantize's ids by a GEMM screen with an exact re-rank of near-ties,
+    or None when Z and C are not floating point, not finite, or so large
+    that a score could overflow."""
+    dtype = np.result_type(Z, C)
+    if dtype.kind != "f":
+        return None
+    fi, d = np.finfo(dtype), Z.shape[1]
+    z2 = np.einsum("ij,ij->i", Z, Z)
+    c2 = np.einsum("ij,ij->i", C, C)
+    c2_max = c2.max()
+    if not z2.max(initial=0) + c2_max <= fi.max / 8:  # NaN and inf fail too
+        return None
+    score = Z @ C.T
+    score *= -2
+    score += c2
+    # Margin. Let u = eps/2 be the unit roundoff, W = ||z||^2 + max_k ||c_k||^2,
+    # t_j = ||z - c_j||^2 <= 2W the true distance. The exact distance (a
+    # subtract, a square, then d-1 adds of non-negative terms in any order)
+    # is within (d+2)u/(1-(d+2)u) t_j, about (2d+4)uW, of t_j. The score
+    # is within about (2d+2)uW of t_j - ||z||^2 whatever order and FMA use
+    # the GEMM and the norms sum with: ||c_j||^2 and 2 z.c_j each carry
+    # d u W (|z.c_j| <= W/2), the final add 2uW. If j* is the exact winner
+    # and m the best score, s_j* - s_m is at most the four errors of j* and
+    # m, (8d+12)uW; the margin 16(d+4)uW is twice that with room for its own
+    # rounding. Gradual underflow adds an absolute error of at most half a
+    # smallest subnormal per rounded op, about 4d of them over the four
+    # errors, so 8(d+4) of them cover it twice.
+    margin = (z2 + c2_max) * (8 * (d + 4) * fi.eps) + 8 * (d + 4) * fi.smallest_subnormal
+    keep = score <= (score.min(axis=1) + margin)[:, None]
+    indices = keep.argmax(axis=1)
+    if np.count_nonzero(keep) > len(Z):  # some row has more than one candidate
+        near = np.count_nonzero(keep, axis=1) > 1
+        indices[near] = _nearest_exact(Z[near], C)
+    return indices
+
+
+def quantize(latents, cb) -> tuple:
+    """Nearest codebook entry per latent row under squared Euclidean distance.
+
+    The ids are those of an exact scan: every distance is the elementwise
+    (z-c)^2 sum over d_z in the order np.sum uses for one contiguous vector
+    (whatever the memory layout of the latents and however many rows a call
+    gets), and exact ties go to the lowest index.
+
+    A GEMM screen finds them. Per row it scores every entry as
+    ||c||^2 - 2 z.c (the squared distance minus the row's ||z||^2) in the
+    latents' dtype, and keeps each entry within a rounding margin of the
+    row's best score: 16(d_z+4)u (||z||^2 + max ||c||^2) plus an underflow
+    term, with u the unit roundoff, which bounds the rounding of both the
+    score and the exact distance, so the exact winner is always kept. A row
+    with one candidate takes it; a row with several (near-ties, duplicate
+    entries) is re-ranked by the exact scan. A call whose latents or
+    entries are not finite, are large enough that a score could overflow,
+    or are not floating point takes the exact scan whole, so a NaN row gets
+    id 0 and a NaN entry wins the argmin as in a per-pair scan.
+
+    Returns (indices (S,), codes (S, d_z)).
+    """
+    Z = latents.value if isinstance(latents, Tensor) else np.asarray(latents)
+    C = _entry_table(cb)
+    if Z.ndim != 2 or Z.shape[1] != C.shape[1]:
+        raise ShapeMismatch(f"latents {Z.shape} incompatible with codebook {C.shape}")
+    indices = _screen(Z, C)
+    if indices is None:
+        indices = _nearest_exact(Z, C)
     return indices, C[indices]
 
 

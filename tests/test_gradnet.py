@@ -317,6 +317,30 @@ class TestElementwiseGradients:
         assert x.grad.dtype == dtype
         assert np.array_equal(x.grad, want)
 
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    @pytest.mark.parametrize("slope", [0.2, 0.5, 1.0, 1e-30])
+    def test_leaky_relu_forward_is_bitwise_the_masked_select(self, dtype, bits, slope):
+        fi = np.finfo(dtype)
+        tiny = fi.smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 3 * tiny,
+                   -3 * tiny, fi.tiny, -fi.tiny, fi.max, -fi.max, 1.0, -1.0]
+        # quiet NaNs with a payload, and signaling NaNs of both signs
+        nans = [0x7FC00123, 0xFFC00123, 0x7FA00000, 0xFFA00000] if dtype == np.float32 else \
+            [0x7FF8000000000123, 0xFFF8000000000123, 0x7FF4000000000000, 0xFFF4000000000000]
+        rng = np.random.default_rng(8)
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            spread = (rng.normal(size=2000) * np.logspace(-320, 300, 2000)).astype(dtype)
+            x = np.concatenate([np.array(special, dtype), np.array(nans, bits).view(dtype), spread])
+            want = np.where(x > 0, x, slope * x)
+            got = gn.leaky_relu(x, slope).value
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(bits), want.view(bits))
+
+    @pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.nan])
+    def test_leaky_relu_slope_out_of_range(self, slope):
+        with pytest.raises(OutOfRange):
+            gn.leaky_relu(np.ones(3), slope)
+
     def test_broadcast_add_mul_div(self):
         rng = np.random.default_rng(3)
         a = leaf(rng, 5, 4)

@@ -14,15 +14,13 @@ from tests.test_gradnet import fd_gradcheck, leaf
 
 
 def brute_force_quantize(Z, C):
-    """Independent per-pair scan with strict lowest-index tie breaking."""
+    """Independent per-pair scan with strict lowest-index tie breaking:
+    criterion 1's oracle. Each distance is np.sum of one contiguous
+    (z-c)^2 vector, a row of entries at a time."""
     out = np.empty(Z.shape[0], dtype=np.int64)
     for s in range(Z.shape[0]):
-        best, best_d = -1, np.inf
-        for k in range(C.shape[0]):
-            d = np.sum((Z[s] - C[k]) ** 2)
-            if d < best_d:
-                best, best_d = k, d
-        out[s] = best
+        dist = np.sum(np.square(Z[s] - C), axis=1)
+        out[s] = np.flatnonzero(dist == dist.min())[0]
     return out
 
 
@@ -63,6 +61,9 @@ class TestQuantize:
         assert np.array_equal(idx, brute_force_quantize(Z, C))
         assert np.array_equal(idx, whole)
         assert np.array_equal(codes, C[idx])
+        # the screen re-ranks only the tied row; the exact scan alone, on
+        # every row, walks all the blocks
+        assert np.array_equal(vq._nearest_exact(Z, C), whole)
 
     def test_engineered_ties_take_lowest_index(self):
         C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
@@ -119,6 +120,160 @@ class TestQuantize:
             idx, codes = quantize(layout, C)
             assert np.array_equal(idx, want)
             assert np.array_equal(codes, C[want])
+
+
+def count_exact_calls(monkeypatch):
+    """Patch quantize's exact scan to record the rows of every call."""
+    calls = []
+    exact = vq._nearest_exact
+
+    def counted(Z, C):
+        calls.append(len(Z))
+        return exact(Z, C)
+
+    monkeypatch.setattr(vq, "_nearest_exact", counted)
+    return calls
+
+
+class TestScreen:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 7, 64, 512])
+    @pytest.mark.parametrize("K", [2, 64, 1024])
+    def test_matches_brute_force_oracle_at_every_scale(self, dtype, d, K):
+        rng = np.random.default_rng(d * 10_000 + K)
+        C = rng.normal(size=(K, d)).astype(dtype)
+        C[K // 2] = C[0]
+        for S in (1, 4, 256):
+            Z = rng.normal(size=(S, d)).astype(dtype)
+            # rows near an entry, and rows at the midpoint of two entries
+            near = rng.integers(0, K, size=S)
+            Z[S // 3:] = C[near[S // 3:]] + dtype(1e-3) * Z[S // 3:]
+            Z[2 * S // 3:] = (C[near[2 * S // 3:]] + C[0]) / dtype(2)
+            idx, codes = quantize(Z, C)
+            assert np.array_equal(idx, brute_force_quantize(Z, C)), (S, d, K)
+            assert np.array_equal(codes, C[idx])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_midpoints_within_a_few_ulps(self, dtype):
+        rng = np.random.default_rng(5)
+        C = rng.normal(size=(64, 64)).astype(dtype)
+        pairs = rng.integers(0, 64, size=(40, 2))
+        mid = (C[pairs[:, 0]] + C[pairs[:, 1]]) / dtype(2)
+        rows = []
+        for ulps in range(5):
+            for direction in (-np.inf, np.inf):
+                z = mid.copy()
+                for _ in range(ulps):
+                    z[:, ulps % 64] = np.nextafter(z[:, ulps % 64], dtype(direction))
+                rows.append(z)
+        Z = np.concatenate(rows)
+        idx, _ = quantize(Z, C)
+        assert np.array_equal(idx, vq._nearest_exact(Z, C))
+        assert np.array_equal(idx, brute_force_quantize(Z, C))
+
+    @pytest.mark.parametrize("dtype, exponents", [
+        (np.float32, range(-80, 64)),  # squares from subnormal to overflow
+        (np.float64, [*range(-560, -500), *range(-70, 61, 10), *range(500, 513)])])
+    def test_magnitudes_from_tiny_to_huge(self, dtype, exponents):
+        rng = np.random.default_rng(6)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for e in exponents:
+                C0 = rng.normal(size=(32, 16))
+                Z0 = np.concatenate([C0[:8] + 0.3 * rng.normal(size=(8, 16)),
+                                     rng.normal(size=(24, 16))])
+                Z, C = (Z0 * 2.0 ** e).astype(dtype), (C0 * 2.0 ** e).astype(dtype)
+                C[5] = C[1]
+                idx, _ = quantize(Z, C)
+                assert np.array_equal(idx, vq._nearest_exact(Z, C)), e
+
+    def test_all_zero_latents_and_entries(self):
+        for Z, C in [(np.zeros((5, 8)), np.zeros((4, 8))),
+                     (np.zeros((5, 8)), np.eye(4, 8)),
+                     (np.eye(5, 8), np.zeros((4, 8)))]:
+            idx, _ = quantize(Z, C)
+            assert np.array_equal(idx, vq._nearest_exact(Z, C))
+            assert np.array_equal(idx, brute_force_quantize(Z, C))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_rows_and_entries_keep_exact_semantics(self, dtype):
+        rng = np.random.default_rng(7)
+        C = rng.normal(size=(16, 8)).astype(dtype)
+        Z = rng.normal(size=(6, 8)).astype(dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for value in (np.nan, np.inf, -np.inf):
+                Zb, Cb = Z.copy(), C.copy()
+                Zb[2, 3] = value
+                idx, _ = quantize(Zb, C)
+                assert np.array_equal(idx, vq._nearest_exact(Zb, C))
+                assert np.array_equal(np.delete(idx, 2), quantize(np.delete(Z, 2, 0), C)[0])
+                Cb[9, 1] = value
+                idx, _ = quantize(Z, Cb)
+                assert np.array_equal(idx, vq._nearest_exact(Z, Cb))
+            Zb = Z.copy()
+            Zb[2, 3] = np.nan
+            assert quantize(Zb, C)[0][2] == 0  # a NaN row: every distance NaN, first index
+            Cb = C.copy()
+            Cb[9, 1] = np.nan
+            assert np.all(quantize(Z, Cb)[0] == 9)  # a NaN entry wins every argmin
+
+    def test_separated_batch_takes_the_screen_alone(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        C = rng.normal(size=(64, 64)).astype(np.float32)
+        Z = C[rng.integers(0, 64, size=256)] + np.float32(0.01) * \
+            rng.normal(size=(256, 64)).astype(np.float32)
+        want = brute_force_quantize(Z, C)
+        calls = count_exact_calls(monkeypatch)
+        idx, _ = quantize(Z, C)
+        assert calls == []
+        assert np.array_equal(idx, want)
+
+    def test_duplicate_entries_take_the_exact_rerank(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        C = rng.normal(size=(64, 64)).astype(np.float32)
+        C[40] = C[3]
+        Z = C[rng.integers(0, 64, size=256)] + np.float32(0.01) * \
+            rng.normal(size=(256, 64)).astype(np.float32)
+        want = brute_force_quantize(Z, C)
+        tied = int(np.count_nonzero(want == 3))
+        assert tied > 0 and not np.any(want == 40)
+        calls = count_exact_calls(monkeypatch)
+        idx, _ = quantize(Z, C)
+        assert calls == [tied]  # one re-rank call, of exactly the tied rows
+        assert np.array_equal(idx, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_from_kmeans_equals_the_per_entry_loop(self, dtype):
+        def loop_kmeans(latents, K, rng):
+            S = latents.shape[0]
+            if S >= K:
+                centers = latents[rng.permutation(S)[:K]].copy()
+            else:
+                centers = latents[rng.integers(0, S, size=K)].copy()
+                spread = latents.std(axis=0, keepdims=True) + 1e-3
+                centers += (0.01 * spread * rng.standard_normal(centers.shape)
+                            ).astype(centers.dtype)
+            for _ in range(vq.KMEANS_ITERS):
+                idx, _ = quantize(latents, centers)
+                for k in range(K):
+                    members = latents[idx == k]
+                    if len(members):
+                        centers[k] = members.mean(axis=0)
+            return centers
+
+        rng = np.random.default_rng(10)
+        for trial in range(40):
+            S, K = int(rng.integers(1, 400)), int(rng.integers(2, 70))
+            d = int(rng.choice([1, 2, 3, 16, 64]))
+            latents = rng.normal(size=(S, d)).astype(dtype)
+            if trial % 4 == 0:
+                latents[rng.random(latents.shape) < 0.3] = -0.0
+            got = Codebook.from_kmeans(latents, K, rng=np.random.default_rng(trial)).entries
+            want = loop_kmeans(latents, K, np.random.default_rng(trial))
+            if d > 1:
+                assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), trial
+            else:
+                # a one-column mean sums pairwise, the scatter in row order
+                assert_allclose(got, want, rtol=0, atol=64 * np.finfo(dtype).eps)
 
 
 class TestStraightThrough:
