@@ -113,10 +113,13 @@ class NoiseConfig:
     def __post_init__(self):
         sigmas = (self.drift_sigma_ori, self.drift_sigma_acc, self.drift_sigma_gyr,
                   self.gaussian_sigma_ori, self.gaussian_sigma_acc, self.gaussian_sigma_gyr)
-        if any(s < 0 for s in sigmas):
-            raise InvalidArgument("noise sigmas must be non-negative")
+        if not all(0 <= s < np.inf for s in sigmas):  # NaN fails too
+            raise InvalidArgument(f"noise sigmas must be finite and non-negative, got {sigmas}")
         if any(s not in range(SENSOR_COUNT) for s in self.corrupted_sensors):
             raise InvalidArgument("corrupted_sensors must be a subset of {0..5}")
+        if len(self.dropout) != SENSOR_COUNT:
+            raise InvalidArgument(f"dropout needs one flag per sensor ({SENSOR_COUNT}), "
+                                  f"got {len(self.dropout)}")
 
 
 @dataclass

@@ -243,6 +243,8 @@ def read_token_stream(path) -> TokenSequence:
         raise FormatError(f"unsupported token stream version {version}")
     if l != COMPRESSION:
         raise FormatError(f"token stream declares {l} frames per token, expected {COMPRESSION}")
+    if not 0.0 < fps < np.inf:  # NaN fails too, as in fileio's frame files
+        raise FormatError(f"fps must be positive and finite, got {fps}")
     expected = HEADER_BYTES + 2 * count + CRC_BYTES
     if len(blob) != expected:
         raise FormatError(f"token stream length {len(blob)} != expected {expected}")

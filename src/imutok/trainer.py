@@ -361,11 +361,14 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
                                          cfg.temperature, gumbel_rng)
         f_mot = vq.batch_token_frequency(z_mot, motion_model.codebook.entries,
                                          cfg.temperature, gumbel_rng)
-        total, comps = vq.imu_tokenizer_losses(b_imu, b_mot, f_imu, f_mot.value,
-                                               zipf_const, cfg.weights)
-        vals = {k: float(t) for k, t in comps.items()}
-        record = dict(loss=cfg.weights.code * vals["code"] + cfg.weights.dist * vals["dist"],
-                      **vals, perplexity=vq.codebook_perplexity(idx_imu, cfg.K))
+        total, comps = vq.imu_tokenizer_losses(b_imu, b_mot, f_imu, f_mot.value, cfg.weights)
+        code, dist_match = float(comps["code"]), float(comps["dist_match"])
+        # the motion tokens' Zipf divergence is recorded, not trained on
+        dist_zipf = float(vq.js_divergence(f_mot, zipf_const))
+        dist = dist_match + cfg.weights.zipf * dist_zipf
+        record = dict(loss=cfg.weights.code * code + cfg.weights.dist * dist, code=code,
+                      dist=dist, dist_match=dist_match, dist_zipf=dist_zipf,
+                      perplexity=vq.codebook_perplexity(idx_imu, cfg.K))
         return total, record, _codebook_step(imu_model.codebook, z_imu.value, idx_imu,
                                              dead_rng)
 

@@ -9,9 +9,10 @@ and the composite losses of the motion autoencoder and the IMU tokenizer.
 Quantization returns the ids of an exact per-pair scan, found by a GEMM
 screen: one ``Z @ C.T`` scores every entry, a rounding margin derived from
 the dtype's unit roundoff keeps every entry that could be the exact winner,
-and only rows left with several candidates are re-ranked by the elementwise
-(z-c)^2 scan, which also takes whole any call with non-finite or
-overflow-sized input.
+and only rows left with several candidates are re-ranked by the exact scan,
+which also takes whole any call with non-finite or overflow-sized input. The
+exact scan squares a C-contiguous (rows, K, d_z) block of differences and
+sums each (z-c)^2 vector with numpy's own np.sum over the last axis.
 """
 
 from __future__ import annotations
@@ -172,56 +173,25 @@ def _entry_table(cb) -> np.ndarray:
     return cb.entries if isinstance(cb, Codebook) else np.asarray(cb)
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum a 3-D array over its middle axis in the order np.sum uses along
-    a contiguous axis, with every add vectorized over the outer two.
-
-    That order is numpy's pairwise summation: under 8 elements, index order;
-    up to 128, 8 interleaved partial sums combined as a tree, then the
-    remainder in index order; beyond 128, the two halves (the first a
-    multiple of 8 long) summed separately and added.
-    """
-    p, n, q = x.shape
-    if n < 8:
-        return x.sum(axis=1)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(x[:, :half]) + _pairwise_sum(x[:, half:])
-    m = n - n % 8
-    lanes = x[:, :m].reshape(p, m // 8, 8, q).sum(axis=1)
-    lanes = lanes[:, 0::2] + lanes[:, 1::2]
-    lanes = lanes[:, 0::2] + lanes[:, 1::2]
-    total = lanes[:, 0] + lanes[:, 1]
-    for i in range(m, n):
-        total += x[:, i]
-    return total
-
-
 def _nearest_exact(Z: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Lowest-index argmin of the elementwise (z-c)^2 distances, each summed
-    over d_z in the order np.sum uses for one contiguous vector.
+    """Lowest-index argmin of the elementwise (z-c)^2 distances, each the
+    np.sum of one contiguous d_z vector.
 
-    Latent rows are processed in blocks whose difference array stays within
-    QUANTIZE_BLOCK_BYTES (at least one row). A block of at least K rows is
-    laid out (K, d_z, rows) and a shorter one (d_z, rows, K), so the longer
-    of the two is the contiguous inner axis of every add.
+    Latent rows are processed in blocks whose C-contiguous (rows, K, d_z)
+    difference array stays within QUANTIZE_BLOCK_BYTES (at least one row).
+    The block is written through ``out=``: a plain subtraction would follow
+    the latents' memory layout, and an F-ordered one would leave d_z a
+    strided axis that np.sum adds in another order.
     """
     (S, d), K = Z.shape, C.shape[0]
-    ZT, CT = np.ascontiguousarray(Z.T), np.ascontiguousarray(C.T)
     dtype = np.result_type(Z, C)
     indices = np.empty(S, dtype=np.int64)
     block = max(1, QUANTIZE_BLOCK_BYTES // max(K * d * dtype.itemsize, 1))
     for lo in range(0, S, block):
         hi = min(lo + block, S)
-        if hi - lo >= K:
-            diff = np.empty((K, d, hi - lo), dtype)
-            np.subtract(ZT[None, :, lo:hi], C[:, :, None], out=diff)
-            indices[lo:hi] = np.argmin(_pairwise_sum(np.square(diff, out=diff)), axis=0)
-        else:
-            diff = np.empty((d, hi - lo, K), dtype)
-            np.subtract(ZT[:, lo:hi, None], CT[:, None, :], out=diff)
-            dist = _pairwise_sum(np.square(diff, out=diff).reshape(1, d, (hi - lo) * K))
-            indices[lo:hi] = np.argmin(dist.reshape(hi - lo, K), axis=1)
+        diff = np.empty((hi - lo, K, d), dtype)
+        np.subtract(Z[lo:hi, None, :], C[None], out=diff)
+        indices[lo:hi] = np.argmin(np.square(diff, out=diff).sum(axis=2), axis=1)
     return indices
 
 
@@ -265,10 +235,11 @@ def _screen(Z: np.ndarray, C: np.ndarray):
 def quantize(latents, cb) -> tuple:
     """Nearest codebook entry per latent row under squared Euclidean distance.
 
-    The ids are those of an exact scan: every distance is the elementwise
-    (z-c)^2 sum over d_z in the order np.sum uses for one contiguous vector
-    (whatever the memory layout of the latents and however many rows a call
-    gets), and exact ties go to the lowest index.
+    The ids are those of an exact scan: every distance is np.sum of one
+    contiguous (z-c)^2 vector, taken over the last axis of a C-contiguous
+    (rows, K, d_z) difference block whatever the memory layout of the
+    latents and however many rows a call gets, and exact ties go to the
+    lowest index.
 
     A GEMM screen finds them. Per row it scores every entry as
     ||c||^2 - 2 z.c (the squared distance minus the row's ||z||^2) in the
@@ -414,12 +385,17 @@ def motion_vq_losses(M, M_hat, Z, B, p, p_hat, j_v_hat, w: LossWeights):
     return total, components
 
 
-def imu_tokenizer_losses(B_imu, B_motion, F_imu, F_motion, F_zipf, w: LossWeights):
+def imu_tokenizer_losses(B_imu, B_motion, F_imu, F_motion, w: LossWeights):
     """IMU tokenizer objective: code matching plus distribution matching.
 
-    B_motion, F_motion, F_zipf are treated as constants (the motion tokenizer
-    is frozen); B_imu should carry a straight-through gradient to the IMU
-    encoder and F_imu a Gumbel-Softmax gradient.
+    B_motion and F_motion are treated as constants (the motion tokenizer is
+    frozen); B_imu should carry a straight-through gradient to the IMU
+    encoder and F_imu a Gumbel-Softmax gradient. The motion tokens' Zipf
+    divergence has only constant inputs, so it carries no gradient and is
+    left to the caller's record.
+
+    Returns (total, components) where total = code + dist_match, each
+    pre-multiplied by its weight; components hold the raw values.
     """
     B_imu = gn.as_tensor(B_imu)
     B_motion_c = gn.stop_gradient(gn.as_tensor(B_motion))
@@ -429,12 +405,7 @@ def imu_tokenizer_losses(B_imu, B_motion, F_imu, F_motion, F_zipf, w: LossWeight
 
     dz = gn.sub(B_imu, B_motion_c)
     code = gn.mul(gn.tsum(gn.mul(dz, dz)), 1.0 / n_lat)
+    dist_match = js_divergence(F_imu, gn.stop_gradient(gn.as_tensor(F_motion)))
 
-    F_motion_c = gn.stop_gradient(gn.as_tensor(F_motion))
-    dist_match = js_divergence(F_imu, F_motion_c)
-    dist_zipf = js_divergence(F_motion_c, gn.stop_gradient(gn.as_tensor(F_zipf)))
-    dist = gn.add(dist_match, gn.mul(dist_zipf, w.zipf))
-
-    total = gn.add(gn.mul(code, w.code), gn.mul(dist, w.dist))
-    components = {"code": code, "dist": dist, "dist_match": dist_match, "dist_zipf": dist_zipf}
-    return total, components
+    total = gn.add(gn.mul(code, w.code), gn.mul(dist_match, w.dist))
+    return total, {"code": code, "dist_match": dist_match}

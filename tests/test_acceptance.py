@@ -197,8 +197,7 @@ def test_criterion_2_gradient_correctness():
 
         def imu_total():
             total, _ = vq.imu_tokenizer_losses(
-                vq.straight_through(z_i, z_i.value * 0.9), b_m, f_i, f_m, zipf,
-                vq.LossWeights())
+                vq.straight_through(z_i, z_i.value * 0.9), b_m, f_i, f_m, vq.LossWeights())
             return total
 
         fd_gradcheck(imu_total, [f_i], max_checks=8, h=1e-5, seed=i)

@@ -158,7 +158,10 @@ class TestMotionAndImuCommands:
         ("--placement", json.dumps({"joints": [0, 15, 18, 21, 2, 7],
                                     "levers": [[0.0, 0.0, 0.0]] * 6})),
         ("--noise-profile", "{\"drift_sigma_ori\": 0.01,"),
-    ], ids=["unknown_noise_key", "placement_without_mounts", "malformed_json"])
+        ("--noise-profile", "{\"drift_sigma_acc\": Infinity}"),
+        ("--noise-profile", json.dumps({"corrupted_sensors": [3], "dropout": [True]})),
+    ], ids=["unknown_noise_key", "placement_without_mounts", "malformed_json",
+            "infinite_sigma", "short_dropout"])
     def test_bad_json_input_exits_with_error(self, workdir, dataset, capsys, flag, content):
         bad = workdir / "bad.json"
         bad.write_text(content)

@@ -62,6 +62,11 @@ class TestFrameHeaders:
         path = _frame_file(tmp_path / "f.mji1", b"MJI1", IMU_WIDTH, units=6, fps=fps)
         with pytest.raises(FormatError, match="fps"):
             fileio.read_imu_file(path)
+        path = tmp_path / "f.mjt"
+        stream.write_token_stream(path, stream.TokenSequence(
+            tokens=np.arange(3), l=4, fps=fps, K=8, codebook_digest=bytes(32)))
+        with pytest.raises(FormatError, match="fps"):
+            stream.read_token_stream(path)
 
     def test_huge_declared_frame_count_is_a_format_error(self, tmp_path):
         # 2^26 frames of 271 floats would be 72 GB; the length check fails first

@@ -107,6 +107,20 @@ class TestSynthesize:
             SensorPlacement(joints=(0, 0, 1, 2, 3, 4))
 
 
+class TestNoiseConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(drift_sigma_acc=-0.1),
+        dict(drift_sigma_acc=np.inf),
+        dict(gaussian_sigma_gyr=np.nan),
+        dict(corrupted_sensors=(6,)),
+        dict(corrupted_sensors=(3,), dropout=(True,)),
+        dict(dropout=(False,) * 7),
+    ], ids=["negative", "inf", "nan", "sensor_6", "dropout_1", "dropout_7"])
+    def test_hostile_profiles_raise(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            NoiseConfig(**kwargs)
+
+
 class TestDrift:
     def test_zero_sigma_is_identity(self):
         seq = _random_imu()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -84,42 +86,40 @@ class TestQuantize:
         with pytest.raises(ShapeMismatch):
             quantize(np.zeros((3, 4)), np.zeros((5, 3)))
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_pairwise_sum_follows_np_sum_of_a_contiguous_vector(self, dtype):
-        rng = np.random.default_rng(3)
-        for n in [*range(1, 40), 63, 64, 65, 127, 128, 129, 200, 256, 513]:
-            x = np.square(rng.normal(size=(6, n, 50))).astype(dtype)
-            want = np.sum(np.ascontiguousarray(x.transpose(0, 2, 1)), axis=2)
-            assert np.array_equal(vq._pairwise_sum(x), want)
-
     @pytest.mark.parametrize("S, block_rows", [(4, None), (80, None), (80, 70)])
     def test_near_ties_do_not_depend_on_layout(self, monkeypatch, S, block_rows):
-        # each latent sits between two float32 entries whose offsets are the
-        # same 64 values in another order, so its two distances agree up to
-        # rounding and the summation order picks the winner. A sum in index
-        # order and numpy's sum of a contiguous vector pick differently here;
-        # quantize used to give the first for F-ordered latents and the
-        # second for C-ordered ones.
-        K = d = 64
-        rng = np.random.default_rng(0)
-        base = rng.normal(size=(K // 2, d)).astype(np.float32)
-        v = (0.1 * rng.normal(size=(K // 2, d))).astype(np.float32)
-        C = np.concatenate([base + v, base + v[:, rng.permutation(d)]])
-        Z = base[np.arange(S) % (K // 2)]
-        want = np.array([np.argmin([np.sum(np.square(z - c)) for c in C]) for z in Z])
-        index_order = np.zeros((S, K), np.float32)
-        for j in range(d):
-            index_order += (Z[:, None, j] - C[None, :, j]) ** 2
-        assert not np.array_equal(np.argmin(index_order, axis=1), want)
-        if block_rows is not None:
-            # a 70-row block laid out (K, d, rows), then a 10-row (d, rows, K) one
-            monkeypatch.setattr(vq, "QUANTIZE_BLOCK_BYTES", block_rows * C.size * C.itemsize)
-        strided = np.zeros((S, 2 * d), np.float32)[:, ::2]
-        strided[:] = Z
-        for layout in (np.ascontiguousarray(Z), np.asfortranarray(Z), strided):
-            idx, codes = quantize(layout, C)
-            assert np.array_equal(idx, want)
-            assert np.array_equal(codes, C[want])
+        # each latent sits between two entries whose offsets are the same d
+        # values in another order, so its two distances agree up to rounding
+        # and the summation order picks the winner. From d = 8 on, np.sum of
+        # a contiguous vector adds pairwise, and a sum in index order (which
+        # a difference block laid out like F-ordered latents gets) picks
+        # differently. The d straddle each boundary of numpy's pairwise sum
+        # (8 partial sums, halves above 128). block_rows=70 splits the 80
+        # rows into a 70-row and a 10-row block.
+        K = 64
+        for dtype, d in itertools.product(
+                [np.float32, np.float64], [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200, 256, 513]):
+            rng = np.random.default_rng(d)
+            base = rng.normal(size=(K // 2, d)).astype(dtype)
+            v = (dtype(0.1) * rng.normal(size=(K // 2, d))).astype(dtype)
+            C = np.concatenate([base + v, base + v[:, rng.permutation(d)]])
+            if d >= 8:
+                index_order = np.zeros((K // 2, K), dtype)
+                for j in range(d):
+                    index_order += (base[:, None, j] - C[None, :, j]) ** 2
+                assert not np.array_equal(np.argmin(index_order, axis=1),
+                                          brute_force_quantize(base, C)), (dtype, d)
+            Z = base[np.arange(S) % (K // 2)]
+            want = brute_force_quantize(Z, C)
+            if block_rows is not None:
+                monkeypatch.setattr(vq, "QUANTIZE_BLOCK_BYTES", block_rows * C.size * C.itemsize)
+            strided = np.zeros((S, 2 * d), dtype)[:, ::2]
+            strided[:] = Z
+            for layout in (np.ascontiguousarray(Z), np.asfortranarray(Z), strided):
+                assert np.array_equal(vq._nearest_exact(layout, C), want), (dtype, d)
+                idx, codes = quantize(layout, C)
+                assert np.array_equal(idx, want), (dtype, d)
+                assert np.array_equal(codes, C[want]), (dtype, d)
 
 
 def count_exact_calls(monkeypatch):
@@ -588,7 +588,7 @@ class TestImuLosses:
         rng = np.random.default_rng(20)
         B = rng.normal(size=(6, 4))
         f = zipf_target(ZipfParams(K=8))
-        total, _ = imu_tokenizer_losses(B, B.copy(), f, f.copy(), f.copy(), LossWeights())
+        total, _ = imu_tokenizer_losses(B, B.copy(), f, f.copy(), LossWeights())
         assert float(total) < 1e-12
 
     def test_unit_offset_code_loss(self):
@@ -597,7 +597,7 @@ class TestImuLosses:
         B_i = B_m.copy()
         B_i[:, 2] += 1.0  # one latent dim off by one across all tokens
         f = zipf_target(ZipfParams(K=8))
-        _, comps = imu_tokenizer_losses(B_i, B_m, f, f, f, LossWeights())
+        _, comps = imu_tokenizer_losses(B_i, B_m, f, f, LossWeights())
         assert float(comps["code"]) == pytest.approx(1.0, rel=1e-12)
 
     def test_default_weight_wiring(self):
@@ -606,13 +606,12 @@ class TestImuLosses:
         B_i = rng.normal(size=(6, 3))
         f_i = rng.dirichlet(np.ones(8))
         f_m = rng.dirichlet(np.ones(8))
-        f_z = zipf_target(ZipfParams(K=8))
-        w = LossWeights()  # code 1.0, dist 1.0, zipf 0.2
-        total, comps = imu_tokenizer_losses(B_i, B_m, f_i, f_m, f_z, w)
-        want_dist = float(js_divergence(f_i, f_m)) + 0.2 * float(js_divergence(f_m, f_z))
-        assert float(comps["dist"]) == pytest.approx(want_dist, rel=1e-9)
-        want = 1.0 * float(comps["code"]) + 1.0 * float(comps["dist"])
-        assert float(total) == pytest.approx(want, rel=1e-9)
+        w = LossWeights()  # code 1.0, dist 1.0; zipf weights only the trainer's record
+        total, comps = imu_tokenizer_losses(B_i, B_m, f_i, f_m, w)
+        assert set(comps) == {"code", "dist_match"}
+        assert float(comps["dist_match"]) == float(js_divergence(f_i, f_m))
+        want = 1.0 * float(comps["code"]) + 1.0 * float(comps["dist_match"])
+        assert float(total) == pytest.approx(want, rel=1e-12)
 
     def test_gradients_reach_imu_side_only(self):
         rng = np.random.default_rng(23)
@@ -622,8 +621,7 @@ class TestImuLosses:
         b_mot = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         f_imu = Tensor(rng.dirichlet(np.ones(8)), requires_grad=True)
         f_mot = Tensor(rng.dirichlet(np.ones(8)), requires_grad=True)
-        f_z = zipf_target(ZipfParams(K=8))
-        total, _ = imu_tokenizer_losses(b_imu, b_mot, f_imu, f_mot, f_z, LossWeights())
+        total, _ = imu_tokenizer_losses(b_imu, b_mot, f_imu, f_mot, LossWeights())
         total.backward()
         assert z_imu.grad is not None and f_imu.grad is not None
         assert b_mot.grad is None and f_mot.grad is None
