@@ -13,10 +13,12 @@ import numpy as np
 from . import gradnet as gn
 from .checkpoint import arrays_digest
 from .errors import CheckpointMismatch, EmptyCorpus, InvalidArgument, LengthMismatch, TooShort
+from .geom import norm3
 from .imusim import (SENSOR_COUNT, InertiaSequence, NoiseConfig, NormStats, apply_corruption,
-                     apply_drift, fit_norm_stats, normalize_acceleration, synthesize_imu)
+                     apply_corruption_batch, apply_drift, apply_drift_batch, fit_norm_stats,
+                     normalize_acceleration, synthesize_imu)
 from .models import BaselinePoser, model_arrays
-from .motion import (MotionSequence, build_motion_representation,
+from .motion import (MotionSequence, build_motion_representation, check_fps,
                      generate_synthetic_motion, track_from_motion)
 from .skeleton import forward_kinematics_sequence
 from .stream import InferencePipeline, decode_tokens, tokenize_sequence
@@ -59,7 +61,7 @@ def mpjpe(pred: MotionSequence, gt: MotionSequence) -> float:
     """Mean per-joint position error in centimeters."""
     if len(pred) != len(gt):
         raise LengthMismatch(f"prediction has {len(pred)} frames, ground truth {len(gt)}")
-    d = np.linalg.norm(joint_positions(pred) - joint_positions(gt), axis=2)
+    d = norm3(joint_positions(pred) - joint_positions(gt))
     return float(d.mean() * 100.0)
 
 
@@ -67,6 +69,7 @@ def jitter(positions: np.ndarray, fps: float) -> float:
     """Mean norm of the third time-derivative of joint positions, in
     10^2 m/s^3 units. Third central differences inside, one-sided stencils
     at the two frames on each boundary."""
+    check_fps(fps)
     x = np.asarray(positions, dtype=np.float64)
     T = x.shape[0]
     if T < 4:
@@ -76,7 +79,7 @@ def jitter(positions: np.ndarray, fps: float) -> float:
     d3[2:-2] = (x[4:] - 2.0 * x[3:-1] + 2.0 * x[1:-3] - x[:-4]) / (2.0 * h ** 3)
     d3[:2] = (x[3] - 3.0 * x[2] + 3.0 * x[1] - x[0]) / h ** 3
     d3[-2:] = (x[-1] - 3.0 * x[-2] + 3.0 * x[-3] - x[-4]) / h ** 3
-    return float(np.linalg.norm(d3, axis=-1).mean() * 1e-2)
+    return float(norm3(d3).mean() * 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +158,25 @@ def _sensor_combos(level: int, seed: int) -> list:
     return combos
 
 
+def _bench_noise(sensors, seed: int, noise: dict | None) -> NoiseConfig:
+    levels = dict(BENCH_NOISE if noise is None else noise)
+    return NoiseConfig(corrupted_sensors=tuple(sensors), seed=seed, **levels)
+
+
 def corrupt_sensors(imu: InertiaSequence, sensors, seed: int,
                     noise: dict | None = None) -> InertiaSequence:
     """Drift plus per-frame Gaussian corruption restricted to ``sensors``."""
-    levels = dict(BENCH_NOISE if noise is None else noise)
-    cfg = NoiseConfig(corrupted_sensors=tuple(sensors), seed=seed, **levels)
+    cfg = _bench_noise(sensors, seed, noise)
     return apply_corruption(apply_drift(imu, cfg, sensors=sensors), cfg)
+
+
+def _corrupt_combos(imu: InertiaSequence, combos, seeds, noise: dict | None) -> np.ndarray:
+    """(combos, T, 72): ``corrupt_sensors(imu, combos[c], seeds[c], noise)``
+    for every c, in one drift pass and one corruption pass."""
+    cfgs = [_bench_noise(combo, s, noise) for combo, s in zip(combos, seeds)]
+    frames = np.broadcast_to(imu.frames, (len(cfgs), *imu.frames.shape))
+    drifted = apply_drift_batch(frames, cfgs, [cfg.corrupted_sensors for cfg in cfgs])
+    return apply_corruption_batch(drifted, cfgs)
 
 
 def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
@@ -203,28 +219,35 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
     # the FK of the truncated sequence
     gt_pos = [joint_positions(gt) for gt, _ in pairs]
 
-    # level 0 is the clean pass: one empty sensor combination
+    # level 0 is the clean pass: one empty sensor combination. Each pair's
+    # combinations are corrupted in one call; the pooled sums then add the
+    # cases up combination-major, so every row is bitwise the case-by-case sum
     for level in (0, *levels):
         combos = _sensor_combos(level, seed) if level else [()]
         methods = [m for m in predict if level == 0 or predict[m]]
-        sums = {m: [0.0, 0, 0.0] for m in methods}  # error sum, error count, jitter sum
-        cases = 0
-        for ci, combo in enumerate(combos):
-            for si, ((gt, imu), p_gt) in enumerate(zip(pairs, gt_pos)):
-                if combo:
-                    imu = corrupt_sensors(imu, combo, _case_seed(seed, level, ci, si), noise)
+        scores = {m: [[None] * len(pairs) for _ in combos] for m in methods}
+        for si, ((gt, imu), p_gt) in enumerate(zip(pairs, gt_pos)):
+            inputs = [imu]
+            if level:
+                seeds = [_case_seed(seed, level, ci, si) for ci in range(len(combos))]
+                inputs = [InertiaSequence(frames=f, fps=imu.fps)
+                          for f in _corrupt_combos(imu, combos, seeds, noise)]
+            for ci, case in enumerate(inputs):
                 for m in methods:
                     p = p_gt
                     if predict[m]:
-                        pred = predict[m](imu)
+                        pred = predict[m](case)
                         p = joint_positions(MotionSequence(pred.frames[:len(p_gt)], gt.fps))
-                    d = np.linalg.norm(p - p_gt[:len(p)], axis=2)
-                    sums[m][0] += float(d.sum())
-                    sums[m][1] += d.size
-                    sums[m][2] += jitter(p, gt.fps)
-                cases += 1
+                    d = norm3(p - p_gt[:len(p)])
+                    scores[m][ci][si] = (float(d.sum()), d.size, jitter(p, gt.fps))
         for m in methods:
-            err_sum, err_n, jit_sum = sums[m]
+            err_sum, err_n, jit_sum = 0.0, 0, 0.0
+            for per_pair in scores[m]:
+                for err, n, jit in per_pair:
+                    err_sum += err
+                    err_n += n
+                    jit_sum += jit
+            cases = len(combos) * len(pairs)
             report.rows.append({
                 "method": m, "level": level,
                 "mpjpe_cm": 100.0 * err_sum / max(err_n, 1),

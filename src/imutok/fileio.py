@@ -13,9 +13,9 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidArgument
 from .imusim import IMU_WIDTH, SENSOR_COUNT, InertiaSequence
-from .motion import MOTION_WIDTH, MotionSequence
+from .motion import MOTION_WIDTH, MotionSequence, check_fps
 from .skeleton import JOINT_COUNT
 
 MOTION_MAGIC = b"MJT1"
@@ -44,11 +44,24 @@ def _read_file(path, header: struct.Struct, magic: bytes) -> tuple:
     return fields, memoryview(blob)[header.size:]
 
 
+def header_fps(fps: float) -> float:
+    """``fps`` as the float32 a file header stores; InvalidArgument unless
+    it is positive and finite before and after that rounding, so that no
+    writer makes a file its reader rejects."""
+    check_fps(fps)
+    with np.errstate(over="ignore"):
+        stored = float(np.float32(fps))
+    if not 0.0 < stored < np.inf:
+        raise InvalidArgument(f"fps {fps} rounds to {stored} in a float32 header")
+    return stored
+
+
 def _write_frames(path, magic: bytes, frames: np.ndarray, fps: float) -> None:
     _, _, units = _FRAME_FORMATS[magic]
     frames = np.ascontiguousarray(frames, dtype="<f4")
+    header = _FRAME_HEADER.pack(magic, header_fps(fps), frames.shape[0], units)
     with open(path, "wb") as fh:
-        fh.write(_FRAME_HEADER.pack(magic, fps, frames.shape[0], units))
+        fh.write(header)
         fh.write(frames.tobytes())
 
 

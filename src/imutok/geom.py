@@ -26,6 +26,23 @@ NEAR_PI = np.pi - 1e-4
 _EPS_COLUMN = 1e-8
 
 
+def _dot3(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``(a0*b0 + a1*b1) + a2*b2`` of two triples of component arrays, the
+    order ``np.linalg.norm`` and ``np.sum`` add 3-vectors in, written to out."""
+    np.multiply(a[0], b[0], out=out)
+    out += np.multiply(a[1], b[1], out=tmp)
+    out += np.multiply(a[2], b[2], out=tmp)
+    return out
+
+
+def norm3(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of (..., 3) vectors, (...): ``sqrt((x*x + y*y) + z*z)``,
+    the order ``np.linalg.norm`` adds 3-vectors in, without its per-call cost."""
+    c = np.moveaxis(np.asarray(v, dtype=np.float64), -1, 0)
+    n = _dot3(c, c, np.empty(c.shape[1:]), np.empty(c.shape[1:]))
+    return np.sqrt(n, out=n)
+
+
 def rot6d_to_matrix_batch(r: np.ndarray, fallback: bool = False) -> np.ndarray:
     """Decode (..., 6) codes (two leading columns) into (..., 3, 3) proper
     rotation matrices.
@@ -36,26 +53,41 @@ def rot6d_to_matrix_batch(r: np.ndarray, fallback: bool = False) -> np.ndarray:
 
     With ``fallback=True`` degenerate inputs decode to identity instead of
     raising; used when decoding network outputs that carry no guarantee.
+
+    Works in place on six contiguous component arrays, with each norm, dot
+    and cross product spelled out in the order ``np.linalg.norm``,
+    ``np.sum`` and ``np.cross`` use, so the result is bitwise theirs
+    without their per-call cost and temporaries.
     """
     r = np.asarray(r, dtype=np.float64)
     shape = r.shape[:-1]
-    flat = r.reshape(-1, 6)
-    a1, a2 = flat[:, :3], flat[:, 3:]
-    n1 = np.linalg.norm(a1, axis=1)
+    # a copy even where the transpose is already contiguous (a single code):
+    # both columns are normalized in place
+    comps = np.array(r.reshape(-1, 6).T, order="C")
+    a, b = comps[:3], comps[3:]
+    tmp = np.empty_like(comps[0])
+    n1 = norm3(a.T)
     bad1 = n1 <= _EPS_COLUMN
-    b1 = a1 / np.where(bad1, 1.0, n1)[:, None]
-    a2p = a2 - np.sum(b1 * a2, axis=1, keepdims=True) * b1
-    n2 = np.linalg.norm(a2p, axis=1)
+    n1[bad1] = 1.0
+    a /= n1
+    dot = _dot3(a, b, np.empty_like(tmp), tmp)
+    for k in range(3):
+        b[k] -= np.multiply(dot, a[k], out=tmp)
+    n2 = norm3(b.T)
     bad2 = n2 <= _EPS_COLUMN
-    b2 = a2p / np.where(bad2, 1.0, n2)[:, None]
+    n2[bad2] = 1.0
+    b /= n2
     bad = bad1 | bad2
     if bad.any():
         if not fallback:
             raise DegenerateInput("degenerate 6D rotation in batch")
-        b1[bad] = np.array([1.0, 0.0, 0.0])
-        b2[bad] = np.array([0.0, 1.0, 0.0])
-    b3 = np.cross(b1, b2)
-    out = np.stack([b1, b2, b3], axis=2)
+        comps[:, bad] = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])[:, None]
+    out = np.empty((tmp.size, 3, 3))
+    out[:, :, 0] = a.T
+    out[:, :, 1] = b.T
+    for k in range(3):  # column three is a x b
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.subtract(np.multiply(a[i], b[j], out=tmp), a[j] * b[i], out=out[:, k, 2])
     return out.reshape(*shape, 3, 3)
 
 
@@ -86,13 +118,19 @@ def exp_so3(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1:] != (3,):
         raise ShapeMismatch(f"expected (..., 3) axis-angle vectors, got {v.shape}")
-    theta = np.linalg.norm(v, axis=-1)
+    theta = norm3(v)
     small = theta < SMALL_ANGLE
     safe = np.where(small, 1.0, theta)
     s = np.where(small, 1.0, np.sin(safe) / safe)[..., None, None]
     c = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))[..., None, None]
     K = _skew(v)
-    return np.eye(3) + s * K + c * (K @ K)
+    # (I + s K) + c K^2, each sum in place
+    out = np.multiply(s, K)
+    out += np.eye(3)
+    KK = K @ K
+    KK *= c
+    out += KK
+    return out
 
 
 def _log_near_pi(R: np.ndarray, c: float, theta: float, w: np.ndarray) -> np.ndarray:

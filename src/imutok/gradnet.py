@@ -277,12 +277,42 @@ def upsample_nearest(a, factor: int) -> Tensor:
                   lambda g: g.reshape(*a.value.shape, factor).sum(axis=-1))
 
 
+def _shifted_sum(src: np.ndarray, taps, offsets, dtype) -> np.ndarray:
+    """(rows, T) sums, from zero in tap order, of ``taps[j] * src[:, t +
+    offsets[j]]``, reading the rows as one flat sequence: one contiguous
+    add per tap. Only columns whose every read stays inside the row are
+    right; the caller overwrites the others."""
+    flat = src.reshape(-1)
+    n = flat.size
+    out = np.zeros(n, dtype=dtype)
+    for wj, o in zip(taps, offsets):
+        if abs(o) < n:
+            out[max(0, -o):n - max(0, o)] += wj * flat[max(0, o):n - max(0, -o)]
+    return out.reshape(src.shape)
+
+
+def _tap_sum(src: np.ndarray, taps, idx: np.ndarray, dtype, valid=None) -> np.ndarray:
+    """(rows, m) sums, from zero in tap order, of ``taps[j] * src[:, idx[j,
+    i]]`` with indices clamped to the row; a term where ``valid`` is false
+    is zero instead."""
+    terms = np.ascontiguousarray(np.take(src, idx, axis=1, mode="clip").transpose(1, 0, 2))
+    if valid is not None:
+        terms.transpose(1, 0, 2)[:, ~valid] = 0.0
+    out = np.zeros(terms.shape[1:], dtype=dtype)
+    for j, wj in enumerate(taps):
+        out += wj * terms[j]
+    return out
+
+
 def depthwise_smooth(a, weights) -> Tensor:
     """Fixed per-channel smoothing along the last axis with replicate padding.
 
     ``weights`` is a constant odd-length 1-D kernel (it receives no
     gradient); every channel is filtered independently, so the op costs a
-    handful of scaled adds instead of a dense convolution.
+    handful of scaled adds instead of a dense convolution. Value and
+    gradient are the tap-order sums a padded copy of the input would give,
+    without making that copy: one flat shifted add per tap, then the few
+    columns within ``k // 2`` of either end are summed on their own.
     """
     a = as_tensor(a)
     w = np.asarray(weights, dtype=np.float64)
@@ -294,24 +324,33 @@ def depthwise_smooth(a, weights) -> Tensor:
     T = x.shape[-1]
     if T < 1:
         raise ShapeMismatch("empty time axis")
-    pad_width = [(0, 0)] * (x.ndim - 1) + [(half, half)]
-    xp = np.pad(x, pad_width, mode="edge")
-    out_val = np.zeros_like(x)
-    for j in range(k):
-        out_val += x.dtype.type(w[j]) * xp[..., j:j + T]
+    taps = [x.dtype.type(wj) for wj in w]
+    offsets = np.arange(k) - half
+    x2 = np.ascontiguousarray(x).reshape(-1, T)
+    out = _shifted_sum(x2, taps, offsets, x.dtype)
+    # output columns where some tap reads past an end: clamping the index is
+    # the replicate padding
+    edge = np.union1d(np.arange(min(half, T)), np.arange(max(T - half, 0), T))
+    out[:, edge] = _tap_sum(x2, taps, edge + offsets[:, None], x.dtype)
 
     def grad(g):
-        gp = np.zeros_like(xp)
-        for j in range(k):
-            gp[..., j:j + T] += x.dtype.type(w[j]) * g
-        gx = gp[..., half:half + T].copy()
-        # replicate padding: boundary pad columns fold back onto the edges
-        for j in range(half):
-            gx[..., 0] += gp[..., j]
-            gx[..., -1] += gp[..., half + T + j]
-        return gx
+        g2 = np.ascontiguousarray(g).reshape(-1, T)
+        gx = _shifted_sum(g2, taps, -offsets, x.dtype)
+        # input columns -half..T+half-1 near the ends, the ones outside
+        # [0, T) being the padding; tap j reaches input column c from output
+        # column c - offsets[j], if that is one
+        cols = np.union1d(np.arange(-half, half), np.arange(T - half, T + half))
+        src = cols - offsets[:, None]
+        padded = _tap_sum(g2, taps, src, x.dtype, valid=(src >= 0) & (src < T))
+        inside = (cols >= 0) & (cols < T)
+        gx[:, cols[inside]] = padded[:, inside]
+        # replicate padding: the pad columns fold back onto the edge inputs
+        for q in range(half):
+            gx[:, 0] += padded[:, q]
+            gx[:, -1] += padded[:, q - half]
+        return gx.reshape(x.shape)
 
-    return _unary(a, out_val, grad)
+    return _unary(a, out.reshape(x.shape), grad)
 
 
 def mse(pred, target) -> Tensor:

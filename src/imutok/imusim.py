@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geom
 from .errors import EmptyCorpus, InvalidArgument, ShapeMismatch, TooShort
-from .motion import RawPoseTrack
+from .motion import RawPoseTrack, check_fps
 from .skeleton import forward_kinematics_sequence
 
 SENSOR_COUNT = 6
@@ -70,6 +70,7 @@ class InertiaSequence:
         self.frames = np.asarray(self.frames)
         if self.frames.ndim != 2 or self.frames.shape[1] != IMU_WIDTH:
             raise ShapeMismatch(f"IMU frames must be (T, {IMU_WIDTH}), got {self.frames.shape}")
+        check_fps(self.fps)
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -188,6 +189,69 @@ def synthesize_imu(track: RawPoseTrack,
     return InertiaSequence(frames=frames, fps=fps)
 
 
+def _rows_of(frames: np.ndarray, cfgs, sensor_sets) -> tuple:
+    """A copy of (cases, T, 72) frames and its (case, sensor) rows, after
+    checking that there is one config and one sensor set per case."""
+    out = np.array(frames)
+    if out.ndim != 3 or out.shape[2] != IMU_WIDTH:
+        raise ShapeMismatch(f"batched IMU frames must be (cases, T, {IMU_WIDTH}), got {out.shape}")
+    if not len(cfgs) == len(sensor_sets) == out.shape[0]:
+        raise ShapeMismatch(f"{out.shape[0]} cases need as many configs and sensor sets, got "
+                            f"{len(cfgs)} and {len(sensor_sets)}")
+    rows = [(c, i) for c, sensors in enumerate(sensor_sets) for i in sensors]
+    if any(i not in range(SENSOR_COUNT) for _, i in rows):
+        raise InvalidArgument(f"sensors must be in 0..{SENSOR_COUNT - 1}")
+    return out, rows
+
+
+def _decode_rows(frames: np.ndarray, rows, axis: int) -> np.ndarray:
+    """(..., 3, 3) orientations of the given (case, sensor) rows, stacked on ``axis``."""
+    ori = np.stack([frames[c, :, 6 * i:6 * i + 6] for c, i in rows], axis=axis)
+    return geom.rot6d_to_matrix_batch(ori, fallback=True)
+
+
+def _encode_rows(out: np.ndarray, rows, R: np.ndarray, axis: int) -> None:
+    """Write orientations stacked on ``axis`` back to their (case, sensor) rows."""
+    ori = geom.matrix_to_rot6d_batch(R)
+    for n, (c, i) in enumerate(rows):
+        out[c, :, 6 * i:6 * i + 6] = np.take(ori, n, axis=axis)
+
+
+def apply_drift_batch(frames: np.ndarray, cfgs, sensor_sets) -> np.ndarray:
+    """``apply_drift`` of many cases at once: case c of the (cases, T, 72)
+    ``frames`` drifts under ``cfgs[c]`` on the sensors ``sensor_sets[c]``.
+
+    Every (case, sensor) row draws from the stream ``apply_drift`` gives it,
+    in the same order, and all orientation walks are composed in one loop over
+    frames, so each case is bitwise what ``apply_drift`` makes of it alone.
+    Returns the drifted copy.
+    """
+    out, rows = _rows_of(frames, cfgs, sensor_sets)
+    T = out.shape[1]
+    rngs = [_sensor_rng(cfgs[c].seed, 1, i) for c, i in rows]
+    ori = [k for k, (c, _) in enumerate(rows) if cfgs[c].drift_sigma_ori > 0]
+    if ori:
+        # (T - 1, rows, 3) increments; D[t - 1] is the walk
+        # D_t = exp(inc_{t-1}) @ D_{t-1}, D_0 = I, composed in frame order
+        inc = np.stack([rngs[k].normal(0.0, cfgs[rows[k][0]].drift_sigma_ori, size=(T - 1, 3))
+                        for k in ori], axis=1)
+        steps = geom.exp_so3(inc)
+        D = steps.copy()
+        for t in range(1, T - 1):
+            np.matmul(steps[t], D[t - 1], out=D[t])
+        ori_rows = [rows[k] for k in ori]
+        R = _decode_rows(out, ori_rows, axis=1)
+        R[1:] = D @ R[1:]
+        _encode_rows(out, ori_rows, R, axis=1)
+    for k, (c, i) in enumerate(rows):
+        for sl, sigma in ((SL_ACC, cfgs[c].drift_sigma_acc), (SL_GYR, cfgs[c].drift_sigma_gyr)):
+            if sigma > 0:
+                walk = np.zeros((T, 3))
+                walk[1:] = np.cumsum(rngs[k].normal(0.0, sigma, size=(T - 1, 3)), axis=0)
+                out[c, :, sl.start + 3 * i:sl.start + 3 * i + 3] += walk
+    return out
+
+
 def apply_drift(seq: InertiaSequence, cfg: NoiseConfig, sensors=None) -> InertiaSequence:
     """Random-walk drift: composed rotation walk on orientations, accumulated
     Gaussian increments on acceleration and gyro channels.
@@ -198,27 +262,49 @@ def apply_drift(seq: InertiaSequence, cfg: NoiseConfig, sensors=None) -> Inertia
     """
     if sensors is None:
         sensors = range(SENSOR_COUNT)
-    out = seq.frames.copy()
-    T = len(seq)
-    for i in sensors:
-        rng = _sensor_rng(cfg.seed, 1, i)
-        if cfg.drift_sigma_ori > 0:
-            inc = rng.normal(0.0, cfg.drift_sigma_ori, size=(T - 1, 3))
-            R = geom.rot6d_to_matrix_batch(seq.ori6d[:, i], fallback=True)
-            # D[t - 1] becomes the walk D_t = exp(inc_{t-1}) @ D_{t-1}, D_0 = I,
-            # composed in frame order
-            D = geom.exp_so3(inc)
-            for t in range(1, T - 1):
-                D[t] = D[t] @ D[t - 1]
-            drifted = R.copy()
-            drifted[1:] = D @ R[1:]
-            out[:, 6 * i:6 * i + 6] = geom.matrix_to_rot6d_batch(drifted)
-        for sl, sigma in ((SL_ACC, cfg.drift_sigma_acc), (SL_GYR, cfg.drift_sigma_gyr)):
+    out = apply_drift_batch(seq.frames[None], [cfg], [sensors])
+    return InertiaSequence(frames=out[0], fps=seq.fps)
+
+
+def apply_corruption_batch(frames: np.ndarray, cfgs) -> np.ndarray:
+    """``apply_corruption`` of many cases at once: case c of the (cases, T,
+    72) ``frames`` is corrupted under ``cfgs[c]``.
+
+    Every (case, sensor) row draws from the streams ``apply_corruption``
+    gives it, in the same order, and all orientation perturbations are
+    applied in one pass, so each case is bitwise what ``apply_corruption``
+    makes of it alone. Returns the corrupted copy.
+    """
+    out, rows = _rows_of(frames, cfgs, [cfg.corrupted_sensors for cfg in cfgs])
+    T = out.shape[1]
+    rngs = [_sensor_rng(cfgs[c].seed, 2, i) for c, i in rows]
+    ori = [k for k, (c, _) in enumerate(rows) if cfgs[c].gaussian_sigma_ori > 0]
+    if ori:
+        zeta = np.stack([rngs[k].normal(0.0, cfgs[rows[k][0]].gaussian_sigma_ori, size=(T, 3))
+                         for k in ori])
+        ori_rows = [rows[k] for k in ori]
+        _encode_rows(out, ori_rows, geom.exp_so3(zeta) @ _decode_rows(out, ori_rows, axis=0),
+                     axis=0)
+    for k, (c, i) in enumerate(rows):
+        cfg, case = cfgs[c], out[c]
+        sl_acc = slice(SL_ACC.start + 3 * i, SL_ACC.start + 3 * i + 3)
+        sl_gyr = slice(SL_GYR.start + 3 * i, SL_GYR.start + 3 * i + 3)
+        for sl, sigma in ((sl_acc, cfg.gaussian_sigma_acc), (sl_gyr, cfg.gaussian_sigma_gyr)):
             if sigma > 0:
-                walk = np.zeros((T, 3))
-                walk[1:] = np.cumsum(rng.normal(0.0, sigma, size=(T - 1, 3)), axis=0)
-                out[:, sl.start + 3 * i:sl.start + 3 * i + 3] += walk
-    return InertiaSequence(frames=out, fps=seq.fps)
+                case[:, sl] += rngs[k].normal(0.0, sigma, size=(T, 3))
+        if cfg.dropout[i]:
+            rng_drop = _sensor_rng(cfg.seed, 3, i)
+            # the cut leaves at least one frame to hold
+            lo = max(1, T // 4)
+            cut = int(rng_drop.integers(lo, max(lo + 1, 3 * T // 4)))
+            for sl, sigma in ((slice(6 * i, 6 * i + 6), cfg.gaussian_sigma_ori),
+                              (sl_acc, cfg.gaussian_sigma_acc),
+                              (sl_gyr, cfg.gaussian_sigma_gyr)):
+                case[cut:, sl] = case[cut - 1, sl]
+                if sigma > 0:
+                    case[cut:, sl] += rng_drop.normal(0.0, sigma,
+                                                      size=(T - cut, sl.stop - sl.start))
+    return out
 
 
 def apply_corruption(seq: InertiaSequence, cfg: NoiseConfig) -> InertiaSequence:
@@ -229,31 +315,7 @@ def apply_corruption(seq: InertiaSequence, cfg: NoiseConfig) -> InertiaSequence:
     holds its last value from a seeded cut frame onward (plus noise),
     mimicking a dead wireless link.
     """
-    out = seq.frames.copy()
-    T = len(seq)
-    for i in cfg.corrupted_sensors:
-        rng = _sensor_rng(cfg.seed, 2, i)
-        sl_acc = slice(SL_ACC.start + 3 * i, SL_ACC.start + 3 * i + 3)
-        sl_gyr = slice(SL_GYR.start + 3 * i, SL_GYR.start + 3 * i + 3)
-        sl_ori = slice(6 * i, 6 * i + 6)
-        if cfg.gaussian_sigma_ori > 0:
-            zeta = rng.normal(0.0, cfg.gaussian_sigma_ori, size=(T, 3))
-            R = geom.rot6d_to_matrix_batch(seq.ori6d[:, i], fallback=True)
-            out[:, sl_ori] = geom.matrix_to_rot6d_batch(geom.exp_so3(zeta) @ R)
-        for sl, sigma in ((sl_acc, cfg.gaussian_sigma_acc), (sl_gyr, cfg.gaussian_sigma_gyr)):
-            if sigma > 0:
-                out[:, sl] += rng.normal(0.0, sigma, size=(T, 3))
-        if cfg.dropout[i]:
-            rng_drop = _sensor_rng(cfg.seed, 3, i)
-            cut = int(rng_drop.integers(T // 4, max(T // 4 + 1, 3 * T // 4)))
-            for sl, sigma in ((sl_ori, cfg.gaussian_sigma_ori),
-                              (sl_acc, cfg.gaussian_sigma_acc),
-                              (sl_gyr, cfg.gaussian_sigma_gyr)):
-                held = out[cut - 1, sl]
-                out[cut:, sl] = held
-                if sigma > 0:
-                    out[cut:, sl] += rng_drop.normal(0.0, sigma, size=(T - cut, sl.stop - sl.start))
-    return InertiaSequence(frames=out, fps=seq.fps)
+    return InertiaSequence(frames=apply_corruption_batch(seq.frames[None], [cfg])[0], fps=seq.fps)
 
 
 def fit_norm_stats(corpus) -> NormStats:

@@ -36,6 +36,13 @@ CONTACT_SPEED_THRESH = 0.15    # m/s
 STYLES = ("walk", "squat", "arm_raise", "idle_sway")
 
 
+def check_fps(fps) -> None:
+    """Raise InvalidArgument unless ``fps`` is positive and finite: the rule
+    of every sequence type, which the file readers apply as FormatError."""
+    if not 0.0 < fps < np.inf:  # also false for NaN
+        raise InvalidArgument(f"fps must be positive and finite, got {fps}")
+
+
 @dataclass
 class RawPoseTrack:
     """Pre-representation pose data: translations plus rotation matrices."""
@@ -49,6 +56,7 @@ class RawPoseTrack:
         T = self.root_pos.shape[0]
         if self.root_rot.shape != (T, 3, 3) or self.local_rots.shape != (T, LOCAL_JOINT_COUNT, 3, 3):
             raise ShapeMismatch("inconsistent track array shapes")
+        check_fps(self.fps)
 
     def __len__(self) -> int:
         return self.root_pos.shape[0]
@@ -66,6 +74,7 @@ class MotionSequence:
         if self.frames.ndim != 2 or self.frames.shape[1] != MOTION_WIDTH:
             raise ShapeMismatch(
                 f"motion frames must be (T, {MOTION_WIDTH}), got {self.frames.shape}")
+        check_fps(self.fps)
 
     def __len__(self) -> int:
         return self.frames.shape[0]

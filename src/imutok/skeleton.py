@@ -75,12 +75,17 @@ FOOT_JOINTS = (5, 4, 10, 9)
 STANDING_ROOT_HEIGHT = 0.95
 
 
+# joints some other joint hangs from; a leaf's global rotation moves no position
+_INNER_JOINTS = frozenset(PARENTS[1:])
+
+
 def forward_kinematics_sequence(root_pos: np.ndarray, root_rot: np.ndarray,
                                 local_rots: np.ndarray, return_rotations: bool = False):
     """World joint positions of the fixed skeleton over a sequence.
 
     position(j) = position(parent) + R_global(parent) @ rest_offset(j), with
     R_global composed parent-to-child down the tree, for all frames at once.
+    Leaf global rotations are composed only when they are returned.
 
     Args:
         root_pos: (T, 3) root translations.
@@ -90,14 +95,17 @@ def forward_kinematics_sequence(root_pos: np.ndarray, root_rot: np.ndarray,
     Returns (T, 22, 3) positions, optionally also (T, 22, 3, 3) global rotations.
     """
     T = root_pos.shape[0]
-    pos = np.empty((T, JOINT_COUNT, 3), dtype=np.float64)
-    glob = np.empty((T, JOINT_COUNT, 3, 3), dtype=np.float64)
-    pos[:, 0] = root_pos
-    glob[:, 0] = root_rot
+    # joint-major while composing, so that each joint's track is contiguous
+    pos = np.empty((JOINT_COUNT, T, 3), dtype=np.float64)
+    glob = np.empty((JOINT_COUNT, T, 3, 3), dtype=np.float64)
+    pos[0] = root_pos
+    glob[0] = root_rot
     for j in range(1, JOINT_COUNT):
         p = PARENTS[j]
-        pos[:, j] = pos[:, p] + np.einsum("tij,j->ti", glob[:, p], REST_OFFSETS[j])
-        glob[:, j] = glob[:, p] @ local_rots[:, j - 1]
+        np.add(pos[p], np.einsum("tij,j->ti", glob[p], REST_OFFSETS[j]), out=pos[j])
+        if return_rotations or j in _INNER_JOINTS:
+            np.matmul(glob[p], local_rots[:, j - 1], out=glob[j])
+    pos = np.ascontiguousarray(pos.transpose(1, 0, 2))
     if return_rotations:
-        return pos, glob
+        return pos, np.ascontiguousarray(glob.transpose(1, 0, 2, 3))
     return pos

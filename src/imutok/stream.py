@@ -20,9 +20,10 @@ import numpy as np
 from . import gradnet as gn
 from . import vqcodec as vq
 from .errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
+from .fileio import header_fps
 from .imusim import IMU_WIDTH, InertiaSequence, NormStats
 from .models import COMPRESSION, flatten_latents, unflatten_latents
-from .motion import MotionSequence
+from .motion import MotionSequence, check_fps
 from .trainer import load_trained
 
 TOKEN_MAGIC = b"MJT2"
@@ -52,6 +53,7 @@ class TokenSequence:
     def __post_init__(self):
         if len(self.codebook_digest) != 32:
             raise InvalidArgument("codebook digest must be 32 bytes")
+        check_fps(self.fps)
         # dtype- and range-check before the uint16 cast, which would truncate
         # fractional ids and wrap ids >= 2^16 and negative ids silently
         tokens = np.asarray(self.tokens)
@@ -187,7 +189,7 @@ def decode_tokens(tok: TokenSequence, pipe: InferencePipeline) -> MotionSequence
 # wire format
 
 def write_token_stream(path, tok: TokenSequence) -> None:
-    header = _HEADER.pack(TOKEN_MAGIC, TOKEN_VERSION, tok.fps, tok.l, tok.K,
+    header = _HEADER.pack(TOKEN_MAGIC, TOKEN_VERSION, header_fps(tok.fps), tok.l, tok.K,
                           tok.codebook_digest, tok.start_offset, tok.tokens.size)
     payload = tok.tokens.astype("<u2").tobytes()
     crc = zlib.crc32(header + payload) & 0xFFFFFFFF

@@ -87,6 +87,11 @@ class TestJitter:
         with pytest.raises(TooShort):
             jitter(np.zeros((3, 1, 3)), 60.0)
 
+    @pytest.mark.parametrize("fps", [0.0, -60.0, float("nan"), float("inf")])
+    def test_bad_fps_raises(self, fps):
+        with pytest.raises(InvalidArgument, match="fps"):
+            jitter(np.zeros((10, 1, 3)), fps)
+
 
 class TestCorruptSensors:
     def test_untouched_sensors_bitwise_clean(self):
@@ -104,6 +109,17 @@ class TestCorruptSensors:
         a = corrupt_sensors(imu, (0, 2), seed=9)
         b = corrupt_sensors(imu, (0, 2), seed=9)
         assert np.array_equal(a.frames, b.frames)
+
+    @pytest.mark.parametrize("noise", [None, dict(BENCH_NOISE, drift_sigma_ori=0.0,
+                                                  gaussian_sigma_acc=0.0)])
+    def test_combos_in_one_call_bitwise_equal_per_case(self, noise):
+        imu = synthesize_pairs([4], duration_s=1.0, fps=60.0)[0][1]
+        combos = [(3,), (0, 5), (1, 2, 4), (2,), (5, 0, 1), (4, 3)]
+        seeds = [11, 2**31 + 5, 0, 7, 11, 123456789]
+        got = evalbench._corrupt_combos(imu, combos, seeds, noise)
+        assert got.shape == (len(combos), *imu.frames.shape)
+        for combo, seed, frames in zip(combos, seeds, got):
+            assert frames.tobytes() == corrupt_sensors(imu, combo, seed, noise).frames.tobytes()
 
 
 class NineLayerPoser:
@@ -287,6 +303,39 @@ class TestBenchmark:
             per_sensor.append(np.concatenate([e.ravel() for e in errs]).mean() * 100)
         want = float(np.mean(per_sensor))
         assert report.row("tokenized", 1)["mpjpe_cm"] == pytest.approx(want, rel=1e-9)
+
+    def test_rows_bitwise_equal_per_case_reference_loop(self, trained_trio, bench_pairs):
+        # the benchmark as first written: one corrupt_sensors call per case,
+        # combinations outermost, pooled sums added case by case
+        mp, ip, bp = trained_trio
+        seed, levels = 8, (1, 2, 3)
+        from imutok.evalbench import (_baseline_predict, _case_seed, _sensor_combos,
+                                      _tokenized_predict)
+        from imutok.stream import InferencePipeline
+        pipe = InferencePipeline.from_checkpoint(load_checkpoint(ip))
+        (base,), _, base_stats = load_trained(bp, "baseline_poser")
+        predict = {"tokenized": lambda imu: _tokenized_predict(pipe, imu),
+                   "baseline": lambda imu: _baseline_predict(base, base_stats, imu)}
+        gt_pos = [joint_positions(gt) for gt, _ in bench_pairs]
+        want = []
+        for level in levels:
+            sums = {m: [0.0, 0, 0.0] for m in predict}
+            combos = _sensor_combos(level, seed)
+            for ci, combo in enumerate(combos):
+                for si, ((gt, imu), p_gt) in enumerate(zip(bench_pairs, gt_pos)):
+                    imu = corrupt_sensors(imu, combo, _case_seed(seed, level, ci, si))
+                    for m in predict:
+                        pred = predict[m](imu)
+                        p = joint_positions(MotionSequence(pred.frames[:len(p_gt)], gt.fps))
+                        d = np.linalg.norm(p - p_gt[:len(p)], axis=2)
+                        sums[m][0] += float(d.sum())
+                        sums[m][1] += d.size
+                        sums[m][2] += jitter(p, gt.fps)
+            cases = len(combos) * len(bench_pairs)
+            want += [{"method": m, "level": level, "mpjpe_cm": 100.0 * e / n,
+                      "jitter": j / cases, "cases": cases} for m, (e, n, j) in sums.items()]
+        report = run_noise_benchmark(ip, mp, bp, bench_pairs, levels=levels, seed=seed)
+        assert [r for r in report.rows if r["level"] > 0] == want
 
     def test_ground_truth_jitter_row_is_exact(self, trained_trio, bench_pairs):
         mp, ip, bp = trained_trio

@@ -4,12 +4,13 @@ FormatError / DigestMismatch, never another exception."""
 
 import hashlib
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from imutok import checkpoint, fileio, stream
-from imutok.errors import DigestMismatch, FormatError
+from imutok.errors import DigestMismatch, FormatError, InvalidArgument
 from imutok.imusim import IMU_WIDTH
 from imutok.motion import MOTION_WIDTH
 
@@ -62,11 +63,34 @@ class TestFrameHeaders:
         path = _frame_file(tmp_path / "f.mji1", b"MJI1", IMU_WIDTH, units=6, fps=fps)
         with pytest.raises(FormatError, match="fps"):
             fileio.read_imu_file(path)
+        # the token type rejects the fps, so the writer cannot produce this
+        # file: patch the header's fps field and the checksum by hand
+        with pytest.raises(InvalidArgument, match="fps"):
+            stream.TokenSequence(tokens=np.arange(3), l=4, fps=fps, K=8,
+                                 codebook_digest=bytes(32))
         path = tmp_path / "f.mjt"
         stream.write_token_stream(path, stream.TokenSequence(
-            tokens=np.arange(3), l=4, fps=fps, K=8, codebook_digest=bytes(32)))
+            tokens=np.arange(3), l=4, fps=60.0, K=8, codebook_digest=bytes(32)))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 8, fps)   # after the magic and the u32 version
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="fps"):
             stream.read_token_stream(path)
+
+    @pytest.mark.parametrize("fps", [1e-50, 1e39])
+    def test_fps_a_float32_header_cannot_hold_raises_at_write(self, tmp_path, fps):
+        # positive and finite, but float32 rounds it to 0 or infinity, which
+        # the readers reject
+        tok = stream.TokenSequence(tokens=np.arange(3), l=4, fps=fps, K=8,
+                                   codebook_digest=bytes(32))
+        for write in (lambda p: fileio.write_motion_file(p, np.zeros((2, MOTION_WIDTH)), fps),
+                      lambda p: fileio.write_imu_file(p, np.zeros((2, IMU_WIDTH)), fps),
+                      lambda p: stream.write_token_stream(p, tok)):
+            path = tmp_path / "f.bin"
+            with pytest.raises(InvalidArgument, match="fps"):
+                write(path)
+            assert not path.exists()
 
     def test_huge_declared_frame_count_is_a_format_error(self, tmp_path):
         # 2^26 frames of 271 floats would be 72 GB; the length check fails first

@@ -67,6 +67,78 @@ class TestRot6d:
             geom.rot6d_to_matrix_batch(codes, fallback=False)
 
 
+def _rot6d_reference(r, fallback=False):
+    """The decode as first written, with np.linalg.norm, np.sum, np.cross
+    and np.stack: the bitwise oracle for rot6d_to_matrix_batch."""
+    r = np.asarray(r, dtype=np.float64)
+    shape = r.shape[:-1]
+    flat = r.reshape(-1, 6)
+    a1, a2 = flat[:, :3], flat[:, 3:]
+    n1 = np.linalg.norm(a1, axis=1)
+    bad1 = n1 <= 1e-8
+    b1 = a1 / np.where(bad1, 1.0, n1)[:, None]
+    a2p = a2 - np.sum(b1 * a2, axis=1, keepdims=True) * b1
+    n2 = np.linalg.norm(a2p, axis=1)
+    bad2 = n2 <= 1e-8
+    b2 = a2p / np.where(bad2, 1.0, n2)[:, None]
+    bad = bad1 | bad2
+    if bad.any():
+        if not fallback:
+            raise DegenerateInput("degenerate 6D rotation in batch")
+        b1[bad] = np.array([1.0, 0.0, 0.0])
+        b2[bad] = np.array([0.0, 1.0, 0.0])
+    b3 = np.cross(b1, b2)
+    return np.stack([b1, b2, b3], axis=2).reshape(*shape, 3, 3)
+
+
+class TestRot6dOracle:
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (480, 21), (3, 5, 40)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    def test_bitwise_equal_to_reference(self, shape, scale):
+        rng = np.random.default_rng([len(shape), int(np.log10(scale)) + 6])
+        r = rng.normal(size=shape + (6,)) * scale
+        r[..., 3:] *= rng.uniform(0.01, 100.0, size=shape + (1,))
+        given = r.copy()
+        for fallback in (False, True):
+            got = geom.rot6d_to_matrix_batch(r, fallback=fallback)
+            assert r.tobytes() == given.tobytes()  # the input is left alone
+            assert got.shape == shape + (3, 3) and got.flags.c_contiguous
+            assert got.tobytes() == _rot6d_reference(r, fallback=fallback).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_degenerate_rows_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(2)
+        r = rng.normal(size=(12, 6))
+        r[0] = 0.0                                     # all zero
+        r[1, :3] = 0.0                                 # zero first column
+        r[2, 3:] = 0.0                                 # zero second column
+        r[3, 3:] = 2.5 * r[3, :3]                      # parallel columns
+        r[4, 3:] = -r[4, :3]                           # antiparallel columns
+        r[5, :3] = [1e-9, 0.0, 0.0]                    # below the column threshold
+        r[6] = [1e-200, 1e-200, 0.0, 1.0, 0.0, 0.0]    # squares underflow
+        r[7] = [1e200, 1e200, 0.0, 0.0, 1.0, 0.0]      # squares overflow
+        r[8, :3] = [-0.0, 0.0, -0.0]
+        for fallback in (False, True):
+            for row in r:
+                try:
+                    want = _rot6d_reference(row, fallback=fallback)
+                except DegenerateInput:
+                    with pytest.raises(DegenerateInput):
+                        geom.rot6d_to_matrix_batch(row, fallback=fallback)
+                    continue
+                assert geom.rot6d_to_matrix_batch(row, fallback=fallback).tobytes() == \
+                    want.tobytes()
+        assert geom.rot6d_to_matrix_batch(r.reshape(3, 4, 6), fallback=True).tobytes() == \
+            _rot6d_reference(r.reshape(3, 4, 6), fallback=True).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (480, 22), (476, 1), (5, 7, 9)])
+def test_norm3_bitwise_equals_linalg_norm(shape):
+    v = np.random.default_rng(len(shape)).normal(size=shape + (3,))
+    assert geom.norm3(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+
 class TestSo3:
     def test_exp_log_round_trip(self):
         rng = np.random.default_rng(9)

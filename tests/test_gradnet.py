@@ -409,6 +409,40 @@ class TestElementwiseGradients:
         want = 0.25 * xp[:, :-2] + 0.5 * xp[:, 1:-1] + 0.25 * xp[:, 2:]
         assert_allclose(out, want, rtol=1e-12)
 
+    @staticmethod
+    def _smooth_reference(x, w, g):
+        """Value and gradient through an edge-padded copy, as first written."""
+        half, T = len(w) // 2, x.shape[-1]
+        xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)], mode="edge")
+        out = np.zeros_like(x)
+        for j in range(len(w)):
+            out += x.dtype.type(w[j]) * xp[..., j:j + T]
+        gp = np.zeros_like(xp)
+        for j in range(len(w)):
+            gp[..., j:j + T] += x.dtype.type(w[j]) * g
+        gx = gp[..., half:half + T].copy()
+        for j in range(half):
+            gx[..., 0] += gp[..., j]
+            gx[..., -1] += gp[..., half + T + j]
+        return out, gx
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_depthwise_smooth_bitwise_equals_padded_reference(self, dtype):
+        rng = np.random.default_rng(9)
+        kernels = [[1.0], [0.25, 0.5, 0.25], np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0,
+                   rng.normal(size=7)]
+        for T in (1, 2, 3, 4, 5, 6, 7, 50):
+            for w in kernels:
+                for shape in ((T,), (3, T), (2, 5, T)):
+                    x = rng.normal(size=shape).astype(dtype)
+                    g = rng.normal(size=shape).astype(dtype)
+                    t = Tensor(x, requires_grad=True)
+                    y = gn.depthwise_smooth(t, w)
+                    gn.tsum(gn.mul(y, Tensor(g))).backward()
+                    want_y, want_g = self._smooth_reference(x, np.asarray(w), g)
+                    assert y.value.tobytes() == want_y.tobytes(), (T, len(w), shape)
+                    assert t.grad.tobytes() == want_g.tobytes(), (T, len(w), shape)
+
     def test_depthwise_smooth_gradients(self):
         rng = np.random.default_rng(8)
         x = leaf(rng, 2, 4, 9)

@@ -6,8 +6,8 @@ from imutok import fileio, geom, imusim
 from imutok.errors import EmptyCorpus, ImutokError, InvalidArgument, TooShort
 from imutok.imusim import (IMU_WIDTH, SL_ACC, SL_GYR, InertiaSequence,
                            NoiseConfig, NormStats, SensorPlacement, apply_corruption,
-                           apply_drift, fit_norm_stats,
-                           normalize_acceleration, synthesize_imu)
+                           apply_corruption_batch, apply_drift, apply_drift_batch,
+                           fit_norm_stats, normalize_acceleration, synthesize_imu)
 from imutok.motion import RawPoseTrack, generate_synthetic_motion
 from imutok.skeleton import STANDING_ROOT_HEIGHT, forward_kinematics_sequence
 from tests.test_geom import ref_exp_so3
@@ -119,6 +119,97 @@ class TestNoiseConfig:
     def test_hostile_profiles_raise(self, kwargs):
         with pytest.raises(InvalidArgument):
             NoiseConfig(**kwargs)
+
+
+def _drift_reference(frames, cfg, sensors):
+    """apply_drift as first written: one sensor at a time, one 3x3 product
+    per frame of the orientation walk."""
+    out = frames.copy()
+    T = len(frames)
+    for i in sensors:
+        rng = imusim._sensor_rng(cfg.seed, 1, i)
+        if cfg.drift_sigma_ori > 0:
+            inc = rng.normal(0.0, cfg.drift_sigma_ori, size=(T - 1, 3))
+            R = geom.rot6d_to_matrix_batch(frames[:, 6 * i:6 * i + 6], fallback=True)
+            D = geom.exp_so3(inc)
+            for t in range(1, T - 1):
+                D[t] = D[t] @ D[t - 1]
+            drifted = R.copy()
+            drifted[1:] = D @ R[1:]
+            out[:, 6 * i:6 * i + 6] = geom.matrix_to_rot6d_batch(drifted)
+        for sl, sigma in ((SL_ACC, cfg.drift_sigma_acc), (SL_GYR, cfg.drift_sigma_gyr)):
+            if sigma > 0:
+                walk = np.zeros((T, 3))
+                walk[1:] = np.cumsum(rng.normal(0.0, sigma, size=(T - 1, 3)), axis=0)
+                out[:, sl.start + 3 * i:sl.start + 3 * i + 3] += walk
+    return out
+
+
+def _corruption_reference(frames, cfg):
+    """apply_corruption's per-frame noise as first written, one sensor at a
+    time (no dropout)."""
+    out = frames.copy()
+    T = len(frames)
+    for i in cfg.corrupted_sensors:
+        rng = imusim._sensor_rng(cfg.seed, 2, i)
+        if cfg.gaussian_sigma_ori > 0:
+            zeta = rng.normal(0.0, cfg.gaussian_sigma_ori, size=(T, 3))
+            R = geom.rot6d_to_matrix_batch(frames[:, 6 * i:6 * i + 6], fallback=True)
+            out[:, 6 * i:6 * i + 6] = geom.matrix_to_rot6d_batch(geom.exp_so3(zeta) @ R)
+        for sl, sigma in ((SL_ACC, cfg.gaussian_sigma_acc), (SL_GYR, cfg.gaussian_sigma_gyr)):
+            if sigma > 0:
+                out[:, sl.start + 3 * i:sl.start + 3 * i + 3] += rng.normal(0.0, sigma,
+                                                                            size=(T, 3))
+    return out
+
+
+# mixed cases for the batched forms: sensor sets of 0 to 3 sensors, and
+# configs that switch single noise sources off
+_BATCH_CASES = [
+    ((0,), dict(seed=1)),
+    ((2, 5), dict(seed=2, drift_sigma_ori=0.09, gaussian_sigma_ori=0.3)),
+    ((1, 3, 4), dict(seed=3, drift_sigma_acc=0.0, gaussian_sigma_acc=2.0)),
+    ((), dict(seed=4)),
+    ((5, 0, 3), dict(seed=5, drift_sigma_ori=0.0, gaussian_sigma_gyr=0.5)),
+    ((4,), dict(seed=6, gaussian_sigma_ori=0.0, gaussian_sigma_acc=1.0)),
+]
+
+
+class TestBatched:
+    @pytest.mark.parametrize("T", [1, 2, 3, 60])
+    def test_drift_batch_bitwise_equals_per_sensor_reference(self, T):
+        seqs = [_random_imu(T=T, seed=s) for s in range(len(_BATCH_CASES))]
+        cfgs = [NoiseConfig(**kw) for _, kw in _BATCH_CASES]
+        sensor_sets = [sensors for sensors, _ in _BATCH_CASES]
+        frames = np.stack([q.frames for q in seqs])
+        got = apply_drift_batch(frames, cfgs, sensor_sets)
+        assert np.array_equal(frames, np.stack([q.frames for q in seqs]))  # input untouched
+        for c, (seq, cfg, sensors) in enumerate(zip(seqs, cfgs, sensor_sets)):
+            want = _drift_reference(seq.frames, cfg, sensors)
+            assert got[c].tobytes() == want.tobytes()
+            assert apply_drift(seq, cfg, sensors=sensors).frames.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 60])
+    def test_corruption_batch_bitwise_equals_per_sensor_reference(self, T):
+        seqs = [_random_imu(T=T, seed=10 + s) for s in range(len(_BATCH_CASES))]
+        noise = dict(gaussian_sigma_ori=0.2, gaussian_sigma_acc=3.0, gaussian_sigma_gyr=1.0)
+        cfgs = [NoiseConfig(corrupted_sensors=sensors, **{**noise, **kw})
+                for sensors, kw in _BATCH_CASES]
+        frames = np.stack([q.frames for q in seqs])
+        got = apply_corruption_batch(frames, cfgs)
+        for c, (seq, cfg) in enumerate(zip(seqs, cfgs)):
+            want = _corruption_reference(seq.frames, cfg)
+            assert got[c].tobytes() == want.tobytes()
+            assert apply_corruption(seq, cfg).frames.tobytes() == want.tobytes()
+
+    def test_batch_shape_and_sensor_checks(self):
+        frames = _random_imu(T=10).frames
+        with pytest.raises(ImutokError):
+            apply_drift_batch(frames, [NoiseConfig()], [(0,)])           # no case axis
+        with pytest.raises(ImutokError):
+            apply_drift_batch(frames[None], [NoiseConfig()] * 2, [(0,)])  # two configs
+        with pytest.raises(InvalidArgument):
+            apply_drift_batch(frames[None], [NoiseConfig()], [(6,)])
 
 
 class TestDrift:
@@ -262,6 +353,27 @@ class TestCorruption:
         assert changed.size > 0
         cut = changed[0]
         assert_allclose(col[cut:], col[cut - 1], atol=1e-12)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 8, 13])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dropout_cut_leaves_the_first_frame(self, T, seed):
+        # the cut is drawn from [max(1, T // 4), max(T // 4 + 1, 3T // 4)):
+        # a frame before it always exists to hold, and for T >= 4 the range,
+        # and so the draw, is what it always was
+        seq = InertiaSequence(frames=np.zeros((T, IMU_WIDTH)), fps=60.0)
+        seq.frames[:, 0] = 1.0
+        seq.frames[:, 4] = 1.0
+        seq.frames[:, SL_ACC.start] = np.arange(T) + 1.0
+        cfg = NoiseConfig(corrupted_sensors=(0,), dropout=(True,) + (False,) * 5, seed=seed)
+        col = apply_corruption(seq, cfg).frames[:, SL_ACC.start]
+        lo = max(1, T // 4)
+        cut = int(imusim._sensor_rng(seed, 3, 0).integers(lo, max(lo + 1, 3 * T // 4)))
+        assert 1 <= cut
+        assert np.array_equal(col[:cut], np.arange(cut) + 1.0)
+        assert np.all(col[cut:] == cut)
+        if T >= 4:
+            rng = imusim._sensor_rng(seed, 3, 0)
+            assert cut == int(rng.integers(T // 4, max(T // 4 + 1, 3 * T // 4)))
 
 
 class TestNormStats:

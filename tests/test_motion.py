@@ -79,6 +79,19 @@ class TestForwardKinematics:
             bone = np.linalg.norm(pos[:, j] - pos[:, PARENTS[j]], axis=1)
             assert_allclose(bone, np.linalg.norm(REST_OFFSETS[j]), atol=1e-12)
 
+    def test_positions_without_rotations_are_bitwise_the_same(self):
+        # positions-only FK skips the leaf joints' global rotations, which no
+        # position reads
+        rng = np.random.default_rng(5)
+        T = 30
+        rots = np.stack([[geom.random_rotation(rng) for _ in range(21)] for _ in range(T)])
+        root_rot = np.stack([geom.random_rotation(rng) for _ in range(T)])
+        root_pos = rng.normal(size=(T, 3))
+        pos, glob = forward_kinematics_sequence(root_pos, root_rot, rots, return_rotations=True)
+        assert forward_kinematics_sequence(root_pos, root_rot, rots).tobytes() == pos.tobytes()
+        for j in range(1, JOINT_COUNT):
+            assert glob[:, j].tobytes() == (glob[:, PARENTS[j]] @ rots[:, j - 1]).tobytes()
+
 
 class TestRepresentation:
     def test_width_is_271(self):
@@ -243,6 +256,26 @@ class TestSyntheticMotion:
     def test_duration_and_fps_must_be_finite_and_positive(self, duration_s, fps):
         with pytest.raises(InvalidArgument):
             generate_synthetic_motion(0, duration_s, fps, "walk")
+
+
+class TestFpsRule:
+    @pytest.mark.parametrize("fps", [0.0, -60.0, float("nan"), float("inf"), -float("inf")])
+    def test_sequence_types_reject_bad_fps(self, fps):
+        from imutok.imusim import IMU_WIDTH, InertiaSequence
+        from imutok.stream import TokenSequence
+        with pytest.raises(InvalidArgument, match="fps"):
+            motion.MotionSequence(frames=np.zeros((4, MOTION_WIDTH)), fps=fps)
+        with pytest.raises(InvalidArgument, match="fps"):
+            RawPoseTrack(root_pos=np.zeros((4, 3)), root_rot=np.tile(np.eye(3), (4, 1, 1)),
+                         local_rots=np.tile(np.eye(3), (4, 21, 1, 1)), fps=fps)
+        with pytest.raises(InvalidArgument, match="fps"):
+            InertiaSequence(frames=np.zeros((4, IMU_WIDTH)), fps=fps)
+        with pytest.raises(InvalidArgument, match="fps"):
+            TokenSequence(tokens=np.arange(3), l=4, fps=fps, K=8, codebook_digest=bytes(32))
+
+    @pytest.mark.parametrize("fps", [1e-3, 60.0, 1e6])
+    def test_positive_finite_fps_accepted(self, fps):
+        assert motion.MotionSequence(frames=np.zeros((4, MOTION_WIDTH)), fps=fps).fps == fps
 
 
 class TestMotionFile:
