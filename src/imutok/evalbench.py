@@ -6,7 +6,10 @@ byte-identical corrupted inputs.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -179,6 +182,25 @@ def _corrupt_combos(imu: InertiaSequence, combos, seeds, noise: dict | None) -> 
     return apply_corruption_batch(drifted, cfgs)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _score_case(predictor, case: InertiaSequence, p_gt: np.ndarray, fps: float) -> tuple:
+    """(error sum, distance count, jitter) of one method on one case. The
+    ground truth (no predictor) scores its own pose, which gives its jitter."""
+    p = p_gt
+    if predictor:
+        pred = predictor(case)
+        p = joint_positions(MotionSequence(pred.frames[:len(p_gt)], fps))
+    d = norm3(p - p_gt[:len(p)])
+    return float(d.sum()), d.size, jitter(p, fps)
+
+
 def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
                         levels=(1, 2, 3), seed: int = 0,
                         noise: dict | None = None) -> MetricReport:
@@ -186,7 +208,10 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
     corrupted inputs; single-sensor level iterates all six sensors, higher
     levels sample seeded sensor combinations. Level 0 rows hold the clean
     pass of each method. Each checkpoint is a ``Checkpoint`` or a path;
-    ``levels`` must be distinct corrupted-sensor counts in 1..6."""
+    ``levels`` must be distinct corrupted-sensor counts in 1..6.
+
+    The cases of a pair are scored on a thread pool as large as the CPUs
+    the process may use; every row is bitwise the serial loop's."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyCorpus("the noise benchmark needs at least one held-out pair")
@@ -208,52 +233,59 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
         "mesh_error": "unavailable (no body mesh in scope)",
     })
     # method -> predictor; ground truth (level 0 only) scores the reference
-    # pose itself, which gives its jitter
+    # pose itself
     predict = {
         "tokenized": lambda imu: _tokenized_predict(pipe, imu),
         "baseline": lambda imu: _baseline_predict(base_model, base_stats, imu),
         "ground_truth": None,
     }
+    # level 0 is the clean pass: one empty sensor combination
+    plan = [(level, _sensor_combos(level, seed) if level else [()],
+             [m for m in predict if level == 0 or predict[m]]) for level in (0, *levels)]
 
     # ground-truth FK once per pair; FK is per frame, so a prefix of it is
     # the FK of the truncated sequence
     gt_pos = [joint_positions(gt) for gt, _ in pairs]
 
-    # level 0 is the clean pass: one empty sensor combination. Each pair's
-    # combinations are corrupted in one call; the pooled sums then add the
-    # cases up combination-major, so every row is bitwise the case-by-case sum
-    for level in (0, *levels):
-        combos = _sensor_combos(level, seed) if level else [()]
-        methods = [m for m in predict if level == 0 or predict[m]]
-        scores = {m: [[None] * len(pairs) for _ in combos] for m in methods}
-        for si, ((gt, imu), p_gt) in enumerate(zip(pairs, gt_pos)):
-            inputs = [imu]
-            if level:
-                seeds = [_case_seed(seed, level, ci, si) for ci in range(len(combos))]
-                inputs = [InertiaSequence(frames=f, fps=imu.fps)
-                          for f in _corrupt_combos(imu, combos, seeds, noise)]
-            for ci, case in enumerate(inputs):
-                for m in methods:
-                    p = p_gt
-                    if predict[m]:
-                        pred = predict[m](case)
-                        p = joint_positions(MotionSequence(pred.frames[:len(p_gt)], gt.fps))
-                    d = norm3(p - p_gt[:len(p)])
-                    scores[m][ci][si] = (float(d.sum()), d.size, jitter(p, gt.fps))
-        for m in methods:
-            err_sum, err_n, jit_sum = 0.0, 0, 0.0
-            for per_pair in scores[m]:
-                for err, n, jit in per_pair:
-                    err_sum += err
-                    err_n += n
-                    jit_sum += jit
-            cases = len(combos) * len(pairs)
-            report.rows.append({
-                "method": m, "level": level,
-                "mpjpe_cm": 100.0 * err_sum / max(err_n, 1),
-                "jitter": jit_sum / max(cases, 1),
-                "cases": cases,
-            })
+    # Each pair's combinations are corrupted in one call in this thread, so
+    # every random draw is the serial loop's. The (combination, method) jobs
+    # then run on the pool, each with the GEMM shapes it has alone, and their
+    # results are stored by index; the pooled sums add the cases up
+    # combination-major, so every row is bitwise the case-by-case sum.
+    # The jobs share only what inference reads: the loaded parameters are
+    # frozen (no op records a graph or writes a gradient), the Codebook and
+    # the InferencePipeline are not written after loading, and
+    # gradnet._conv_taps's lru_cache holds immutable tuples. Every array a
+    # job writes, it allocates.
+    workers = min(_usable_cpus(), max(len(combos) * len(methods) for _, combos, methods in plan))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for level, combos, methods in plan:
+            scores = {m: [[None] * len(pairs) for _ in combos] for m in methods}
+            for si, ((gt, imu), p_gt) in enumerate(zip(pairs, gt_pos)):
+                inputs = [imu]
+                if level:
+                    seeds = [_case_seed(seed, level, ci, si) for ci in range(len(combos))]
+                    inputs = [InertiaSequence(frames=f, fps=imu.fps)
+                              for f in _corrupt_combos(imu, combos, seeds, noise)]
+                jobs = [(ci, m) for ci in range(len(inputs)) for m in methods]
+                results = pool.map(_score_case, [predict[m] for _, m in jobs],
+                                   [inputs[ci] for ci, _ in jobs], repeat(p_gt), repeat(gt.fps))
+                for (ci, m), result in zip(jobs, results):
+                    scores[m][ci][si] = result
+            for m in methods:
+                err_sum, err_n, jit_sum = 0.0, 0, 0.0
+                for per_pair in scores[m]:
+                    for err, n, jit in per_pair:
+                        err_sum += err
+                        err_n += n
+                        jit_sum += jit
+                cases = len(combos) * len(pairs)
+                report.rows.append({
+                    "method": m, "level": level,
+                    "mpjpe_cm": 100.0 * err_sum / max(err_n, 1),
+                    "jitter": jit_sum / max(cases, 1),
+                    "cases": cases,
+                })
     return report
 
 

@@ -224,10 +224,12 @@ def apply_drift_batch(frames: np.ndarray, cfgs, sensor_sets) -> np.ndarray:
     Every (case, sensor) row draws from the stream ``apply_drift`` gives it,
     in the same order, and all orientation walks are composed in one loop over
     frames, so each case is bitwise what ``apply_drift`` makes of it alone.
-    Returns the drifted copy.
+    Returns the drifted copy; 0-frame cases come back empty, drawing nothing.
     """
     out, rows = _rows_of(frames, cfgs, sensor_sets)
     T = out.shape[1]
+    if T == 0:
+        return out
     rngs = [_sensor_rng(cfgs[c].seed, 1, i) for c, i in rows]
     ori = [k for k, (c, _) in enumerate(rows) if cfgs[c].drift_sigma_ori > 0]
     if ori:
@@ -273,10 +275,13 @@ def apply_corruption_batch(frames: np.ndarray, cfgs) -> np.ndarray:
     Every (case, sensor) row draws from the streams ``apply_corruption``
     gives it, in the same order, and all orientation perturbations are
     applied in one pass, so each case is bitwise what ``apply_corruption``
-    makes of it alone. Returns the corrupted copy.
+    makes of it alone. Returns the corrupted copy; 0-frame cases come back
+    empty, drawing nothing.
     """
     out, rows = _rows_of(frames, cfgs, [cfg.corrupted_sensors for cfg in cfgs])
     T = out.shape[1]
+    if T == 0:
+        return out
     rngs = [_sensor_rng(cfgs[c].seed, 2, i) for c, i in rows]
     ori = [k for k, (c, _) in enumerate(rows) if cfgs[c].gaussian_sigma_ori > 0]
     if ori:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from imutok.evalbench import (BENCH_NOISE, MetricReport, augment_and_normalize,
                               run_noise_benchmark, synthesize_pairs, train_baseline_poser,
                               write_report_file)
 from imutok.gradnet import Conv1d
+from imutok.imusim import InertiaSequence
 from imutok.models import LEAKY_SLOPE, SMOOTH_KERNEL, BaselinePoser, _sigmoid_contacts
 from imutok.motion import MOTION_WIDTH, MotionSequence
 from imutok.trainer import TrainConfig, load_trained, train_imu_tokenizer, train_motion_vqvae
@@ -270,6 +274,19 @@ def bench_pairs():
     return synthesize_pairs([100, 101], duration_s=2.0, fps=60.0)
 
 
+def _record_pool_sizes(monkeypatch) -> list:
+    """Patch the benchmark's pool class so each pool it makes appends its size."""
+    sizes = []
+
+    class Recorded(evalbench.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(evalbench, "ThreadPoolExecutor", Recorded)
+    return sizes
+
+
 class TestBenchmark:
     def test_zero_noise_equals_clean_metrics(self, trained_trio, bench_pairs):
         mp, ip, bp = trained_trio
@@ -336,6 +353,48 @@ class TestBenchmark:
                       "jitter": j / cases, "cases": cases} for m, (e, n, j) in sums.items()]
         report = run_noise_benchmark(ip, mp, bp, bench_pairs, levels=levels, seed=seed)
         assert [r for r in report.rows if r["level"] > 0] == want
+
+    def test_rows_do_not_depend_on_worker_count(self, trained_trio, bench_pairs, monkeypatch):
+        mp, ip, bp = trained_trio
+        sizes = _record_pool_sizes(monkeypatch)
+        rows = []
+        # three workers, more than most test machines have cores, switching
+        # often: a job that wrote shared state would show in the rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 3):
+                monkeypatch.setattr(evalbench, "_usable_cpus", lambda: cpus)
+                rows.append(run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(1, 2, 3),
+                                                seed=4).rows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [1, 3]
+        assert rows[0] == rows[1]
+
+    def test_pool_size_is_capped_by_the_jobs(self, trained_trio, bench_pairs, monkeypatch):
+        # the clean pass alone has three jobs a pair: two methods and the ground truth
+        mp, ip, bp = trained_trio
+        sizes = _record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(evalbench, "_usable_cpus", lambda: 64)
+        run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(), seed=0)
+        run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(1,), seed=0)
+        assert sizes == [3, 12]
+
+    def test_pool_errors_propagate_and_no_worker_outlives_the_call(self, trained_trio,
+                                                                   bench_pairs, monkeypatch):
+        mp, ip, bp = trained_trio
+        monkeypatch.setattr(evalbench, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(1,), seed=0)
+        assert threading.active_count() == before
+        gt, imu = bench_pairs[1]
+        frames = imu.frames.copy()
+        frames[7, 40] = np.nan
+        bad = [bench_pairs[0], (gt, InertiaSequence(frames=frames, fps=imu.fps))]
+        with pytest.raises(InvalidArgument, match="IMU frames contain NaN or infinite values"):
+            run_noise_benchmark(ip, mp, bp, bad, levels=(1,), seed=0)
+        assert threading.active_count() == before
 
     def test_ground_truth_jitter_row_is_exact(self, trained_trio, bench_pairs):
         mp, ip, bp = trained_trio

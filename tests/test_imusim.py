@@ -212,6 +212,43 @@ class TestBatched:
             apply_drift_batch(frames[None], [NoiseConfig()], [(6,)])
 
 
+class TestZeroFrames:
+    """A 0-frame sequence is a valid InertiaSequence: drift and corruption
+    return it empty, without drawing, and still check their arguments."""
+
+    NOISY = dict(drift_sigma_ori=0.1, drift_sigma_acc=0.3, drift_sigma_gyr=0.03,
+                 gaussian_sigma_ori=0.3, gaussian_sigma_acc=2.0, gaussian_sigma_gyr=0.7,
+                 corrupted_sensors=(0, 3), dropout=(True, False, False, True, False, False))
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a 0-frame sequence drew random numbers")
+        monkeypatch.setattr(imusim, "_sensor_rng", refuse)
+
+    def test_single_case_forms(self):
+        seq = InertiaSequence(frames=np.zeros((0, IMU_WIDTH)), fps=50.0)
+        cfg = NoiseConfig(**self.NOISY)
+        for out in (apply_drift(seq, cfg), apply_drift(seq, cfg, sensors=(1,)),
+                    apply_corruption(seq, cfg)):
+            assert out.frames.shape == (0, IMU_WIDTH)
+            assert out.fps == 50.0
+
+    def test_batch_forms(self):
+        frames = np.zeros((3, 0, IMU_WIDTH))
+        cfgs = [NoiseConfig(**{**self.NOISY, "seed": s}) for s in range(3)]
+        drifted = apply_drift_batch(frames, cfgs, [(0,), (1, 2), ()])
+        assert drifted.shape == (3, 0, IMU_WIDTH)
+        assert apply_corruption_batch(drifted, cfgs).shape == (3, 0, IMU_WIDTH)
+
+    def test_arguments_still_checked(self):
+        frames = np.zeros((1, 0, IMU_WIDTH))
+        with pytest.raises(InvalidArgument):
+            apply_drift_batch(frames, [NoiseConfig()], [(6,)])
+        with pytest.raises(ImutokError):
+            apply_corruption_batch(frames, [NoiseConfig()] * 2)
+
+
 class TestDrift:
     def test_zero_sigma_is_identity(self):
         seq = _random_imu()
