@@ -6,7 +6,6 @@ byte-identical corrupted inputs.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -182,14 +181,6 @@ def _corrupt_combos(imu: InertiaSequence, combos, seeds, noise: dict | None) -> 
     return apply_corruption_batch(drifted, cfgs)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _score_case(predictor, case: InertiaSequence, p_gt: np.ndarray, fps: float) -> tuple:
     """(error sum, distance count, jitter) of one method on one case. The
     ground truth (no predictor) scores its own pose, which gives its jitter."""
@@ -210,8 +201,10 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
     pass of each method. Each checkpoint is a ``Checkpoint`` or a path;
     ``levels`` must be distinct corrupted-sensor counts in 1..6.
 
-    The cases of a pair are scored on a thread pool as large as the CPUs
-    the process may use; every row is bitwise the serial loop's."""
+    The cases of a pair are scored on a thread pool of at most
+    ``gn.cpu_lanes()`` workers (the usable CPUs // the BLAS thread count),
+    so the pool and BLAS's own threads do not share a core; every row is
+    bitwise the serial loop's."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyCorpus("the noise benchmark needs at least one held-out pair")
@@ -257,7 +250,7 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
     # the InferencePipeline are not written after loading, and
     # gradnet._conv_taps's lru_cache holds immutable tuples. Every array a
     # job writes, it allocates.
-    workers = min(_usable_cpus(), max(len(combos) * len(methods) for _, combos, methods in plan))
+    workers = min(gn.cpu_lanes(), max(len(combos) * len(methods) for _, combos, methods in plan))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for level, combos, methods in plan:
             scores = {m: [[None] * len(pairs) for _ in combos] for m in methods}

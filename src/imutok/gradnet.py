@@ -8,29 +8,121 @@ Design notes:
     tests), and every op is deterministic for fixed inputs
   * broadcasting is supported on elementwise ops; gradients are summed back
     over broadcast axes
+  * training uses a spare CPU when there is one. ``cpu_lanes()`` is the
+    usable CPUs // the BLAS thread count (a BLAS whose count cannot be read
+    counts as using every CPU), and a worker thread runs only when it is at
+    least 2: in practice when BLAS is pinned to fewer threads than there are
+    cores, as the benchmark pins it, and not at BLAS's default of one thread
+    per core. ``backward`` then runs each conv's weight and bias gradient
+    (a GEMM, a row sum and their two accumulations) on one worker, in sweep
+    order, while the calling thread goes on down the input-gradient chain;
+    ``AdamW.step`` updates the second half of its parameters, by element
+    count, on a worker. Outputs stay bitwise the serial ones: every GEMM is
+    the same call on the same operands at the same BLAS thread count, one
+    FIFO worker keeps each tensor's accumulation order (a conv's weight and
+    bias are written only by that conv's deferred work, which ``backward``
+    checks before it uses the worker), and each parameter's AdamW arithmetic
+    is unchanged. Each worker is started and joined inside its call, and an
+    exception raised on it propagates to the caller.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
 import math
+import os
+import queue
+import threading
+from contextlib import nullcontext
 
 import numpy as np
 
 from .errors import NonScalarRoot, OutOfRange, ShapeMismatch
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS bundled with numpy, read once
+    through ctypes, or None when this numpy has no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            get = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        threads = get()
+        return threads if threads >= 1 else None
+    return None
+
+
+def cpu_lanes() -> int:
+    """How many BLAS calls can run side by side without sharing a CPU: the
+    usable CPUs // the BLAS thread count, at least 1. A BLAS whose thread
+    count cannot be read counts as using every CPU."""
+    cpus = _usable_cpus()
+    return max(1, cpus // (_blas_threads() or cpus))
+
+
+class _Worker:
+    """One thread that runs submitted callables in submission order. It
+    starts on entering the ``with`` block and is joined on leaving it; the
+    first exception a callable raises skips the callables after it and is
+    re-raised in the caller's thread."""
+
+    def __init__(self):
+        self._queue = queue.SimpleQueue()
+        self._error = None
+        self._thread = threading.Thread(target=self._run)
+
+    def __enter__(self) -> _Worker:
+        self._thread.start()
+        return self
+
+    def submit(self, fn) -> None:
+        self._queue.put(fn)
+
+    def _run(self) -> None:
+        while (fn := self._queue.get()) is not None:
+            if self._error is None:
+                try:
+                    fn()
+                except BaseException as exc:  # re-raised by __exit__
+                    self._error = exc
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._queue.put(None)
+        self._thread.join()
+        if self._error is not None and exc_type is None:
+            raise self._error
+
+
 class Tensor:
     """Array node in a dynamically recorded compute graph."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_deferred")
 
-    def __init__(self, value, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, value, requires_grad: bool = False, _parents=(), _backward=None,
+                 _deferred=()):
         self.value = np.asarray(value)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
+        # _backward(g) accumulates into the parents and returns None, or a
+        # callable that does the rest of the work: the accumulation into the
+        # parents listed in _deferred, and nothing else
         self._backward = _backward
+        self._deferred = _deferred
 
     def __float__(self) -> float:
         return float(self.value)
@@ -59,11 +151,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _make(value, parents, backward_fn) -> Tensor:
+def _make(value, parents, backward_fn, deferred=()) -> Tensor:
     req = any(p.requires_grad for p in parents)
     return Tensor(value, requires_grad=req,
                   _parents=parents if req else (),
-                  _backward=backward_fn if req else None)
+                  _backward=backward_fn if req else None,
+                  _deferred=deferred if req else ())
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -101,9 +194,35 @@ def backward(root: Tensor) -> None:
     if root.grad is None:
         root.grad = np.zeros_like(root.value)
     root.grad += np.ones_like(root.value)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+    spare = cpu_lanes() >= 2 and _deferred_writes_are_private(order)
+    with _Worker() if spare else nullcontext() as worker:
+        for node in reversed(order):
+            if node._backward is None:
+                continue
+            work = node._backward(node.grad)
+            if work is None:
+                continue
+            if worker is None:
+                work()
+            else:
+                worker.submit(work)
+
+
+def _deferred_writes_are_private(order) -> bool:
+    """Whether no tensor a node's deferred work writes is also written
+    directly by a node of the sweep. Then each such tensor is written by
+    deferred work alone, all of it on one FIFO worker in sweep order, so it
+    is summed in the serial sweep's order."""
+    deferred, direct = set(), set()
+    for node in order:
+        parents = node._parents
+        if node._deferred:
+            parents = list(parents)
+            for p in node._deferred:
+                parents.remove(p)  # one use each; a Tensor equals only itself
+                deferred.add(id(p))
+        direct.update(map(id, parents))
+    return deferred.isdisjoint(direct)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +392,17 @@ def softmax(a, axis: int = -1) -> Tensor:
 def upsample_nearest(a, factor: int) -> Tensor:
     """Repeat each step along the last (time) axis ``factor`` times."""
     a = as_tensor(a)
-    return _unary(a, np.repeat(a.value, factor, axis=-1),
-                  lambda g: g.reshape(*a.value.shape, factor).sum(axis=-1))
+
+    def grad(g):
+        # slice adds from zero in index order: bitwise the row sums of
+        # g.reshape(..., factor).sum(axis=-1) below 8 terms, without its
+        # short strided reductions
+        out = np.zeros(a.value.shape, dtype=g.dtype)
+        for j in range(factor):
+            out += g[..., j::factor]
+        return out
+
+    return _unary(a, np.repeat(a.value, factor, axis=-1), grad)
 
 
 def _shifted_sum(src: np.ndarray, taps, offsets, dtype) -> np.ndarray:
@@ -428,8 +556,6 @@ def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor
 
     def bw(g):
         g2 = g.reshape(L, B, Cout, Tout).transpose(2, 0, 1, 3).reshape(Cout, L * B * Tout)
-        _accum(weight, (g2 @ cols.T).reshape(weight.value.shape))
-        _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
             gcols = (w_flat.T @ g2).reshape(Cin, k, L, B, Tout)
             gx = np.zeros((Cin, L, B, T), dtype=xv.dtype)
@@ -437,7 +563,15 @@ def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor
                 gx[:, :, :, dst] += gcols[:, j, :, :, t0:t1]
             _accum(x, gx.transpose(1, 2, 0, 3).reshape(xv.shape))
 
-    return _make(out_val, (x, weight, bias), bw)
+        # no later node of the sweep reads a weight gradient, so this work
+        # can run off the input-gradient chain
+        def param_grads():
+            _accum(weight, (g2 @ cols.T).reshape(weight.value.shape))
+            _accum(bias, g2.sum(axis=1))
+
+        return param_grads
+
+    return _make(out_val, (x, weight, bias), bw, deferred=(weight, bias))
 
 
 def linear_forward(x, weight, bias) -> Tensor:
@@ -531,13 +665,30 @@ class AdamW:
             p.grad = None
 
     def step(self, lr: float | None = None) -> None:
+        """One update of every parameter. With a spare CPU (``cpu_lanes()
+        >= 2``) a worker updates the second half of the parameters, split
+        by element count in dict order, while the caller updates the first;
+        each parameter's arithmetic is the same either way."""
         if lr is None:
             lr = self.lr
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - ADAM_BETA1 ** t
         c2 = 1.0 - ADAM_BETA2 ** t
-        for k, p in self.params.items():
+        keys = list(self.params)
+        sizes = np.cumsum([self.params[k].value.size for k in keys])
+        split = int(np.argmin(np.abs(2 * sizes - sizes[-1]))) + 1 if keys else 0
+        distinct = len({id(p) for p in self.params.values()}) == len(keys)
+        if split >= len(keys) or not distinct or cpu_lanes() < 2:
+            self._update(keys, lr, c1, c2)
+            return
+        with _Worker() as worker:
+            worker.submit(functools.partial(self._update, keys[split:], lr, c1, c2))
+            self._update(keys[:split], lr, c1, c2)
+
+    def _update(self, keys, lr: float, c1: float, c2: float) -> None:
+        for k in keys:
+            p = self.params[k]
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.value)

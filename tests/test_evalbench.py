@@ -364,7 +364,7 @@ class TestBenchmark:
         sys.setswitchinterval(1e-5)
         try:
             for cpus in (1, 3):
-                monkeypatch.setattr(evalbench, "_usable_cpus", lambda: cpus)
+                monkeypatch.setattr(gn, "cpu_lanes", lambda: cpus)
                 rows.append(run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(1, 2, 3),
                                                 seed=4).rows)
         finally:
@@ -376,15 +376,24 @@ class TestBenchmark:
         # the clean pass alone has three jobs a pair: two methods and the ground truth
         mp, ip, bp = trained_trio
         sizes = _record_pool_sizes(monkeypatch)
-        monkeypatch.setattr(evalbench, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(gn, "cpu_lanes", lambda: 64)
         run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(), seed=0)
         run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(1,), seed=0)
         assert sizes == [3, 12]
 
+    def test_pool_leaves_each_blas_thread_a_cpu(self, trained_trio, bench_pairs, monkeypatch):
+        # 2 CPUs with BLAS at 2 threads, its default there: one worker
+        mp, ip, bp = trained_trio
+        sizes = _record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(gn, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(gn, "_blas_threads", lambda: 2)
+        run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(), seed=0)
+        assert sizes == [1]
+
     def test_pool_errors_propagate_and_no_worker_outlives_the_call(self, trained_trio,
                                                                    bench_pairs, monkeypatch):
         mp, ip, bp = trained_trio
-        monkeypatch.setattr(evalbench, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(gn, "cpu_lanes", lambda: 3)
         before = threading.active_count()
         run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(1,), seed=0)
         assert threading.active_count() == before

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -394,6 +398,24 @@ class TestElementwiseGradients:
         val = gn.binary_cross_entropy(p, t).value
         assert_allclose(val, [np.log(2.0), -np.log(0.9), -np.log(0.9)], rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", [2, 3, 5])
+    def test_upsample_gradient_is_bitwise_the_reshape_sum(self, dtype, factor):
+        # every factor-tuple of signed zeros, ones, infinities, NaN and the
+        # smallest subnormals, one tuple per output step
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, tiny, -tiny],
+                           dtype=dtype)
+        side = 3 ** factor
+        g = np.stack(np.meshgrid(*[special] * factor, indexing="ij"), axis=-1)
+        g = g.reshape(side, side * factor)
+        a = Tensor(np.zeros((side, side), dtype=dtype), requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            gn.upsample_nearest(a, factor)._backward(g)
+            want = g.reshape(side, side, factor).sum(axis=-1)
+        assert a.grad.dtype == want.dtype
+        assert a.grad.tobytes() == want.tobytes()
+
     def test_depthwise_smooth_preserves_constants(self):
         x = Tensor(np.full((2, 3, 10), 7.5))
         w = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -528,7 +550,7 @@ class TestConv1d:
             x = Tensor(rng.normal(size=(B, 5, T)), requires_grad=True)
             out = layer(x)
             g = rng.normal(size=out.value.shape)
-            out._backward(g)
+            out._backward(g)()  # the returned work accumulates dW and db
             want, (gw, gb, gx) = im2col_conv_reference(
                 x.value, layer.weight.value, layer.bias.value, s, p, g)
             assert_allclose(out.value, want, rtol=1e-12, atol=1e-13)
@@ -625,6 +647,162 @@ class TestOptimizer:
         assert opt2.step_count == 1
         assert np.array_equal(opt2.m["p"], opt.m["p"])
         assert np.array_equal(opt2.v["p"], opt.v["p"])
+
+
+@pytest.fixture
+def spare_cpus(monkeypatch):
+    """Three spare CPUs, so backward and AdamW.step use their worker, and a
+    thread switch every 10 us, so that a race would show."""
+    monkeypatch.setattr(gn, "cpu_lanes", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def _shared_conv_loss(rng, reuse_weight=False):
+    """(loss, convs, input) of a float32 net whose second conv runs three
+    times, so its weight and bias gradients are sums whose order shows.
+    With ``reuse_weight`` the first conv's weight also enters the loss
+    directly, so an op other than its conv writes its gradient."""
+    c1 = Conv1d(6, 16, 3, padding=1, rng=rng)
+    c2 = Conv1d(16, 16, 3, padding=1, rng=rng)
+    x = Tensor(rng.normal(size=(4, 6, 40)).astype(np.float32), requires_grad=True)
+    h = gn.leaky_relu(c1(x))
+    for _ in range(3):
+        h = gn.leaky_relu(c2(h))
+    loss = gn.tsum(gn.mul(h, h))
+    if reuse_weight:
+        loss = gn.add(loss, gn.tsum(gn.mul(c1.weight, c1.weight)))
+    return loss, (c1, c2), x
+
+
+def _grads(convs, x):
+    return [t.grad for c in convs for t in (c.weight, c.bias)] + [x.grad]
+
+
+class TestSpareCpu:
+    @pytest.mark.parametrize("cpus,blas,lanes", [(2, 1, 2), (2, 2, 1), (8, 3, 2), (1, 1, 1),
+                                                 (4, None, 1)])
+    def test_cpu_lanes_is_cpus_over_blas_threads(self, monkeypatch, cpus, blas, lanes):
+        monkeypatch.setattr(gn, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(gn, "_blas_threads", lambda: blas)
+        assert gn.cpu_lanes() == lanes
+
+    def test_backward_is_bitwise_the_serial_sweep(self, monkeypatch, spare_cpus):
+        for reuse in (False, True):
+            grads = {}
+            for lanes in (1, 3, 3, 3):
+                monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
+                loss, convs, x = _shared_conv_loss(np.random.default_rng(5), reuse)
+                loss.backward()
+                grads.setdefault(lanes, []).append(_grads(convs, x))
+            for run in grads[3]:
+                for got, want in zip(run, grads[1][0], strict=True):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_conv_parameters_are_written_by_one_worker_only(self, monkeypatch, spare_cpus):
+        writes = []
+        accum = gn._accum
+
+        def recorded(t, g):
+            writes.append((id(t), threading.get_ident()))
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.002)  # work queues up: a second worker would take some
+            accum(t, g)
+
+        monkeypatch.setattr(gn, "_accum", recorded)
+        loss, convs, x = _shared_conv_loss(np.random.default_rng(5))
+        loss.backward()
+        # one write per use: the first conv runs once, the second three times
+        uses = [convs[0].weight, convs[0].bias] + [convs[1].weight, convs[1].bias] * 3
+        params = {id(t) for t in uses}
+        main = threading.get_ident()
+        on_worker = {ident for t, ident in writes if t in params}
+        assert len(on_worker) == 1 and main not in on_worker
+        assert all(ident == main for t, ident in writes if t not in params)
+        assert sorted(t for t, _ in writes if t in params) == sorted(map(id, uses))
+
+    def test_a_parameter_another_op_writes_keeps_the_serial_sweep(self, monkeypatch,
+                                                                  spare_cpus):
+        writes = []
+        accum = gn._accum
+        monkeypatch.setattr(gn, "_accum",
+                            lambda t, g: writes.append(threading.get_ident()) or accum(t, g))
+        loss, _, _ = _shared_conv_loss(np.random.default_rng(5), reuse_weight=True)
+        loss.backward()
+        assert set(writes) == {threading.get_ident()}
+
+    def test_no_thread_outlives_backward_or_step(self, spare_cpus):
+        before = threading.active_count()
+        loss, convs, x = _shared_conv_loss(np.random.default_rng(5))
+        loss.backward()
+        assert threading.active_count() == before
+        params = {f"{i}.{n}": t for i, c in enumerate(convs)
+                  for n, t in (("w", c.weight), ("b", c.bias))}
+        AdamW(params).step()
+        assert threading.active_count() == before
+
+    def test_deferred_work_error_propagates_and_leaves_no_thread(self, monkeypatch,
+                                                                 spare_cpus):
+        loss, convs, x = _shared_conv_loss(np.random.default_rng(5))
+        accum = gn._accum
+        failing = convs[1].bias
+
+        def accum_or_fail(t, g):
+            if t is failing and threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("injected")
+            accum(t, g)
+
+        monkeypatch.setattr(gn, "_accum", accum_or_fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            loss.backward()
+        assert threading.active_count() == before
+
+    def test_step_is_bitwise_the_serial_update(self, monkeypatch, spare_cpus):
+        shapes = [(16, 6, 3), (16,), (16, 16, 3), (16,), (5, 7)]
+        results = []
+        for lanes in (1, 3):
+            monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
+            r = np.random.default_rng(9)
+            params = {f"p{i}": Tensor(r.normal(size=s).astype(np.float32), requires_grad=True)
+                      for i, s in enumerate(shapes)}
+            opt = AdamW(params, lr=1e-2)
+            for _ in range(3):
+                for p in params.values():
+                    p.grad = r.normal(size=p.value.shape).astype(np.float32)
+                opt.step()
+            results.append([a.tobytes() for a in opt.state_arrays().values()]
+                           + [p.value.tobytes() for p in params.values()])
+        assert results[0] == results[1]
+
+    def test_step_splits_by_element_count_and_worker_errors_propagate(self, monkeypatch,
+                                                                     spare_cpus):
+        # 288 + 16 elements on the caller, 768 + 16 on the worker
+        params = {n: Tensor(np.zeros(s, dtype=np.float32), requires_grad=True)
+                  for n, s in [("a.w", (16, 6, 3)), ("a.b", (16,)), ("b.w", (16, 16, 3)),
+                               ("b.b", (16,))]}
+        opt = AdamW(params)
+        ran = []
+        update = AdamW._update
+
+        def recorded(self, keys, *args):
+            ran.append((list(keys), threading.current_thread() is threading.main_thread()))
+            update(self, keys, *args)
+
+        monkeypatch.setattr(AdamW, "_update", recorded)
+        opt.step()
+        assert sorted(ran) == [(["a.w", "a.b"], True), (["b.w", "b.b"], False)]
+        # one tensor under two names is updated twice, in order, by the caller
+        ran.clear()
+        AdamW({"x": params["a.w"], "y": params["a.w"]}).step()
+        assert ran == [(["x", "y"], True)]
+        params["b.b"].grad = np.zeros(3, dtype=np.float32)
+        before = threading.active_count()
+        with pytest.raises(ShapeMismatch):
+            opt.step()
+        assert threading.active_count() == before
 
 
 class TestCosineSchedule:

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -419,6 +421,32 @@ class TestMissingCheckpointArrays:
         ckpt = without_array(stage2, key, tmp_path / "cut.mjc")
         with pytest.raises(ConfigInvalid, match=key):
             load_trained(ckpt, "imu_tokenizer")
+
+
+def test_worker_leaves_every_checkpoint_byte_identical(tiny_cfg, tiny_pairs, tmp_path,
+                                                      monkeypatch):
+    # stage 1, stage 2 and the baseline with three spare CPUs, switching
+    # threads every 10 us, write the bytes they write without a worker
+    from imutok.evalbench import train_baseline_poser
+    pairs, stats = tiny_pairs
+    cfg = dataclasses.replace(tiny_cfg, total_steps=4)
+    files = {}
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for lanes in (1, 3):
+            monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
+            d = tmp_path / str(lanes)
+            d.mkdir()
+            train_motion_vqvae([m for m, _ in pairs], cfg, ckpt_path=d / "m.mjc")
+            train_imu_tokenizer(pairs, d / "m.mjc", cfg, stats, ckpt_path=d / "i.mjc")
+            train_baseline_poser(pairs, cfg, stats, ckpt_path=d / "b.mjc")
+            files[lanes] = [(d / name).read_bytes() for name in ("m.mjc", "i.mjc", "b.mjc")]
+    finally:
+        sys.setswitchinterval(interval)
+    assert files[3] == files[1]
+    assert threading.active_count() == before
 
 
 @pytest.fixture(scope="module")
