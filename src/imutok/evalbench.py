@@ -20,7 +20,7 @@ from .imusim import (SENSOR_COUNT, InertiaSequence, NoiseConfig, NormStats, appl
                      apply_corruption_batch, apply_drift, apply_drift_batch, fit_norm_stats,
                      normalize_acceleration, synthesize_imu)
 from .models import BaselinePoser, model_arrays
-from .motion import (MotionSequence, build_motion_representation, check_fps,
+from .motion import (MotionSequence, build_motion_representation, check_fps, check_seed,
                      generate_synthetic_motion, track_from_motion)
 from .skeleton import forward_kinematics_sequence
 from .stream import InferencePipeline, decode_tokens, tokenize_sequence
@@ -211,6 +211,7 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
     if len(set(levels)) != len(levels) or not set(levels) <= set(range(1, SENSOR_COUNT + 1)):
         raise InvalidArgument(f"levels must be distinct values in 1..{SENSOR_COUNT}, "
                               f"got {list(levels)}")
+    check_seed(seed)
 
     pipe = InferencePipeline.from_checkpoint(imu_ckpt)
     (motion_model,), _, _ = load_trained(motion_ckpt, "motion_vqvae")

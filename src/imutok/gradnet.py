@@ -8,22 +8,21 @@ Design notes:
     tests), and every op is deterministic for fixed inputs
   * broadcasting is supported on elementwise ops; gradients are summed back
     over broadcast axes
-  * training uses a spare CPU when there is one. ``cpu_lanes()`` is the
+  * ``backward`` uses a spare CPU when there is one. ``cpu_lanes()`` is the
     usable CPUs // the BLAS thread count (a BLAS whose count cannot be read
     counts as using every CPU), and a worker thread runs only when it is at
     least 2: in practice when BLAS is pinned to fewer threads than there are
     cores, as the benchmark pins it, and not at BLAS's default of one thread
     per core. ``backward`` then runs each conv's weight and bias gradient
     (a GEMM, a row sum and their two accumulations) on one worker, in sweep
-    order, while the calling thread goes on down the input-gradient chain;
-    ``AdamW.step`` updates the second half of its parameters, by element
-    count, on a worker. Outputs stay bitwise the serial ones: every GEMM is
-    the same call on the same operands at the same BLAS thread count, one
-    FIFO worker keeps each tensor's accumulation order (a conv's weight and
-    bias are written only by that conv's deferred work, which ``backward``
-    checks before it uses the worker), and each parameter's AdamW arithmetic
-    is unchanged. Each worker is started and joined inside its call, and an
-    exception raised on it propagates to the caller.
+    order, while the calling thread goes on down the input-gradient chain.
+    Gradients stay bitwise the serial ones: every GEMM is the same call on
+    the same operands at the same BLAS thread count, and one FIFO worker
+    keeps each tensor's accumulation order (a conv's weight and bias are
+    written only by that conv's deferred work, which ``backward`` checks
+    before it uses the worker). The worker is started and joined inside
+    ``backward``, and the first exception raised on it propagates to the
+    caller. ``AdamW.step`` runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ import functools
 import glob
 import math
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -72,39 +70,6 @@ def cpu_lanes() -> int:
     count cannot be read counts as using every CPU."""
     cpus = _usable_cpus()
     return max(1, cpus // (_blas_threads() or cpus))
-
-
-class _Worker:
-    """One thread that runs submitted callables in submission order. It
-    starts on entering the ``with`` block and is joined on leaving it; the
-    first exception a callable raises skips the callables after it and is
-    re-raised in the caller's thread."""
-
-    def __init__(self):
-        self._queue = queue.SimpleQueue()
-        self._error = None
-        self._thread = threading.Thread(target=self._run)
-
-    def __enter__(self) -> _Worker:
-        self._thread.start()
-        return self
-
-    def submit(self, fn) -> None:
-        self._queue.put(fn)
-
-    def _run(self) -> None:
-        while (fn := self._queue.get()) is not None:
-            if self._error is None:
-                try:
-                    fn()
-                except BaseException as exc:  # re-raised by __exit__
-                    self._error = exc
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._queue.put(None)
-        self._thread.join()
-        if self._error is not None and exc_type is None:
-            raise self._error
 
 
 class Tensor:
@@ -195,7 +160,8 @@ def backward(root: Tensor) -> None:
         root.grad = np.zeros_like(root.value)
     root.grad += np.ones_like(root.value)
     spare = cpu_lanes() >= 2 and _deferred_writes_are_private(order)
-    with _Worker() if spare else nullcontext() as worker:
+    futures = []
+    with ThreadPoolExecutor(max_workers=1) if spare else nullcontext() as worker:
         for node in reversed(order):
             if node._backward is None:
                 continue
@@ -205,7 +171,9 @@ def backward(root: Tensor) -> None:
             if worker is None:
                 work()
             else:
-                worker.submit(work)
+                futures.append(worker.submit(work))
+    for future in futures:
+        future.result()
 
 
 def _deferred_writes_are_private(order) -> bool:
@@ -665,30 +633,13 @@ class AdamW:
             p.grad = None
 
     def step(self, lr: float | None = None) -> None:
-        """One update of every parameter. With a spare CPU (``cpu_lanes()
-        >= 2``) a worker updates the second half of the parameters, split
-        by element count in dict order, while the caller updates the first;
-        each parameter's arithmetic is the same either way."""
         if lr is None:
             lr = self.lr
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - ADAM_BETA1 ** t
         c2 = 1.0 - ADAM_BETA2 ** t
-        keys = list(self.params)
-        sizes = np.cumsum([self.params[k].value.size for k in keys])
-        split = int(np.argmin(np.abs(2 * sizes - sizes[-1]))) + 1 if keys else 0
-        distinct = len({id(p) for p in self.params.values()}) == len(keys)
-        if split >= len(keys) or not distinct or cpu_lanes() < 2:
-            self._update(keys, lr, c1, c2)
-            return
-        with _Worker() as worker:
-            worker.submit(functools.partial(self._update, keys[split:], lr, c1, c2))
-            self._update(keys[:split], lr, c1, c2)
-
-    def _update(self, keys, lr: float, c1: float, c2: float) -> None:
-        for k in keys:
-            p = self.params[k]
+        for k, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.value)

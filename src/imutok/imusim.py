@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geom
 from .errors import EmptyCorpus, InvalidArgument, ShapeMismatch, TooShort
-from .motion import RawPoseTrack, check_fps
+from .motion import RawPoseTrack, check_fps, check_seed
 from .skeleton import forward_kinematics_sequence
 
 SENSOR_COUNT = 6
@@ -121,6 +121,7 @@ class NoiseConfig:
         if len(self.dropout) != SENSOR_COUNT:
             raise InvalidArgument(f"dropout needs one flag per sensor ({SENSOR_COUNT}), "
                                   f"got {len(self.dropout)}")
+        check_seed(self.seed)
 
 
 @dataclass

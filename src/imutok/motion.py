@@ -9,6 +9,7 @@ A motion frame is a flat 271-dim vector laid out as
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,13 @@ def check_fps(fps) -> None:
     of every sequence type, which the file readers apply as FormatError."""
     if not 0.0 < fps < np.inf:  # also false for NaN
         raise InvalidArgument(f"fps must be positive and finite, got {fps}")
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidArgument unless ``seed`` is a non-negative integer, as
+    numpy's seed sequences require."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass
@@ -241,6 +249,7 @@ def generate_synthetic_motion(seed: int, duration_s: float, fps: float,
             raise InvalidArgument(f"{name} must be finite and positive, got {value}")
     if style not in STYLES:
         raise InvalidArgument(f"unknown style {style!r}, expected one of {STYLES}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     T = int(round(duration_s * fps))
     t = np.arange(T) / fps

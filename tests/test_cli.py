@@ -210,6 +210,21 @@ class TestTrainAndStreamCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    def test_negative_seed_exits_with_error(self, workdir, dataset, checkpoints, capsys):
+        mp, ip, bp = checkpoints
+        profile = workdir / "negative_seed.json"
+        profile.write_text(json.dumps({"seed": -1}))
+        for argv in (["motion", "gen", "--seed", "-1", "--out", str(workdir / "no.mjt1")],
+                     ["imu", "simulate", "--motion", str(dataset / "seq0.mjt1"),
+                      "--noise-profile", str(profile), "--out", str(workdir / "no.mji1")],
+                     ["bench", "noise", "--imu-ckpt", str(ip), "--motion-ckpt", str(mp),
+                      "--baseline-ckpt", str(bp), "--count", "1", "--duration", "2",
+                      "--seed", "-1"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "seed" in captured.err
+            assert captured.out == ""
+
     @pytest.mark.parametrize("stage", ["imu", "baseline"])
     def test_short_stats_file_exits_with_error(self, workdir, dataset, tiny_config, capsys,
                                                stage):

@@ -453,6 +453,12 @@ class TestBenchmark:
         with pytest.raises(InvalidArgument, match="levels"):
             run_noise_benchmark(ip, mp, bp, bench_pairs, levels=levels, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0])
+    def test_bad_seed_rejected(self, trained_trio, bench_pairs, seed):
+        mp, ip, bp = trained_trio
+        with pytest.raises(InvalidArgument, match="seed"):
+            run_noise_benchmark(ip, mp, bp, bench_pairs, levels=(1,), seed=seed)
+
     def test_no_pairs_rejected(self, trained_trio):
         mp, ip, bp = trained_trio
         with pytest.raises(EmptyCorpus):

@@ -636,6 +636,26 @@ class TestOptimizer:
             opt.step()
         assert abs(p.value[0]) < 1e-3
 
+    def test_bad_gradient_shape_and_a_tensor_under_two_names(self):
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        p.grad = np.zeros(3)
+        with pytest.raises(ShapeMismatch):
+            AdamW({"p": p}).step()
+        # under two names a tensor is updated twice, in dict order: distinct
+        # first moments make the order show
+        p.grad = np.array([0.5, -0.25])
+        opt = AdamW({"x": p, "y": p}, lr=0.1)
+        opt.m["y"][:] = [3.0, 1.0]
+        want = Tensor(p.value.copy(), requires_grad=True)
+        want.grad = p.grad
+        for name in ("x", "y"):
+            single = AdamW({name: want}, lr=0.1)
+            single.m[name][:] = opt.m[name]
+            single.step()
+        opt.step()
+        assert p.value.tobytes() == want.value.tobytes()
+        assert opt.step_count == 1
+
     def test_state_round_trip(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = AdamW({"p": p})
@@ -651,8 +671,8 @@ class TestOptimizer:
 
 @pytest.fixture
 def spare_cpus(monkeypatch):
-    """Three spare CPUs, so backward and AdamW.step use their worker, and a
-    thread switch every 10 us, so that a race would show."""
+    """Three spare CPUs, so backward uses its worker, and a thread switch
+    every 10 us, so that a race would show."""
     monkeypatch.setattr(gn, "cpu_lanes", lambda: 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -777,32 +797,17 @@ class TestSpareCpu:
                            + [p.value.tobytes() for p in params.values()])
         assert results[0] == results[1]
 
-    def test_step_splits_by_element_count_and_worker_errors_propagate(self, monkeypatch,
-                                                                     spare_cpus):
-        # 288 + 16 elements on the caller, 768 + 16 on the worker
-        params = {n: Tensor(np.zeros(s, dtype=np.float32), requires_grad=True)
+    def test_step_runs_on_the_calling_thread(self, monkeypatch, spare_cpus):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        params = {n: Tensor(np.ones(s, dtype=np.float32), requires_grad=True)
                   for n, s in [("a.w", (16, 6, 3)), ("a.b", (16,)), ("b.w", (16, 16, 3)),
                                ("b.b", (16,))]}
-        opt = AdamW(params)
-        ran = []
-        update = AdamW._update
-
-        def recorded(self, keys, *args):
-            ran.append((list(keys), threading.current_thread() is threading.main_thread()))
-            update(self, keys, *args)
-
-        monkeypatch.setattr(AdamW, "_update", recorded)
-        opt.step()
-        assert sorted(ran) == [(["a.w", "a.b"], True), (["b.w", "b.b"], False)]
-        # one tensor under two names is updated twice, in order, by the caller
-        ran.clear()
-        AdamW({"x": params["a.w"], "y": params["a.w"]}).step()
-        assert ran == [(["x", "y"], True)]
-        params["b.b"].grad = np.zeros(3, dtype=np.float32)
-        before = threading.active_count()
-        with pytest.raises(ShapeMismatch):
-            opt.step()
-        assert threading.active_count() == before
+        for p in params.values():
+            p.grad = np.ones_like(p.value)
+        AdamW(params, lr=1e-2).step()
+        assert started == []
+        assert all((p.value < 1.0).all() for p in params.values())
 
 
 class TestCosineSchedule:

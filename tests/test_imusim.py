@@ -115,7 +115,10 @@ class TestNoiseConfig:
         dict(corrupted_sensors=(6,)),
         dict(corrupted_sensors=(3,), dropout=(True,)),
         dict(dropout=(False,) * 7),
-    ], ids=["negative", "inf", "nan", "sensor_6", "dropout_1", "dropout_7"])
+        dict(seed=-1),
+        dict(seed=1.5),
+    ], ids=["negative", "inf", "nan", "sensor_6", "dropout_1", "dropout_7", "seed_-1",
+            "seed_1.5"])
     def test_hostile_profiles_raise(self, kwargs):
         with pytest.raises(InvalidArgument):
             NoiseConfig(**kwargs)

@@ -250,6 +250,11 @@ class TestSyntheticMotion:
         with pytest.raises(InvalidArgument):
             generate_synthetic_motion(0, -1.0, 60.0, "walk")
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidArgument, match="seed"):
+            generate_synthetic_motion(seed, 1.0, 60.0, "walk")
+
     @pytest.mark.parametrize("duration_s, fps", [
         (1.0, -60.0), (1.0, 0.0), (1.0, float("nan")), (1.0, float("inf")),
         (float("nan"), 60.0), (float("inf"), 60.0)])
