@@ -23,7 +23,7 @@ from .errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from .fileio import header_fps
 from .imusim import IMU_WIDTH, InertiaSequence, NormStats
 from .models import COMPRESSION, flatten_latents, unflatten_latents
-from .motion import MotionSequence, check_fps
+from .motion import MOTION_WIDTH, MotionSequence, check_fps
 from .trainer import load_trained
 
 TOKEN_MAGIC = b"MJT2"
@@ -173,14 +173,18 @@ def tokenize_sequence(seq: InertiaSequence, pipe: InferencePipeline,
 
 
 def decode_tokens(tok: TokenSequence, pipe: InferencePipeline) -> MotionSequence:
-    """Gather code vectors and run the motion decoder: 4 frames per token."""
+    """Gather code vectors and run the motion decoder: 4 frames per token,
+    so 0 tokens decode to 0 frames."""
     if tok.l != COMPRESSION:
         raise InvalidArgument(f"token stream has {tok.l} frames per token, the decoder "
                               f"{COMPRESSION}")
     if tok.codebook_digest != pipe.codebook_digest():
         raise DigestMismatch("token stream was produced by a different codebook")
-    ids = tok.tokens.astype(np.int64)
-    codes = gn.Tensor(pipe.imu_model.codebook.entries[ids])
+    entries = pipe.imu_model.codebook.entries
+    if len(tok) == 0:  # the decoder's convs need at least one latent step
+        return MotionSequence(frames=np.empty((0, MOTION_WIDTH), dtype=entries.dtype),
+                              fps=tok.fps)
+    codes = gn.Tensor(entries[tok.tokens.astype(np.int64)])
     frames = pipe.motion_model.decode(unflatten_latents(codes, 1, pipe.cfg.d_z)).value[0].T
     return MotionSequence(frames=np.ascontiguousarray(frames), fps=tok.fps)
 

@@ -2,7 +2,10 @@
 bottleneck, (2) the IMU tokenizer against the frozen stage-1 model. Both
 stages, and the continuous baseline in ``evalbench``, run one loop,
 ``fit``, with a per-batch loss closure, and are bitwise deterministic for
-a fixed seed.
+a fixed seed. Stage 2's targets come from a model that does not change, so
+they are encoded once, before its loop: each motion window's latents and
+token ids under the frozen stage-1 model, from which every step gathers
+its batch's rows.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from .models import (COMPRESSION, BaselinePoser, ImuTokenizer, MotionVQVAE, chec
 from .motion import SL_CONTACT, SL_JOINT_VEL
 from .skeleton import FOOT_JOINTS
 from .vqcodec import LossWeights, ZipfParams
+
+# motion windows per encoder call when stage 2 encodes its frozen targets;
+# bounds the call's im2col buffer (about 140 kB per window at the desk shape)
+TARGET_CHUNK = 16
 
 # token ids travel as u16 (TokenSequence, the MJT2 wire format)
 MAX_CODEBOOK_SIZE = 1 << 16
@@ -320,13 +327,45 @@ def train_motion_vqvae(corpus, cfg: TrainConfig, ckpt_path=None):
     return model, report
 
 
+def frozen_targets(model: MotionVQVAE, windows: np.ndarray) -> tuple:
+    """Stage 2's targets for (N, T, 271) motion windows: the frozen
+    ``model``'s latents (N, T/4, d_z) and token ids (N, T/4).
+
+    Each window is encoded alone, on its own entry of the conv stack axis
+    with batch 1, TARGET_CHUNK windows per call, so a window's latents
+    depend on that window only. (On the batch axis they would not: at
+    some shapes a wider GEMM sums in another order, and a window's latents
+    would move in their last bits with the windows that share its batch.)
+    Quantize ids depend neither on the latents' layout nor on which rows
+    share a call, so one call gives them all.
+    """
+    parts = []
+    for lo in range(0, len(windows), TARGET_CHUNK):
+        stack = time_last(windows[lo:lo + TARGET_CHUNK])[:, None]    # (n, 1, 271, T)
+        parts.append(model.encode(gn.Tensor(stack)).value[:, 0].swapaxes(1, 2))
+    latents = np.concatenate(parts)
+    ids, _ = vq.quantize(latents.reshape(-1, latents.shape[2]), model.codebook)
+    return latents, ids.reshape(latents.shape[:2])
+
+
+def target_rows(latents: np.ndarray) -> np.ndarray:
+    """A batch of cached (B, S, d_z) latents as the (B*S, d_z) rows that
+    ``flatten_latents`` gives for the batch encoded in one call: the same
+    values in the same F-ordered layout. ``batch_token_frequency``'s sums
+    and GEMM depend on that layout, not only on the values."""
+    return np.asfortranarray(latents.reshape(-1, latents.shape[2]))
+
+
 def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
                         ckpt_path=None):
     """Stage 2. ``paired`` is a list of (MotionSequence, InertiaSequence)
     with frame-aligned, acceleration-normalized IMU data.
 
     The motion tokenizer is loaded frozen from motion_ckpt; only the IMU
-    encoder receives gradients, and the IMU codebook moves by EMA. The
+    encoder receives gradients, and the IMU codebook moves by EMA. Before
+    the first step, ``frozen_targets`` encodes every motion window once,
+    and the motion windows are then dropped: each step gathers its batch's
+    cached latents and token ids instead of running the frozen encoder. The
     checkpoint is self-contained: it embeds the frozen motion model and the
     acceleration normalization stats used in training.
     """
@@ -337,7 +376,9 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
             f"stage-1 model has K={motion_cfg.K}, d_z={motion_cfg.d_z}, "
             f"hidden={motion_cfg.hidden}; config asks K={cfg.K}, d_z={cfg.d_z}, "
             f"hidden={cfg.hidden}")
-    windows = paired_windows(paired, cfg.window)
+    motion_windows, imu_windows = paired_windows(paired, cfg.window)
+    latents, ids = frozen_targets(motion_model, motion_windows)
+    del motion_windows
 
     init_rng = _rng(cfg.seed, 10)
     gumbel_rng = _rng(cfg.seed, 12)
@@ -346,7 +387,7 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
     zipf_const = vq.zipf_target(ZipfParams(cfg.zipf_alpha, cfg.zipf_beta, cfg.K))
 
     def loss_fn(batches, step):
-        bm, bi = batches
+        bz, bids, bi = batches
         z_imu = flatten_latents(imu_model.encode(gn.Tensor(time_last(bi))))
         if step == 0:
             imu_model.codebook = vq.Codebook.from_kmeans(z_imu.value, cfg.K,
@@ -354,8 +395,8 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
         idx_imu, codes_imu = vq.quantize(z_imu, imu_model.codebook)
         b_imu = vq.straight_through(z_imu, codes_imu)
 
-        z_mot = flatten_latents(motion_model.encode(gn.Tensor(time_last(bm)))).value
-        _, b_mot = vq.quantize(z_mot, motion_model.codebook)
+        z_mot = target_rows(bz)
+        b_mot = motion_model.codebook.entries[bids.reshape(-1)]
 
         f_imu = vq.batch_token_frequency(z_imu, gn.Tensor(imu_model.codebook.entries),
                                          cfg.temperature, gumbel_rng)
@@ -372,6 +413,6 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
         return total, record, _codebook_step(imu_model.codebook, z_imu.value, idx_imu,
                                              dead_rng)
 
-    report = fit((imu_model, motion_model), cfg, windows, loss_fn, 10, kind="imu_tokenizer",
-                 stats=stats, ckpt_path=ckpt_path)
+    report = fit((imu_model, motion_model), cfg, (latents, ids, imu_windows), loss_fn, 10,
+                 kind="imu_tokenizer", stats=stats, ckpt_path=ckpt_path)
     return imu_model, motion_model, report

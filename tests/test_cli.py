@@ -185,6 +185,21 @@ class TestTrainAndStreamCommands:
         frames = fileio.read_motion_file(decoded).frames
         assert frames.shape == (4 * len(tok), 271)
 
+    def test_stream_round_trip_of_a_recording_shorter_than_one_token(
+            self, workdir, dataset, checkpoints):
+        _, ip, _ = checkpoints
+        imu = fileio.read_imu_file(dataset / "seq0.mji1")
+        short, tokens, decoded = (workdir / "short.mji1", workdir / "short.mjt",
+                                  workdir / "short.mjt1")
+        fileio.write_imu_file(short, imu.frames[:3], imu.fps)
+        assert main(["stream", "tokenize", "--imu", str(short), "--ckpt", str(ip),
+                     "--chunk", "0", "--out", str(tokens)]) == 0
+        assert len(read_token_stream(tokens)) == 0
+        assert main(["stream", "decode", "--tokens", str(tokens), "--ckpt", str(ip),
+                     "--out", str(decoded)]) == 0
+        seq = fileio.read_motion_file(decoded)
+        assert seq.frames.shape == (0, 271) and seq.fps == imu.fps
+
     def test_bench_noise(self, workdir, checkpoints, capsys):
         mp, ip, bp = checkpoints
         out = workdir / "report.mjr"

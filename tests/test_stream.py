@@ -196,6 +196,18 @@ class TestDecode:
         seq = decode_tokens(tok, pipeline)
         assert len(seq) == 16
 
+    def test_zero_tokens_decode_to_zero_frames(self, pipeline, imu_640):
+        # a recording shorter than one chunk tokenizes to an empty stream
+        tok = tokenize_sequence(InertiaSequence(imu_640.frames[:3], imu_640.fps),
+                                pipeline, chunk_len=None)
+        assert len(tok) == 0
+        seq = decode_tokens(tok, pipeline)
+        one = decode_tokens(tokenize_sequence(
+            InertiaSequence(imu_640.frames[:4], imu_640.fps), pipeline, chunk_len=None),
+            pipeline)
+        assert seq.frames.shape == (0, 271) and seq.fps == tok.fps
+        assert seq.frames.dtype == one.frames.dtype
+
     def test_identical_tokens_decode_bitwise_identically(self, pipeline, imu_640):
         tok = tokenize_sequence(imu_640, pipeline, chunk_len=16)
         a = decode_tokens(tok, pipeline)

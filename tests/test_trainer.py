@@ -12,10 +12,11 @@ from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
                            EmptyDataset, FormatError, InvalidArgument, LengthMismatch)
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import InertiaSequence
-from imutok.models import model_arrays
+from imutok.models import MotionVQVAE, flatten_latents, model_arrays
 from imutok.motion import MotionSequence
-from imutok.trainer import (CHECKPOINT_KINDS, TrainConfig, _motion_batch_losses, _rng,
-                            load_trained, make_windows, motion_total_from_components,
+from imutok.trainer import (CHECKPOINT_KINDS, TARGET_CHUNK, TrainConfig, _motion_batch_losses,
+                            _rng, frozen_targets, load_trained, make_windows,
+                            motion_total_from_components, target_rows, time_last,
                             train_imu_tokenizer, train_motion_vqvae)
 
 # the keys of one report record per stage
@@ -389,6 +390,61 @@ class TestStageTwo:
         pairs, stats = tiny_pairs
         with pytest.raises(LengthMismatch):
             train_imu_tokenizer(shorten(pairs, 32, motion=(2,)), stage1, tiny_cfg, stats)
+
+
+def random_windows(n, cfg, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, cfg.window, 271)).astype(np.float32)
+
+
+class TestFrozenTargets:
+    def test_each_window_is_encoded_alone(self, tiny_cfg):
+        # at this shape a window's latents move in their last bits with the
+        # windows that share its batch, so only encoding it alone is stable
+        model = MotionVQVAE(tiny_cfg, rng=_rng(1, 0))
+        windows = random_windows(2 * TARGET_CHUNK + 5, tiny_cfg)
+        latents, ids = frozen_targets(model, windows)
+        S = tiny_cfg.window // 4
+        assert latents.shape == (len(windows), S, tiny_cfg.d_z)
+        assert ids.shape == (len(windows), S)
+        for n in range(len(windows)):
+            alone = flatten_latents(model.encode(gn.Tensor(time_last(windows[n:n + 1])))).value
+            assert np.array_equal(latents[n], alone), n
+            assert np.array_equal(ids[n], vq.quantize(alone, model.codebook)[0]), n
+
+    def test_batch_from_the_cache_equals_the_batch_encoded_at_the_desk_shape(self):
+        cfg = TrainConfig()
+        model = MotionVQVAE(cfg, rng=_rng(1, 0))
+        windows = random_windows(3 * cfg.batch_size, cfg)
+        latents, ids = frozen_targets(model, windows)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            sel = rng.choice(len(windows), size=cfg.batch_size, replace=False)
+            batch = flatten_latents(model.encode(gn.Tensor(time_last(windows[sel])))).value
+            rows = target_rows(latents[sel])
+            assert rows.shape == batch.shape and rows.strides == batch.strides
+            assert np.array_equal(rows, batch)
+            idx, codes = vq.quantize(batch, model.codebook)
+            assert np.array_equal(ids[sel].reshape(-1), idx)
+            assert np.array_equal(model.codebook.entries[ids[sel].reshape(-1)], codes)
+
+    def test_motion_encoder_runs_once_per_training_not_per_step(self, tiny_cfg, tiny_pairs,
+                                                                stage1, monkeypatch):
+        pairs, stats = tiny_pairs
+        encode = MotionVQVAE.encode
+        calls = []
+
+        def counted(self, x):
+            calls.append(x.value.shape)
+            return encode(self, x)
+
+        monkeypatch.setattr(MotionVQVAE, "encode", counted)
+        counts = []
+        for steps in (3, 9):
+            calls.clear()
+            train_imu_tokenizer(pairs, stage1, dataclasses.replace(tiny_cfg, total_steps=steps),
+                                stats)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 def without_array(path, key, out):
