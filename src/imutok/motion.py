@@ -36,6 +36,10 @@ CONTACT_SPEED_THRESH = 0.15    # m/s
 
 STYLES = ("walk", "squat", "arm_raise", "idle_sway")
 
+# most frames one synthetic track may have: over an hour at 60 fps, whose
+# track plus motion representation peak at about 1.7 GB (6.5 kB a frame)
+MAX_SYNTH_FRAMES = 1 << 18
+
 
 def check_fps(fps) -> None:
     """Raise InvalidArgument unless ``fps`` is positive and finite: the rule
@@ -243,10 +247,13 @@ def generate_synthetic_motion(seed: int, duration_s: float, fps: float,
     Styles: walk (stepping in place with arm swing), squat, arm_raise,
     idle_sway. Phase/amplitude/frequency are smoothly randomized from the
     seed; walk and squat keep the planted foot on the ground plane.
+    Raises InvalidArgument for a track of more than MAX_SYNTH_FRAMES frames.
     """
     for name, value in (("duration_s", duration_s), ("fps", fps)):
         if not 0 < value < np.inf:  # also false for NaN
             raise InvalidArgument(f"{name} must be finite and positive, got {value}")
+    if duration_s * fps > MAX_SYNTH_FRAMES:
+        raise InvalidArgument(f"{duration_s} s at {fps} fps exceeds {MAX_SYNTH_FRAMES} frames")
     if style not in STYLES:
         raise InvalidArgument(f"unknown style {style!r}, expected one of {STYLES}")
     check_seed(seed)

@@ -2,10 +2,13 @@
 bottleneck, (2) the IMU tokenizer against the frozen stage-1 model. Both
 stages, and the continuous baseline in ``evalbench``, run one loop,
 ``fit``, with a per-batch loss closure, and are bitwise deterministic for
-a fixed seed. Stage 2's targets come from a model that does not change, so
-they are encoded once, before its loop: each motion window's latents and
-token ids under the frozen stage-1 model, from which every step gathers
-its batch's rows.
+a fixed seed. Training windows are never stored: ``make_windows`` indexes
+the half-overlapping crops of the corpus, and each step gathers its batch
+from the corpus's own frames, so training holds the corpus plus one batch.
+Stage 2's targets come from a model that does not change, so they are
+encoded once, before its loop: each motion window's latents and token ids
+under the frozen stage-1 model, from which every step gathers its batch's
+rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import gradnet as gn
 from . import vqcodec as vq
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import (CheckpointMismatch, ConfigInvalid, EmptyDataset, InvalidArgument,
-                     LengthMismatch)
+                     LengthMismatch, ShapeMismatch)
 from .gradnet import AdamW, cosine_lr
 from .imusim import NormStats
 from .models import (COMPRESSION, BaselinePoser, ImuTokenizer, MotionVQVAE, checkpoint_array,
@@ -130,26 +133,62 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
-def make_windows(frame_arrays, window: int) -> np.ndarray:
-    """Fixed-length float32 crops with stride window/2 from a list of (T, D) arrays.
+class WindowIndex:
+    """Fixed-length crops of a list of (T, D) arrays, gathered per batch.
 
-    Raises InvalidArgument if any frame is NaN or infinite: one such value
-    would turn every loss and, through the optimizer, every weight to NaN.
+    Holds a reference to each array, with no copy, and one (N, 2) integer
+    array of (sequence, start) pairs. ``windows[sel]``, for a row selection
+    or a slice ``sel``, gathers those crops as a C-contiguous float32
+    (n, window, D) batch: bitwise the rows ``sel`` of all crops stacked in
+    float32. So training holds the corpus plus one batch, not a second,
+    stacked copy of the corpus that stores each frame twice. The arrays
+    must not change while the index is in use.
     """
-    crops = []
-    for n, frames in enumerate(frame_arrays):
-        if not np.isfinite(frames).all():
+
+    def __init__(self, frames: list, starts: np.ndarray, window: int):
+        self.frames, self.starts, self.window = frames, starts, window
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, sel) -> np.ndarray:
+        rows = self.starts[sel].tolist()
+        out = np.empty((len(rows), self.window, self.frames[0].shape[1]), np.float32)
+        for k, (seq, lo) in enumerate(rows):
+            out[k] = self.frames[seq][lo:lo + self.window]
+        return out
+
+
+def make_windows(frame_arrays, window: int) -> WindowIndex:
+    """The crops of length ``window``, with stride window/2, of a list of
+    (T, D) arrays, as a WindowIndex over those arrays.
+
+    Every array is checked here, so a bad corpus fails before training
+    rather than at the first batch that gathers from it. Raises
+    ShapeMismatch unless every array is 2-D with one width D;
+    InvalidArgument if any frame is NaN or infinite, since one such value
+    would turn every loss and, through the optimizer, every weight to NaN;
+    and EmptyDataset if no window fits.
+    """
+    frames = [np.asarray(f) for f in frame_arrays]
+    starts = []
+    for n, f in enumerate(frames):
+        if f.ndim != 2:
+            raise ShapeMismatch(f"sequence {n}: frames must be (T, D), got shape {f.shape}")
+        if f.shape[1] != frames[0].shape[1]:
+            raise ShapeMismatch(f"sequence {n}: frames are {f.shape[1]} wide, "
+                                f"sequence 0's {frames[0].shape[1]}")
+        if not np.isfinite(f).all():
             raise InvalidArgument(f"sequence {n}: frames contain NaN or infinite values")
-        T = frames.shape[0]
-        for lo in range(0, T - window + 1, window // 2):
-            crops.append(frames[lo:lo + window])
-    if not crops:
+        starts.extend((n, lo) for lo in range(0, f.shape[0] - window + 1, window // 2))
+    if not starts:
         raise EmptyDataset(f"no window of length {window} fits the corpus")
-    return np.stack(crops, dtype=np.float32)
+    return WindowIndex(frames, np.array(starts, dtype=np.intp), window)
 
 
 def paired_windows(paired, window: int) -> tuple:
-    """(motion windows, IMU windows) cropped at the same frames of each pair."""
+    """(motion windows, IMU windows): two WindowIndexes that crop each pair
+    at the same frames."""
     pairs = list(paired)
     if not pairs:
         raise EmptyDataset("empty paired corpus")
@@ -157,8 +196,8 @@ def paired_windows(paired, window: int) -> tuple:
         if len(m.frames) != len(i.frames):
             raise LengthMismatch(f"pair {n}: motion has {len(m.frames)} frames, "
                                  f"IMU {len(i.frames)}")
-    return (make_windows([np.asarray(m.frames) for m, _ in pairs], window),
-            make_windows([np.asarray(i.frames) for _, i in pairs], window))
+    return (make_windows([m.frames for m, _ in pairs], window),
+            make_windows([i.frames for _, i in pairs], window))
 
 
 def time_last(batch: np.ndarray) -> np.ndarray:
@@ -179,8 +218,8 @@ def fit(models, cfg: TrainConfig, windows: tuple, loss_fn, rng_base: int, *, kin
         stats: NormStats | None = None, ckpt_path=None) -> TrainReport:
     """The training loop every stage shares; ``models[0]`` is trained.
 
-    Each step draws one batch of rows, the same rows from every array in
-    ``windows``, through the stream ``rng_base + 1`` and calls
+    Each step draws one batch of rows, the same rows from every array or
+    WindowIndex in ``windows``, through the stream ``rng_base + 1`` and calls
     ``loss_fn(batches, step) -> (total, record, after)``: ``total`` is the
     loss tensor, ``record`` its logged scalars, and ``after`` (or None) runs
     after the optimizer step and returns more scalars to log. The
@@ -327,9 +366,10 @@ def train_motion_vqvae(corpus, cfg: TrainConfig, ckpt_path=None):
     return model, report
 
 
-def frozen_targets(model: MotionVQVAE, windows: np.ndarray) -> tuple:
-    """Stage 2's targets for (N, T, 271) motion windows: the frozen
-    ``model``'s latents (N, T/4, d_z) and token ids (N, T/4).
+def frozen_targets(model: MotionVQVAE, windows: WindowIndex | np.ndarray) -> tuple:
+    """Stage 2's targets for N motion windows (a WindowIndex or an
+    (N, T, 271) array): the frozen ``model``'s latents (N, T/4, d_z) and
+    token ids (N, T/4).
 
     Each window is encoded alone, on its own entry of the conv stack axis
     with batch 1, TARGET_CHUNK windows per call, so a window's latents
@@ -364,7 +404,7 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
     The motion tokenizer is loaded frozen from motion_ckpt; only the IMU
     encoder receives gradients, and the IMU codebook moves by EMA. Before
     the first step, ``frozen_targets`` encodes every motion window once,
-    and the motion windows are then dropped: each step gathers its batch's
+    gathering TARGET_CHUNK windows at a time: each step gathers its batch's
     cached latents and token ids instead of running the frozen encoder. The
     checkpoint is self-contained: it embeds the frozen motion model and the
     acceleration normalization stats used in training.
@@ -378,7 +418,6 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
             f"hidden={cfg.hidden}")
     motion_windows, imu_windows = paired_windows(paired, cfg.window)
     latents, ids = frozen_targets(motion_model, motion_windows)
-    del motion_windows
 
     init_rng = _rng(cfg.seed, 10)
     gumbel_rng = _rng(cfg.seed, 12)

@@ -113,6 +113,16 @@ class TestMotionAndImuCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ") and not out.exists()
 
+    @pytest.mark.parametrize("duration, fps", [("1e7", "1000"), ("1e200", "60"),
+                                               ("1e308", "1e308")])
+    def test_gen_too_many_frames_exits_with_error(self, workdir, capsys, duration, fps):
+        out = workdir / "long.mjt1"
+        code = main(["motion", "gen", "--style", "walk", "--duration", duration, "--fps", fps,
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "frames" in err and not out.exists()
+
     def test_simulate_with_noise_profile(self, workdir, dataset):
         profile = workdir / "noise.json"
         profile.write_text(json.dumps({

@@ -262,6 +262,14 @@ class TestSyntheticMotion:
         with pytest.raises(InvalidArgument):
             generate_synthetic_motion(0, duration_s, fps, "walk")
 
+    # the three largest used to fail allocating the frame times, or computing their count
+    @pytest.mark.parametrize("duration_s, fps", [
+        ((motion.MAX_SYNTH_FRAMES + 1) / 60.0, 60.0), (1e7, 1000.0), (1e200, 60.0),
+        (1e308, 1e308)])
+    def test_frame_count_is_bounded(self, duration_s, fps):
+        with pytest.raises(InvalidArgument, match="frames"):
+            generate_synthetic_motion(0, duration_s, fps, "walk")
+
 
 class TestFpsRule:
     @pytest.mark.parametrize("fps", [0.0, -60.0, float("nan"), float("inf"), -float("inf")])

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ from imutok import gradnet as gn
 from imutok import vqcodec as vq
 from imutok.checkpoint import arrays_digest, load_checkpoint, save_checkpoint
 from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
-                           EmptyDataset, FormatError, InvalidArgument, LengthMismatch)
+                           EmptyDataset, FormatError, InvalidArgument, LengthMismatch,
+                           ShapeMismatch)
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import InertiaSequence
 from imutok.models import MotionVQVAE, flatten_latents, model_arrays
 from imutok.motion import MotionSequence
 from imutok.trainer import (CHECKPOINT_KINDS, TARGET_CHUNK, TrainConfig, _motion_batch_losses,
                             _rng, frozen_targets, load_trained, make_windows,
-                            motion_total_from_components, target_rows, time_last,
+                            motion_total_from_components, paired_windows, target_rows, time_last,
                             train_imu_tokenizer, train_motion_vqvae)
 
 # the keys of one report record per stage
@@ -129,15 +131,26 @@ class TestConfig:
             TrainConfig(K=(1 << 16) + 1)
 
 
+def stacked_crops(frames, window):
+    """Every crop of ``frames`` stacked in float32: the windows as one array."""
+    return np.stack([f[lo:lo + window] for f in frames
+                     for lo in range(0, len(f) - window + 1, window // 2)], dtype=np.float32)
+
+
+def assert_bitwise(batch, want):
+    assert batch.dtype == np.float32 and batch.flags.c_contiguous
+    assert batch.shape == want.shape and batch.tobytes() == want.tobytes()
+
+
 class TestWindows:
     def test_stride_is_half_window(self):
         frames = [np.zeros((100, 7))]
         w = make_windows(frames, 32)
-        assert w.shape == (5, 32, 7)  # starts 0,16,32,48,64
+        assert len(w) == 5 and w[:].shape == (5, 32, 7)  # starts 0,16,32,48,64
 
     def test_short_sequences_are_skipped(self):
         w = make_windows([np.zeros((10, 7)), np.zeros((40, 7))], 32)
-        assert w.shape[0] == 1
+        assert len(w) == 1 and w[:].shape[0] == 1
 
     def test_empty_raises(self):
         with pytest.raises(EmptyDataset):
@@ -148,8 +161,48 @@ class TestWindows:
         w = make_windows(frames, 32)
         want = np.stack([f[lo:lo + 32] for f in frames
                          for lo in range(0, len(f) - 31, 16)]).astype(np.float32)
-        assert w.dtype == np.float32
-        assert np.array_equal(w, want)
+        assert w[:].dtype == np.float32
+        assert np.array_equal(w[:], want)
+
+    def test_gathered_batches_equal_the_stacked_crops_bitwise(self):
+        rng = np.random.default_rng(4)
+        frames = [rng.normal(size=(n, 11)) for n in (200, 20, 131, 64, 97)]
+        w = make_windows(frames, 32)
+        want = stacked_crops(frames, 32)
+        assert len(w) == len(want)
+        for k in range(len(want)):
+            assert_bitwise(w[[k]], want[[k]])
+        for size in (1, 4, 16):
+            sel = rng.choice(len(want), size=size, replace=False)
+            assert_bitwise(w[sel], want[sel])
+        # the slices frozen_targets gathers, the last one short
+        for lo in range(0, len(want), TARGET_CHUNK):
+            assert_bitwise(w[lo:lo + TARGET_CHUNK], want[lo:lo + TARGET_CHUNK])
+
+    def test_windows_are_not_stored(self):
+        # 8 x 480 frames of 271 channels: the stacked windows would take 7.8 MB
+        rng = np.random.default_rng(5)
+        pairs = [(MotionSequence(rng.normal(size=(480, 271)), 60.0),
+                  InertiaSequence(rng.normal(size=(480, 72)), 60.0)) for _ in range(8)]
+        stored = stacked_crops([m.frames for m, _ in pairs], 64).nbytes
+        tracemalloc.start()
+        try:
+            make_windows([m.frames for m, _ in pairs], 64)
+            paired_windows(pairs, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stored
+
+    @pytest.mark.parametrize("frames", [[np.zeros(40)],
+                                        [np.zeros((64, 271)), np.zeros((64, 270))]])
+    def test_frames_must_be_two_dimensional_and_equally_wide(self, frames):
+        with pytest.raises(ShapeMismatch):
+            make_windows(frames, 32)
+
+    def test_training_on_frames_of_two_widths_raises(self, tiny_cfg):
+        with pytest.raises(ShapeMismatch, match="sequence 1"):
+            train_motion_vqvae([np.zeros((64, 271)), np.zeros((64, 270))], tiny_cfg)
 
 
 class TestStageOne:
