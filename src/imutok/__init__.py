@@ -9,10 +9,12 @@ sensor noise and drift that a continuous regressor passes through.
 
 __version__ = "0.1.0"
 
-from . import (checkpoint, cli, evalbench, fileio, geom, gradnet, imusim, models,
-               motion, skeleton, stream, trainer, vqcodec)
+# ``cli`` is left out: importing it here would load it before
+# ``python -m imutok.cli`` runs it as __main__, and runpy warns about that
+from . import (checkpoint, evalbench, fileio, geom, gradnet, imusim, models, motion,
+               skeleton, stream, trainer, vqcodec)
 
 __all__ = [
-    "checkpoint", "cli", "evalbench", "fileio", "geom", "gradnet", "imusim",
-    "models", "motion", "skeleton", "stream", "trainer", "vqcodec", "__version__",
+    "checkpoint", "evalbench", "fileio", "geom", "gradnet", "imusim", "models",
+    "motion", "skeleton", "stream", "trainer", "vqcodec", "__version__",
 ]

@@ -373,42 +373,15 @@ def upsample_nearest(a, factor: int) -> Tensor:
     return _unary(a, np.repeat(a.value, factor, axis=-1), grad)
 
 
-def _shifted_sum(src: np.ndarray, taps, offsets, dtype) -> np.ndarray:
-    """(rows, T) sums, from zero in tap order, of ``taps[j] * src[:, t +
-    offsets[j]]``, reading the rows as one flat sequence: one contiguous
-    add per tap. Only columns whose every read stays inside the row are
-    right; the caller overwrites the others."""
-    flat = src.reshape(-1)
-    n = flat.size
-    out = np.zeros(n, dtype=dtype)
-    for wj, o in zip(taps, offsets):
-        if abs(o) < n:
-            out[max(0, -o):n - max(0, o)] += wj * flat[max(0, o):n - max(0, -o)]
-    return out.reshape(src.shape)
-
-
-def _tap_sum(src: np.ndarray, taps, idx: np.ndarray, dtype, valid=None) -> np.ndarray:
-    """(rows, m) sums, from zero in tap order, of ``taps[j] * src[:, idx[j,
-    i]]`` with indices clamped to the row; a term where ``valid`` is false
-    is zero instead."""
-    terms = np.ascontiguousarray(np.take(src, idx, axis=1, mode="clip").transpose(1, 0, 2))
-    if valid is not None:
-        terms.transpose(1, 0, 2)[:, ~valid] = 0.0
-    out = np.zeros(terms.shape[1:], dtype=dtype)
-    for j, wj in enumerate(taps):
-        out += wj * terms[j]
-    return out
-
-
 def depthwise_smooth(a, weights) -> Tensor:
     """Fixed per-channel smoothing along the last axis with replicate padding.
 
     ``weights`` is a constant odd-length 1-D kernel (it receives no
     gradient); every channel is filtered independently, so the op costs a
-    handful of scaled adds instead of a dense convolution. Value and
-    gradient are the tap-order sums a padded copy of the input would give,
-    without making that copy: one flat shifted add per tap, then the few
-    columns within ``k // 2`` of either end are summed on their own.
+    handful of scaled adds instead of a dense convolution. The input is
+    edge-padded once and the taps are summed from zero in tap order; the
+    gradient is scattered into a padded array whose pad columns fold back
+    onto the edge inputs.
     """
     a = as_tensor(a)
     w = np.asarray(weights, dtype=np.float64)
@@ -421,32 +394,22 @@ def depthwise_smooth(a, weights) -> Tensor:
     if T < 1:
         raise ShapeMismatch("empty time axis")
     taps = [x.dtype.type(wj) for wj in w]
-    offsets = np.arange(k) - half
-    x2 = np.ascontiguousarray(x).reshape(-1, T)
-    out = _shifted_sum(x2, taps, offsets, x.dtype)
-    # output columns where some tap reads past an end: clamping the index is
-    # the replicate padding
-    edge = np.union1d(np.arange(min(half, T)), np.arange(max(T - half, 0), T))
-    out[:, edge] = _tap_sum(x2, taps, edge + offsets[:, None], x.dtype)
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)], mode="edge")
+    out = np.zeros(x.shape, dtype=x.dtype)
+    for j, wj in enumerate(taps):
+        out += wj * xp[..., j:j + T]
 
     def grad(g):
-        g2 = np.ascontiguousarray(g).reshape(-1, T)
-        gx = _shifted_sum(g2, taps, -offsets, x.dtype)
-        # input columns -half..T+half-1 near the ends, the ones outside
-        # [0, T) being the padding; tap j reaches input column c from output
-        # column c - offsets[j], if that is one
-        cols = np.union1d(np.arange(-half, half), np.arange(T - half, T + half))
-        src = cols - offsets[:, None]
-        padded = _tap_sum(g2, taps, src, x.dtype, valid=(src >= 0) & (src < T))
-        inside = (cols >= 0) & (cols < T)
-        gx[:, cols[inside]] = padded[:, inside]
-        # replicate padding: the pad columns fold back onto the edge inputs
-        for q in range(half):
-            gx[:, 0] += padded[:, q]
-            gx[:, -1] += padded[:, q - half]
-        return gx.reshape(x.shape)
+        gp = np.zeros((*x.shape[:-1], T + 2 * half), dtype=x.dtype)
+        for j, wj in enumerate(taps):
+            gp[..., j:j + T] += wj * g
+        gx = gp[..., half:half + T]
+        for j in range(half):
+            gx[..., 0] += gp[..., j]
+            gx[..., -1] += gp[..., half + T + j]
+        return gx
 
-    return _unary(a, out.reshape(x.shape), grad)
+    return _unary(a, out, grad)
 
 
 def mse(pred, target) -> Tensor:
@@ -653,17 +616,3 @@ class AdamW:
             v += (1.0 - ADAM_BETA2) * (g * g)
             update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             p.value -= lr * (update + self.weight_decay * p.value)
-
-    def state_arrays(self) -> dict:
-        """Flat view of optimizer state for checkpointing."""
-        out = {"opt.step": np.array([self.step_count], dtype=np.int64)}
-        for k in self.params:
-            out[f"opt.m.{k}"] = self.m[k]
-            out[f"opt.v.{k}"] = self.v[k]
-        return out
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        self.step_count = int(arrays["opt.step"][0])
-        for k in self.params:
-            self.m[k] = arrays[f"opt.m.{k}"].copy()
-            self.v[k] = arrays[f"opt.v.{k}"].copy()

@@ -174,6 +174,12 @@ class BaselinePoser:
         return out
 
 
+# (Codebook attribute, checkpoint array name) of the codebook state a
+# checkpoint stores beside the parameters
+_CODEBOOK_ARRAYS = (("entries", "cb.entries"), ("ema_sigma", "cb.sigma"),
+                    ("ema_delta", "cb.delta"), ("dead_steps", "cb.dead"))
+
+
 def model_arrays(model, prefix: str = "") -> dict:
     """Named parameter + codebook arrays for checkpointing."""
     out = {}
@@ -181,10 +187,8 @@ def model_arrays(model, prefix: str = "") -> dict:
         out[f"{prefix}{name}"] = p.value
     cb = getattr(model, "codebook", None)
     if cb is not None:
-        out[f"{prefix}cb.entries"] = cb.entries
-        out[f"{prefix}cb.sigma"] = cb.ema_sigma
-        out[f"{prefix}cb.delta"] = cb.ema_delta
-        out[f"{prefix}cb.dead"] = cb.dead_steps
+        for attr, name in _CODEBOOK_ARRAYS:
+            out[f"{prefix}{name}"] = getattr(cb, attr)
     return out
 
 
@@ -198,19 +202,20 @@ def checkpoint_array(arrays: dict, key: str) -> np.ndarray:
 def load_model_arrays(model, arrays: dict, prefix: str = ""):
     """Restore parameters and codebook state in place and return ``model``.
     The restored parameters are frozen (``requires_grad`` False): a loaded
-    model only runs inference, so its forward passes record no backward graph."""
-    for name, p in model.params().items():
+    model only runs inference, so its forward passes record no backward graph.
+    Raises ConfigInvalid for a missing array or one of the wrong shape."""
+    def restored(name, shape):
         key = f"{prefix}{name}"
         value = checkpoint_array(arrays, key)
-        if value.shape != p.value.shape:
-            raise ConfigInvalid(f"parameter {key} has shape {value.shape}, "
-                                f"expected {p.value.shape}")
-        p.value = value.copy()
+        if value.shape != shape:
+            raise ConfigInvalid(f"array {key} has shape {value.shape}, expected {shape}")
+        return value.copy()
+
+    for name, p in model.params().items():
+        p.value = restored(name, p.value.shape)
         p.requires_grad = False
     cb = getattr(model, "codebook", None)
     if cb is not None:
-        cb.entries = checkpoint_array(arrays, f"{prefix}cb.entries").copy()
-        cb.ema_sigma = checkpoint_array(arrays, f"{prefix}cb.sigma").copy()
-        cb.ema_delta = checkpoint_array(arrays, f"{prefix}cb.delta").copy()
-        cb.dead_steps = checkpoint_array(arrays, f"{prefix}cb.dead").copy()
+        for attr, name in _CODEBOOK_ARRAYS:
+            setattr(cb, attr, restored(name, getattr(cb, attr).shape))
     return model

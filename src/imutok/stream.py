@@ -181,6 +181,9 @@ def decode_tokens(tok: TokenSequence, pipe: InferencePipeline) -> MotionSequence
     if tok.codebook_digest != pipe.codebook_digest():
         raise DigestMismatch("token stream was produced by a different codebook")
     entries = pipe.imu_model.codebook.entries
+    if tok.K != len(entries):
+        raise DigestMismatch(f"token stream declares a codebook of {tok.K} entries, "
+                             f"the checkpoint's has {len(entries)}")
     if len(tok) == 0:  # the decoder's convs need at least one latent step
         return MotionSequence(frames=np.empty((0, MOTION_WIDTH), dtype=entries.dtype),
                               fps=tok.fps)

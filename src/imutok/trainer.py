@@ -224,7 +224,7 @@ def fit(models, cfg: TrainConfig, windows: tuple, loss_fn, rng_base: int, *, kin
     loss tensor, ``record`` its logged scalars, and ``after`` (or None) runs
     after the optimizer step and returns more scalars to log. The
     checkpoint holds ``models`` and ``stats`` as ``CHECKPOINT_KINDS[kind]``
-    lays them out, then the optimizer state.
+    lays them out, and nothing of the optimizer.
     """
     data_rng = _rng(cfg.seed, rng_base + 1)
     opt = AdamW(models[0].params(), lr=cfg.lr_max, weight_decay=cfg.weight_decay)
@@ -249,7 +249,6 @@ def fit(models, cfg: TrainConfig, windows: tuple, loss_fn, rng_base: int, *, kin
             arrays.update(model_arrays(model, prefix))
         if has_stats:
             arrays.update({"stats.mean": stats.mean, "stats.std": stats.std})
-        arrays.update(opt.state_arrays())
         save_checkpoint(ckpt_path, {**cfg.as_meta(), "kind": kind}, arrays)
     return report
 

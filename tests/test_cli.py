@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,8 @@ import pytest
 from imutok import fileio
 from imutok.cli import main, parse_config_file
 from imutok.errors import ImutokError
-from imutok.stream import TokenSequence, read_token_stream, write_token_stream
+from imutok.stream import (InferencePipeline, TokenSequence, read_token_stream,
+                           write_token_stream)
 from imutok.trainer import TrainConfig
 from imutok.vqcodec import LossWeights
 
@@ -210,6 +215,21 @@ class TestTrainAndStreamCommands:
         seq = fileio.read_motion_file(decoded)
         assert seq.frames.shape == (0, 271) and seq.fps == imu.fps
 
+    def test_token_ids_beyond_the_codebook_exit_with_error(self, workdir, checkpoints, capsys):
+        # the file carries the checkpoint's codebook digest but declares
+        # K=1000, so id 40 passes the reader's range check yet is no entry
+        # of the checkpoint's 12
+        _, ip, _ = checkpoints
+        tokens, out = workdir / "big_k.mjt", workdir / "big_k.mjt1"
+        digest = InferencePipeline.from_checkpoint(ip).codebook_digest()
+        write_token_stream(tokens, TokenSequence(tokens=np.array([40], np.uint16), l=4,
+                                                 fps=60.0, K=1000, codebook_digest=digest))
+        code = main(["stream", "decode", "--tokens", str(tokens), "--ckpt", str(ip),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_bench_noise(self, workdir, checkpoints, capsys):
         mp, ip, bp = checkpoints
         out = workdir / "report.mjr"
@@ -302,3 +322,14 @@ class TestTrainAndStreamCommands:
                      "--out", str(workdir / "no.mjc")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_a_runpy_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "imutok.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: imutok" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

@@ -16,6 +16,7 @@ from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import InertiaSequence
 from imutok.models import MotionVQVAE, flatten_latents, model_arrays
 from imutok.motion import MotionSequence
+from imutok.stream import InferencePipeline
 from imutok.trainer import (CHECKPOINT_KINDS, TARGET_CHUNK, TrainConfig, _motion_batch_losses,
                             _rng, frozen_targets, load_trained, make_windows,
                             motion_total_from_components, paired_windows, target_rows, time_last,
@@ -39,6 +40,11 @@ def shorten(pairs, n_frames, motion=(), imu=()):
             i = InertiaSequence(i.frames[:-n_frames], i.fps)
         out.append((m, i))
     return out
+
+
+def without_wall_clock(report) -> list:
+    """Every logged scalar of every step but the wall-clock time."""
+    return [{k: v for k, v in rec.items() if k != "wall_clock"} for rec in report.records]
 
 
 @pytest.fixture(scope="module")
@@ -210,12 +216,13 @@ class TestStageOne:
         pairs, _ = tiny_pairs
         corpus = [m for m, _ in pairs]
         p1, p2 = tmp_path / "a.mjc", tmp_path / "b.mjc"
-        train_motion_vqvae(corpus, tiny_cfg, ckpt_path=p1)
-        train_motion_vqvae(corpus, tiny_cfg, ckpt_path=p2)
+        _, r1 = train_motion_vqvae(corpus, tiny_cfg, ckpt_path=p1)
+        _, r2 = train_motion_vqvae(corpus, tiny_cfg, ckpt_path=p2)
         a, b = load_checkpoint(p1), load_checkpoint(p2)
         assert sorted(a.arrays) == sorted(b.arrays)
         for k in a.arrays:
             assert np.array_equal(a.arrays[k], b.arrays[k]), k
+        assert without_wall_clock(r1) == without_wall_clock(r2)
 
     def test_different_seed_differs(self, tiny_cfg, tiny_pairs):
         pairs, _ = tiny_pairs
@@ -365,11 +372,12 @@ class TestStageTwo:
     def test_same_seed_reproducibility(self, tiny_cfg, tiny_pairs, stage1, tmp_path):
         pairs, stats = tiny_pairs
         p1, p2 = tmp_path / "i1.mjc", tmp_path / "i2.mjc"
-        train_imu_tokenizer(pairs, stage1, tiny_cfg, stats, ckpt_path=p1)
-        train_imu_tokenizer(pairs, stage1, tiny_cfg, stats, ckpt_path=p2)
+        *_, r1 = train_imu_tokenizer(pairs, stage1, tiny_cfg, stats, ckpt_path=p1)
+        *_, r2 = train_imu_tokenizer(pairs, stage1, tiny_cfg, stats, ckpt_path=p2)
         a, b = load_checkpoint(p1), load_checkpoint(p2)
         for k in a.arrays:
             assert np.array_equal(a.arrays[k], b.arrays[k]), k
+        assert without_wall_clock(r1) == without_wall_clock(r2)
 
     def test_motion_model_is_frozen(self, tiny_cfg, tiny_pairs, stage1, tmp_path):
         pairs, stats = tiny_pairs
@@ -532,6 +540,18 @@ class TestMissingCheckpointArrays:
             load_trained(ckpt, "imu_tokenizer")
 
 
+class TestMisshapenCheckpointArrays:
+    @pytest.mark.parametrize("key", ["motion.cb.entries", "motion.cb.sigma",
+                                     "motion.cb.delta", "motion.cb.dead"])
+    def test_codebook_array_one_entry_short(self, stage1, tmp_path, key):
+        # the meta's K still says 12, so the short array must not load silently
+        ckpt = load_checkpoint(stage1)
+        path = tmp_path / "short.mjc"
+        save_checkpoint(path, ckpt.meta, {**ckpt.arrays, key: ckpt.arrays[key][:-1]})
+        with pytest.raises(ConfigInvalid, match=key):
+            load_trained(path, "motion_vqvae")
+
+
 def test_worker_leaves_every_checkpoint_byte_identical(tiny_cfg, tiny_pairs, tmp_path,
                                                       monkeypatch):
     # stage 1, stage 2 and the baseline with three spare CPUs, switching
@@ -601,3 +621,49 @@ def test_checkpoint_kind_round_trips_and_rejects_other_kinds(kind, trained_kinds
         if other != kind:
             with pytest.raises(CheckpointMismatch, match=f"expected a {kind} checkpoint"):
                 load_trained(other_path, kind)
+
+
+@pytest.mark.parametrize("kind", list(CHECKPOINT_KINDS))
+def test_checkpoint_holds_exactly_the_layout_of_its_kind(kind, trained_kinds):
+    # models and stats only: nothing of the optimizer is stored
+    path, trained, stats = trained_kinds[kind]
+    specs, has_stats = CHECKPOINT_KINDS[kind]
+    want = {}
+    for (prefix, _), model in zip(specs, trained, strict=True):
+        want.update(model_arrays(model, prefix))
+    if has_stats:
+        want.update({"stats.mean": stats.mean, "stats.std": stats.std})
+    arrays = load_checkpoint(path).arrays
+    assert sorted(arrays) == sorted(want)
+    assert not any(k.startswith("opt.") for k in arrays)
+    for k, v in want.items():
+        assert arrays[k].tobytes() == v.tobytes() and arrays[k].dtype == v.dtype, k
+
+
+@pytest.mark.parametrize("kind", list(CHECKPOINT_KINDS))
+def test_checkpoint_with_optimizer_arrays_still_loads(kind, trained_kinds, tmp_path):
+    # files written before checkpoints dropped the optimizer carry opt.step,
+    # opt.m.* and opt.v.* beside the models; readers look arrays up by name
+    path, trained, _ = trained_kinds[kind]
+    ckpt = load_checkpoint(path)
+    rng = np.random.default_rng(4)
+    extra = {"opt.step": np.array([12], dtype=np.int64)}
+    for name, p in trained[0].params().items():
+        extra[f"opt.m.{name}"] = rng.normal(size=p.value.shape).astype(p.value.dtype)
+        extra[f"opt.v.{name}"] = rng.random(p.value.shape).astype(p.value.dtype)
+    old = tmp_path / "with_opt.mjc"
+    save_checkpoint(old, ckpt.meta, {**ckpt.arrays, **extra})
+
+    def pipeline_models(c):
+        pipe = InferencePipeline.from_checkpoint(c)
+        return pipe.imu_model, pipe.motion_model
+
+    loads = [lambda c: load_trained(c, kind)[0]]
+    if kind == "imu_tokenizer":
+        loads.append(pipeline_models)
+    for load in loads:
+        for model, want in zip(load(old), load(path), strict=True):
+            got_arrays, want_arrays = model_arrays(model), model_arrays(want)
+            assert list(got_arrays) == list(want_arrays)
+            for k, v in want_arrays.items():
+                assert got_arrays[k].tobytes() == v.tobytes(), k
