@@ -4,6 +4,10 @@ activations, reductions, AdamW, cosine annealing.
 
 Design notes:
   * a Tensor wraps one ndarray; ops record closures for the backward sweep
+  * the conv and leaky_relu arithmetic is a plain-array function
+    (``conv1d_array``, ``leaky_relu_array``) that the Tensor op wraps in a
+    graph node, so an inference forward can call it directly and get the
+    Tensor op's value bitwise, without the node's per-call overhead
   * dtype follows the inputs (float32 for training, float64 in precision
     tests), and every op is deterministic for fixed inputs
   * broadcasting is supported on elementwise ops; gradients are summed back
@@ -260,15 +264,20 @@ def sigmoid(a) -> Tensor:
     return _unary(a, out_val, lambda g: g * out_val * (1.0 - out_val))
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+def leaky_relu_array(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     """max(slope*x, x): for slope in (0, 1] bitwise where(x > 0, x, slope*x),
     NaN, infinities and signed zeros included, without a masked select
     (slope 0 would give NaN at +inf)."""
     if not 0.0 < slope <= 1.0:
         raise OutOfRange(f"leaky_relu slope must be in (0, 1], got {slope}")
+    return np.maximum(slope * x, x)
+
+
+def leaky_relu(a, slope: float = 0.2) -> Tensor:
+    """``leaky_relu_array`` as a graph node."""
     a = as_tensor(a)
     x = a.value
-    return _unary(a, np.maximum(slope * x, x),
+    return _unary(a, leaky_relu_array(x, slope),
                   lambda g: np.where(x > 0, g, g * x.dtype.type(slope)))
 
 
@@ -445,9 +454,12 @@ def _conv_taps(T: int, Tout: int, k: int, stride: int, padding: int) -> tuple:
     return tuple(taps)
 
 
-def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """Strided cross-correlation over a (B, C, T) input or a stack
-    (L, B, C, T) of them; a (B, C, T) input is the stack of one.
+def conv1d_array(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, stride: int = 1,
+                 padding: int = 0) -> tuple:
+    """The arithmetic of a strided cross-correlation over a (B, C, T) array
+    or a stack (L, B, C, T) of them, on plain arrays; a (B, C, T) input is
+    the stack of one. Returns ``(y, cols)``: the (Cout, L, B, Tout) output
+    and the (Cin*k, L*B*Tout) column matrix its GEMM read.
 
     Output time length is floor((T + 2*padding - k) / stride) + 1.
 
@@ -455,42 +467,51 @@ def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor
     column matrix, and one np.matmul runs the L GEMMs, so a stack's output
     is bitwise what a call on it alone gives. (Stacks are not batched into
     one wider GEMM: another width sums in another order.) Padded positions
-    are the zeros the tap copies leave untouched. The output is a view of a
-    (Cout, L, B, Tout) array, so the next conv's tap copies read contiguous
-    rows and the incoming gradient reshapes to (Cout, L*B*Tout) without a
-    copy; the weight and bias gradients sum over every stack in that matrix.
+    are the zeros the tap copies leave untouched. Channel-major output lets
+    the next conv's tap copies read contiguous rows.
     """
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    xv = x.value
     if xv.ndim not in (3, 4):
         raise ShapeMismatch(f"conv input must be (B, C, T) or (L, B, C, T), got {xv.shape}")
     L, B, Cin, T = xv.shape if xv.ndim == 4 else (1, *xv.shape)
-    Cout, Cw, k = weight.value.shape
+    Cout, Cw, k = wv.shape
     if Cw != Cin:
         raise ShapeMismatch(f"conv expects {Cw} input channels, got {Cin}")
     Tp = T + 2 * padding
     if Tp < k:
         raise ShapeMismatch(f"time axis too short: {T} (+2*{padding}) < kernel {k}")
     Tout = (Tp - k) // stride + 1
-    taps = _conv_taps(T, Tout, k, stride, padding)
     xc = xv.reshape(L, B, Cin, T).transpose(2, 0, 1, 3)         # (Cin, L, B, T)
     cols = np.zeros((Cin, k, L, B, Tout), dtype=xv.dtype)
-    for j, t0, t1, src in taps:
+    for j, t0, t1, src in _conv_taps(T, Tout, k, stride, padding):
         cols[:, j, :, :, t0:t1] = xc[:, :, :, src]
     cols = cols.reshape(Cin * k, L * B * Tout)
-    w_flat = weight.value.reshape(Cout, Cin * k)
-    y = np.empty((Cout, L, B, Tout), dtype=np.result_type(xv, w_flat, bias.value))
+    w_flat = wv.reshape(Cout, Cin * k)
+    y = np.empty((Cout, L, B, Tout), dtype=np.result_type(xv, w_flat, bv))
     np.matmul(w_flat, cols.reshape(Cin * k, L, B * Tout).swapaxes(0, 1),
               out=y.reshape(Cout, L, B * Tout).swapaxes(0, 1))
-    y += bias.value[:, None, None, None]
+    y += bv[:, None, None, None]
+    return y, cols
+
+
+def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
+    """``conv1d_array`` as a graph node. The output is a (B, Cout, Tout) or
+    (L, B, Cout, Tout) view of the channel-major array, so the incoming
+    gradient reshapes to (Cout, L*B*Tout) without a copy; the weight and
+    bias gradients sum over every stack in that matrix.
+    """
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    xv, wv = x.value, weight.value
+    y, cols = conv1d_array(xv, wv, bias.value, stride, padding)
+    Cout, L, B, Tout = y.shape
     out_val = y.transpose(1, 2, 0, 3).reshape(*xv.shape[:-2], Cout, Tout)
 
     def bw(g):
         g2 = g.reshape(L, B, Cout, Tout).transpose(2, 0, 1, 3).reshape(Cout, L * B * Tout)
         if x.requires_grad:
-            gcols = (w_flat.T @ g2).reshape(Cin, k, L, B, Tout)
+            Cin, T, k = *xv.shape[-2:], wv.shape[2]
+            gcols = (wv.reshape(Cout, Cin * k).T @ g2).reshape(Cin, k, L, B, Tout)
             gx = np.zeros((Cin, L, B, T), dtype=xv.dtype)
-            for j, t0, t1, dst in taps:
+            for j, t0, t1, dst in _conv_taps(T, Tout, k, stride, padding):
                 gx[:, :, :, dst] += gcols[:, j, :, :, t0:t1]
             _accum(x, gx.transpose(1, 2, 0, 3).reshape(xv.shape))
 
@@ -543,6 +564,12 @@ class Conv1d:
 
     def __call__(self, x) -> Tensor:
         return conv1d_forward(x, self.weight, self.bias, self.stride, self.padding)
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """The conv of an (L, B, C, T) array, recording nothing: the value
+        ``__call__`` gives, an (L, B, Cout, Tout) view of channel-major memory."""
+        y, _ = conv1d_array(x, self.weight.value, self.bias.value, self.stride, self.padding)
+        return y.transpose(1, 2, 0, 3)
 
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.w": self.weight, f"{prefix}.b": self.bias}

@@ -5,6 +5,12 @@ that maps (B, width, T) to (B, d_z, T/4), where two stride-2 stages realize
 the 4-frames-per-token compression, and a mirrored decoder with nearest
 upsampling. The baseline poser is the same encoder/decoder pair at stride 1
 without upsampling or quantization, trained on reconstruction alone.
+
+The encoder lists its layers once, and two forwards walk that list: the
+Tensor one that training differentiates, and ``forward_array`` on plain
+arrays, which records nothing. Frozen encodes (the stream's chunks, stage
+2's motion targets) take the array forward; its latents are bitwise the
+Tensor forward's, since both run ``gradnet.conv1d_array``.
 """
 
 from __future__ import annotations
@@ -28,30 +34,45 @@ SMOOTH_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
 class ConvEncoder:
-    """width -> hidden (k4 s2) -> hidden (k4 s2) -> hidden (k3 s1) -> d_z (k1).
+    """width -> hidden (k4 s2) -> hidden (k4 s2) -> hidden (k3 s1) -> d_z (k1),
+    with leaky_relu after every conv but the last.
 
     With ``stride=1`` the two k4 layers keep the frame rate: the first pads
     2 (T -> T+1) and the second pads 1 (back to T).
+
+    ``__call__`` runs on Tensors and records a graph for training;
+    ``forward_array`` runs the same layers, through the same conv
+    arithmetic, on a plain array and records nothing.
     """
 
     def __init__(self, in_width: int, hidden: int, d_z: int, *, rng, dtype=np.float32,
                  stride: int = 2):
-        self.c1 = Conv1d(in_width, hidden, 4, stride=stride, padding=3 - stride, rng=rng,
-                         dtype=dtype)
-        self.c2 = Conv1d(hidden, hidden, 4, stride=stride, padding=1, rng=rng, dtype=dtype)
-        self.c3 = Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)
-        self.proj = Conv1d(hidden, d_z, 1, rng=rng, dtype=dtype)
+        self.layers = (
+            ("c1", Conv1d(in_width, hidden, 4, stride=stride, padding=3 - stride, rng=rng,
+                          dtype=dtype)),
+            ("c2", Conv1d(hidden, hidden, 4, stride=stride, padding=1, rng=rng, dtype=dtype)),
+            ("c3", Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)),
+            ("proj", Conv1d(hidden, d_z, 1, rng=rng, dtype=dtype)),
+        )
 
     def __call__(self, x) -> Tensor:
-        h = gn.leaky_relu(self.c1(x), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.c2(h), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.c3(h), LEAKY_SLOPE)
-        return self.proj(h)
+        *hidden, (_, proj) = self.layers
+        for _, conv in hidden:
+            x = gn.leaky_relu(conv(x), LEAKY_SLOPE)
+        return proj(x)
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """An (L, B, width, T) array to its (L, B, d_z, S) latents, bitwise
+        the value of ``__call__`` on it, strides included; reads each
+        parameter's value, so it needs no frozen model."""
+        *hidden, (_, proj) = self.layers
+        for _, conv in hidden:
+            x = gn.leaky_relu_array(conv.forward_array(x), LEAKY_SLOPE)
+        return proj.forward_array(x)
 
     def params(self, prefix: str) -> dict:
         out = {}
-        for name, layer in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3),
-                            ("proj", self.proj)):
+        for name, layer in self.layers:
             out.update(layer.params(f"{prefix}.{name}"))
         return out
 

@@ -6,11 +6,14 @@ of a frame stream into push_frames calls yields the same token list as
 offline tokenization of the stream in chunk-sized blocks. The chunks one
 call completes are encoded in one encoder call, each chunk on its own
 entry of the conv stack axis, and quantized in one call; both keep every
-chunk's latents and ids bitwise those of encoding it alone.
+chunk's latents and ids bitwise those of encoding it alone. Encoding runs
+on plain arrays, bitwise the autodiff forward without building its graph;
+only decoding goes through Tensors.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -22,7 +25,7 @@ from . import vqcodec as vq
 from .errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from .fileio import header_fps
 from .imusim import IMU_WIDTH, InertiaSequence, NormStats
-from .models import COMPRESSION, flatten_latents, unflatten_latents
+from .models import COMPRESSION, unflatten_latents
 from .motion import MOTION_WIDTH, MotionSequence, check_fps
 from .trainer import load_trained
 
@@ -87,7 +90,12 @@ class InferencePipeline:
         return self.imu_model.codebook.digest()
 
 
-def _check_finite(frames: np.ndarray) -> None:
+def _check_frames(frames: np.ndarray) -> None:
+    """FormatError unless the frames are real numbers (a complex frame would
+    lose its imaginary part in the float cast, an object or string frame
+    fail in numpy), InvalidArgument unless they are all finite."""
+    if frames.dtype.kind not in "biuf":
+        raise FormatError(f"IMU frames must be real numbers, got dtype {frames.dtype}")
     # argmin over a NaN distance row returns 0, so a non-finite frame would
     # silently become token 0 for every latent step that sees it
     if not np.isfinite(frames).all():
@@ -99,18 +107,29 @@ def _encode_chunks(pipe: InferencePipeline, x: np.ndarray, chunk_len: int) -> np
     chunk_len-frame blocks; frames short of a block are left out.
 
     All blocks go through one encoder call on the conv stack axis, as a
-    (blocks, 1, 72, chunk_len) input: each block is its own batch-1 GEMM,
+    (blocks, 1, 72, chunk_len) array: each block is its own batch-1 GEMM,
     so its latents are bitwise those of encoding it alone. Blocks never
     share a GEMM on the batch axis, whose wider GEMM sums in another order
-    and moves latents in their last bits. The latents of all blocks then go
-    through one quantize call, whose distances do not depend on the batch.
+    and moves latents in their last bits. The encoder runs on plain arrays
+    (``ConvEncoder.forward_array``), bitwise its Tensor forward, and its
+    latents, as rows batch-major then time, go through one quantize call,
+    whose distances do not depend on the batch. Raises InvalidArgument
+    unless the latents' squared distances to their entries sum to a finite
+    value: finite frames can still overflow in the float32 cast, inside the
+    convs or in the distances, and quantize maps a row with no finite
+    distance to id 0.
     """
     n = len(x) // chunk_len
     if n == 0:
         return np.empty(0, dtype=np.uint16)
     blocks = x[:n * chunk_len].reshape(n, 1, chunk_len, IMU_WIDTH).swapaxes(-1, -2)
-    latents = flatten_latents(pipe.imu_model.encode(gn.Tensor(blocks))).value
-    indices, _ = vq.quantize(latents, pipe.imu_model.codebook)
+    z = pipe.imu_model.encoder.forward_array(blocks)                  # (n, 1, d_z, S)
+    latents = z.swapaxes(-1, -2).reshape(-1, z.shape[-2])
+    indices, codes = vq.quantize(latents, pipe.imu_model.codebook)
+    d = latents - codes
+    if not math.isfinite(np.einsum("ij,ij->", d, d)):
+        raise InvalidArgument("IMU frames overflow the encoder: a latent has no codebook "
+                              "entry at a finite distance")
     return indices.astype(np.uint16)
 
 
@@ -137,13 +156,14 @@ def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
 
     Each incoming frame is normalized and cast to float32 once, on arrival;
     pending frames wait in that model-ready form. The chunks a push completes
-    are quantized in one call. Raises InvalidArgument, buffering nothing, if
-    any frame is not finite.
+    are quantized in one call. Raises FormatError for frames that are not
+    real numbers and InvalidArgument for frames that are not finite or whose
+    latents are not, in each case buffering nothing.
     """
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != IMU_WIDTH:
         raise FormatError(f"stream frames must be (n, {IMU_WIDTH}), got {frames.shape}")
-    _check_finite(frames)
+    _check_frames(frames)
     pending = np.concatenate([state.buffer, state.pipeline.stats.normalize(frames)],
                              dtype=np.float32)
     tokens = _encode_chunks(state.pipeline, pending, state.chunk_len)
@@ -160,9 +180,11 @@ def tokenize_sequence(seq: InertiaSequence, pipe: InferencePipeline,
     With a chunk_len, frames are encoded in independent chunk-sized blocks
     (identical to the online path; trailing frames short of a chunk are
     dropped). With chunk_len=None the whole sequence is encoded in one
-    convolutional pass. Raises InvalidArgument if any frame is not finite.
+    convolutional pass. Raises FormatError for frames that are not real
+    numbers and InvalidArgument for frames that are not finite or whose
+    latents are not.
     """
-    _check_finite(seq.frames)
+    _check_frames(seq.frames)
     if chunk_len is None:
         chunk_len = max(len(seq), 4)  # one block; under 4 frames make no token
     elif chunk_len % 4 != 0 or chunk_len < 4:
@@ -212,17 +234,20 @@ def pipe_tokenize(reader, writer, pipe: InferencePipeline,
 
     Input packets: u32 little-endian frame count, then count*72 float32
     values, at most MAX_PACKET_FRAMES frames per packet. A zero-length packet
-    (or EOF) ends the stream; frames short of a full chunk at that point are
-    dropped. Output packets mirror the input: u32 token count followed by
-    little-endian u16 token ids, one packet per input packet (possibly
-    zero-count). Returns the total token count.
+    (or EOF where a header would start) ends the stream; frames short of a
+    full chunk at that point are dropped. A header or payload cut short by
+    EOF raises FormatError. Output packets mirror the input: u32 token count
+    followed by little-endian u16 token ids, one packet per input packet
+    (possibly zero-count). Returns the total token count.
     """
     state = StreamState(pipe, chunk_len=chunk_len)
     total = 0
     while True:
         header = reader.read(4)
-        if len(header) < 4:
+        if not header:
             break
+        if len(header) < 4:
+            raise FormatError("truncated packet header")
         (count,) = struct.unpack("<I", header)
         if count == 0:
             break

@@ -370,6 +370,8 @@ def frozen_targets(model: MotionVQVAE, windows: WindowIndex | np.ndarray) -> tup
     (N, T, 271) array): the frozen ``model``'s latents (N, T/4, d_z) and
     token ids (N, T/4).
 
+    The encoder runs on plain arrays (``ConvEncoder.forward_array``), bitwise
+    its Tensor forward without the graph, so a trainable model works too.
     Each window is encoded alone, on its own entry of the conv stack axis
     with batch 1, TARGET_CHUNK windows per call, so a window's latents
     depend on that window only. (On the batch axis they would not: at
@@ -381,7 +383,7 @@ def frozen_targets(model: MotionVQVAE, windows: WindowIndex | np.ndarray) -> tup
     parts = []
     for lo in range(0, len(windows), TARGET_CHUNK):
         stack = time_last(windows[lo:lo + TARGET_CHUNK])[:, None]    # (n, 1, 271, T)
-        parts.append(model.encode(gn.Tensor(stack)).value[:, 0].swapaxes(1, 2))
+        parts.append(model.encoder.forward_array(stack)[:, 0].swapaxes(1, 2))
     latents = np.concatenate(parts)
     ids, _ = vq.quantize(latents.reshape(-1, latents.shape[2]), model.codebook)
     return latents, ids.reshape(latents.shape[:2])

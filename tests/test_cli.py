@@ -215,6 +215,31 @@ class TestTrainAndStreamCommands:
         seq = fileio.read_motion_file(decoded)
         assert seq.frames.shape == (0, 271) and seq.fps == imu.fps
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tokenize_of_frames_that_overflow_the_encoder_exits_with_error(
+            self, workdir, dataset, checkpoints, capsys):
+        _, ip, _ = checkpoints
+        imu = fileio.read_imu_file(dataset / "seq0.mji1")
+        frames = imu.frames[:16].copy()
+        frames[:, 3] = 1e37
+        huge, tokens = workdir / "huge.mji1", workdir / "huge.mjt"
+        fileio.write_imu_file(huge, frames, imu.fps)
+        code = main(["stream", "tokenize", "--imu", str(huge), "--ckpt", str(ip),
+                     "--out", str(tokens)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not tokens.exists()
+
+    def test_pipe_with_a_torn_packet_header_exits_with_error(self, checkpoints, capsys,
+                                                             monkeypatch):
+        import io
+        _, ip, _ = checkpoints
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\x01")))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
+        code = main(["stream", "pipe", "--ckpt", str(ip)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: truncated packet header")
+
     def test_token_ids_beyond_the_codebook_exit_with_error(self, workdir, checkpoints, capsys):
         # the file carries the checkpoint's codebook digest but declares
         # K=1000, so id 40 passes the reader's range check yet is no entry

@@ -96,6 +96,62 @@ class TestPushFrames:
             with pytest.raises(InvalidArgument):
                 tokenize_sequence(seq, pipeline, chunk_len=chunk_len)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["one_channel_1e37", "all_1e39"])
+    def test_frames_that_overflow_the_encoder_are_rejected(self, pipeline, imu_640, case):
+        # finite frames, yet the latents are not: 1e37 overflows inside the
+        # convs, 1e39 in the float32 cast; both used to give tokens [0 0 0 0]
+        frames = imu_640.frames[:16].copy()
+        if case == "one_channel_1e37":
+            frames[:, 3] = 1e37
+        else:
+            frames[:] = 1e39
+        state = StreamState(pipeline, chunk_len=16)
+        push_frames(state, imu_640.frames[:5])
+        before = state.buffer.copy()
+        with pytest.raises(InvalidArgument):
+            push_frames(state, frames)
+        assert np.array_equal(state.buffer, before)
+        assert (state.frames_seen, state.tokens_emitted) == (5, 0)
+        seq = InertiaSequence(frames=frames, fps=imu_640.fps)
+        for chunk_len in (16, None):
+            with pytest.raises(InvalidArgument):
+                tokenize_sequence(seq, pipeline, chunk_len=chunk_len)
+
+    def test_non_real_frames_rejected(self, pipeline, imu_640):
+        frames = imu_640.frames[:16]
+        for bad in (frames + 1j, frames.astype(object), frames.astype(str)):
+            state = StreamState(pipeline, chunk_len=16)
+            with pytest.raises(FormatError):
+                push_frames(state, bad)
+            assert len(state.buffer) == 0 and state.frames_seen == 0
+            with pytest.raises(FormatError):
+                tokenize_sequence(InertiaSequence(frames=bad, fps=imu_640.fps), pipeline)
+
+    def test_tokens_equal_the_tensor_path(self, pipeline, imu_640):
+        x = pipeline.stats.normalize(imu_640.frames).astype(np.float32)
+        blocks = np.ascontiguousarray(x.reshape(40, 1, 16, IMU_WIDTH).swapaxes(-1, -2))
+        z = flatten_latents(pipeline.imu_model.encode(gn.Tensor(blocks))).value
+        want, _ = stream.vq.quantize(z, pipeline.imu_model.codebook)
+        state = StreamState(pipeline, chunk_len=16)
+        got = np.concatenate([push_frames(state, imu_640.frames[lo:lo + 37])
+                              for lo in range(0, 640, 37)])
+        assert np.array_equal(got, want)
+
+    def test_a_push_that_completes_chunks_builds_no_tensor(self, pipeline, imu_640,
+                                                            monkeypatch):
+        built = []
+        init = gn.Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(gn.Tensor, "__init__", counted)
+        state = StreamState(pipeline, chunk_len=16)
+        toks = push_frames(state, imu_640.frames[:37])
+        assert toks.shape == (8,) and built == []
+
     def test_one_push_of_several_chunks_keeps_the_remainder(self, pipeline, imu_640):
         frames = imu_640.frames[:37]
         state = StreamState(pipeline, chunk_len=16)
@@ -272,6 +328,23 @@ class TestPipeMode:
         blob = io.BytesIO(struct.pack("<I", 4) + b"\x00" * 10)
         with pytest.raises(FormatError):
             stream.pipe_tokenize(blob, io.BytesIO(), pipeline)
+
+    @pytest.mark.parametrize("tail", [b"\x01", b"\x00\x00", b"\x10\x00\x00"])
+    def test_torn_packet_header_raises(self, pipeline, imu_640, tail):
+        # 1-3 bytes where a header should be used to end the stream cleanly
+        import io
+        import struct
+        packet = struct.pack("<I", 16) + imu_640.frames[:16].astype("<f4").tobytes()
+        for blob in (tail, packet + tail):
+            with pytest.raises(FormatError, match="truncated packet header"):
+                stream.pipe_tokenize(io.BytesIO(blob), io.BytesIO(), pipeline)
+
+    def test_eof_at_a_packet_boundary_ends_the_stream(self, pipeline, imu_640):
+        import io
+        import struct
+        packet = struct.pack("<I", 16) + imu_640.frames[:16].astype("<f4").tobytes()
+        assert stream.pipe_tokenize(io.BytesIO(b""), io.BytesIO(), pipeline) == 0
+        assert stream.pipe_tokenize(io.BytesIO(packet), io.BytesIO(), pipeline) == 4
 
     def test_oversized_packet_rejected_before_reading_payload(self, pipeline):
         import io

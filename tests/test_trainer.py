@@ -14,7 +14,7 @@ from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
                            ShapeMismatch)
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import InertiaSequence
-from imutok.models import MotionVQVAE, flatten_latents, model_arrays
+from imutok.models import ConvEncoder, MotionVQVAE, flatten_latents, model_arrays
 from imutok.motion import MotionSequence
 from imutok.stream import InferencePipeline
 from imutok.trainer import (CHECKPOINT_KINDS, TARGET_CHUNK, TrainConfig, _motion_batch_losses,
@@ -231,7 +231,7 @@ class TestStageOne:
         meta = tiny_cfg.as_meta()
         meta["seed"] = 4
         m2, _ = train_motion_vqvae(corpus, TrainConfig.from_meta(meta))
-        assert not np.array_equal(m1.encoder.c1.weight.value, m2.encoder.c1.weight.value)
+        assert not np.array_equal(m1.params()["enc.c1.w"].value, m2.params()["enc.c1.w"].value)
 
     def test_step_zero_loss_matches_fresh_model_eval(self, tiny_cfg, tiny_pairs):
         pairs, _ = tiny_pairs
@@ -490,15 +490,16 @@ class TestFrozenTargets:
 
     def test_motion_encoder_runs_once_per_training_not_per_step(self, tiny_cfg, tiny_pairs,
                                                                 stage1, monkeypatch):
+        # frozen_targets is the only caller of the array forward in stage 2
         pairs, stats = tiny_pairs
-        encode = MotionVQVAE.encode
+        forward = ConvEncoder.forward_array
         calls = []
 
         def counted(self, x):
-            calls.append(x.value.shape)
-            return encode(self, x)
+            calls.append(x.shape)
+            return forward(self, x)
 
-        monkeypatch.setattr(MotionVQVAE, "encode", counted)
+        monkeypatch.setattr(ConvEncoder, "forward_array", counted)
         counts = []
         for steps in (3, 9):
             calls.clear()
