@@ -37,6 +37,10 @@ class NonScalarRoot(ImutokError, ValueError):
     """backward() was called on a non-scalar tensor."""
 
 
+class GraphReleased(ImutokError, RuntimeError):
+    """backward() reached a node whose graph an earlier backward released."""
+
+
 class OutOfRange(ImutokError, ValueError):
     """A scalar parameter is outside its allowed interval."""
 

@@ -12,6 +12,13 @@ Design notes:
     tests), and every op is deterministic for fixed inputs
   * broadcasting is supported on elementwise ops; gradients are summed back
     over broadcast axes
+  * ``backward`` releases the graph as it sweeps, as PyTorch does by
+    default: once a node's backward has run, the node drops its gradient,
+    its closure (with the arrays the closure saved) and its parents, so a
+    node is freed as soon as the sweep is past it and nothing else holds
+    it. Leaves (parameters and inputs) keep their ``.grad``. A released
+    node's ``_backward`` is a sentinel that raises ``GraphReleased``, so a
+    second ``backward`` through it fails instead of skipping its gradient
   * ``backward`` uses a spare CPU when there is one. ``cpu_lanes()`` is the
     usable CPUs // the BLAS thread count (a BLAS whose count cannot be read
     counts as using every CPU), and a worker thread runs only when it is at
@@ -41,7 +48,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .errors import NonScalarRoot, OutOfRange, ShapeMismatch
+from .errors import GraphReleased, NonScalarRoot, OutOfRange, ShapeMismatch
 
 
 def _usable_cpus() -> int:
@@ -89,7 +96,8 @@ class Tensor:
         self._parents = _parents
         # _backward(g) accumulates into the parents and returns None, or a
         # callable that does the rest of the work: the accumulation into the
-        # parents listed in _deferred, and nothing else
+        # parents listed in _deferred, and nothing else. None marks a leaf;
+        # a node that backward has swept holds the raising _released
         self._backward = _backward
         self._deferred = _deferred
 
@@ -141,8 +149,24 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _released(g):
+    """The ``_backward`` of a node whose graph a sweep has released."""
+    raise GraphReleased("backward reached a node whose graph an earlier backward released")
+
+
 def backward(root: Tensor) -> None:
-    """Reverse-mode sweep from a scalar root; accumulates into .grad."""
+    """Reverse-mode sweep from a scalar root; accumulates into the leaves'
+    .grad and releases the graph on the way.
+
+    Each interior node, once its backward has run, drops its ``grad``, its
+    parents, its deferred list and its closure, whose place the raising
+    ``_released`` takes; the sweep pops nodes off its own list, so it holds
+    none it has passed. Deferred conv work keeps the arrays it reads until
+    it has run. Leaves keep their ``.grad``. Raises GraphReleased, before
+    any gradient moves, when the graph reaches a released node: a second
+    backward from the same root, or from a new root built on top of a
+    released subgraph.
+    """
     if root.value.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.value.shape}")
     order: list[Tensor] = []
@@ -156,6 +180,8 @@ def backward(root: Tensor) -> None:
             seen.add(id(node))
             order.append(node)
             continue
+        if node._backward is _released:
+            _released(None)  # raises here, before the sweep moves any gradient
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen and p.requires_grad:
@@ -166,10 +192,12 @@ def backward(root: Tensor) -> None:
     spare = cpu_lanes() >= 2 and _deferred_writes_are_private(order)
     futures = []
     with ThreadPoolExecutor(max_workers=1) if spare else nullcontext() as worker:
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is None:
                 continue
             work = node._backward(node.grad)
+            node.grad, node._backward, node._parents, node._deferred = None, _released, (), ()
             if work is None:
                 continue
             if worker is None:

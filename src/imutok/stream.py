@@ -157,8 +157,13 @@ def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
     Each incoming frame is normalized and cast to float32 once, on arrival;
     pending frames wait in that model-ready form. The chunks a push completes
     are quantized in one call. Raises FormatError for frames that are not
-    real numbers and InvalidArgument for frames that are not finite or whose
-    latents are not, in each case buffering nothing.
+    real numbers and InvalidArgument for frames that are not finite, in
+    both cases leaving the buffer as it was. Raises InvalidArgument, too,
+    when a completed chunk's latents are not finite; such a push drops all
+    its pending frames, the buffered ones and its own, so that the stream
+    goes on from a chunk boundary: frames that overflow while they wait in
+    the buffer cannot fail every later push. The frames of a push that
+    raises are not counted in ``frames_seen``.
     """
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != IMU_WIDTH:
@@ -166,7 +171,11 @@ def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
     _check_frames(frames)
     pending = np.concatenate([state.buffer, state.pipeline.stats.normalize(frames)],
                              dtype=np.float32)
-    tokens = _encode_chunks(state.pipeline, pending, state.chunk_len)
+    try:
+        tokens = _encode_chunks(state.pipeline, pending, state.chunk_len)
+    except InvalidArgument:
+        state.buffer = pending[:0].copy()
+        raise
     state.buffer = pending[len(pending) - len(pending) % state.chunk_len:].copy()
     state.frames_seen += frames.shape[0]
     state.tokens_emitted += tokens.size

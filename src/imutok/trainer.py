@@ -4,7 +4,9 @@ stages, and the continuous baseline in ``evalbench``, run one loop,
 ``fit``, with a per-batch loss closure, and are bitwise deterministic for
 a fixed seed. Training windows are never stored: ``make_windows`` indexes
 the half-overlapping crops of the corpus, and each step gathers its batch
-from the corpus's own frames, so training holds the corpus plus one batch.
+from the corpus's own frames; ``backward`` releases each step's graph as it
+sweeps, so the root that ``fit`` keeps into the next step holds none of
+it. Training holds the corpus, one batch and one graph.
 Stage 2's targets come from a model that does not change, so they are
 encoded once, before its loop: each motion window's latents and token ids
 under the frozen stage-1 model, from which every step gathers its batch's

@@ -251,7 +251,8 @@ def quantize(latents, cb) -> tuple:
     entries) is re-ranked by the exact scan. A call whose latents or
     entries are not finite, are large enough that a score could overflow,
     or are not floating point takes the exact scan whole, so a NaN row gets
-    id 0 and a NaN entry wins the argmin as in a per-pair scan.
+    id 0, a NaN entry wins the argmin as in a per-pair scan, and a distance
+    that overflows is inf, without numpy's overflow warning.
 
     Returns (indices (S,), codes (S, d_z)).
     """
@@ -261,7 +262,9 @@ def quantize(latents, cb) -> tuple:
         raise ShapeMismatch(f"latents {Z.shape} incompatible with codebook {C.shape}")
     indices = _screen(Z, C)
     if indices is None:
-        indices = _nearest_exact(Z, C)
+        # a distance that overflows is inf and ranks last, as documented
+        with np.errstate(over="ignore"):
+            indices = _nearest_exact(Z, C)
     return indices, C[indices]
 
 

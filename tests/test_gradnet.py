@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from imutok import gradnet as gn
 from imutok import vqcodec as vq
-from imutok.errors import NonScalarRoot, OutOfRange, ShapeMismatch
+from imutok.errors import GraphReleased, NonScalarRoot, OutOfRange, ShapeMismatch
 from imutok.gradnet import AdamW, Conv1d, Linear, Tensor, cosine_lr
 
 
@@ -811,6 +811,86 @@ class TestSpareCpu:
         AdamW(params, lr=1e-2).step()
         assert started == []
         assert all((p.value < 1.0).all() for p in params.values())
+
+
+def _graph(root):
+    """Every node reachable from ``root`` through parents, in the order
+    ``backward`` sweeps them in reverse (parents before children)."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in seen:
+            continue
+        if expanded:
+            seen.add(id(node))
+            order.append(node)
+            continue
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents
+                     if id(p) not in seen and p.requires_grad)
+    return order
+
+
+def _retaining_sweep(root):
+    """The serial sweep that releases nothing: each node's backward in
+    backward's order, its deferred work run at once, every node left as
+    it was."""
+    order = _graph(root)
+    root.grad = np.ones_like(root.value)
+    for node in reversed(order):
+        if node._backward is not None:
+            work = node._backward(node.grad)
+            if work is not None:
+                work()
+
+
+class TestRelease:
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_no_interior_node_keeps_grad_parents_or_closure(self, monkeypatch, spare_cpus,
+                                                           lanes):
+        monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
+        loss, convs, x = _shared_conv_loss(np.random.default_rng(5), reuse_weight=True)
+        nodes = _graph(loss)
+        interior = [n for n in nodes if n._backward is not None]
+        leaves = [n for n in nodes if n._backward is None]
+        assert len(interior) > 10 and len(leaves) == 5
+        loss.backward()
+        for node in interior:
+            assert node.grad is None
+            assert node._parents == () and node._deferred == ()
+            assert node._backward is gn._released
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_leaf_grads_are_bitwise_the_retaining_sweep(self, monkeypatch, spare_cpus, lanes):
+        monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
+        for reuse in (False, True):
+            loss, convs, x = _shared_conv_loss(np.random.default_rng(5), reuse)
+            loss.backward()
+            ref_loss, ref_convs, ref_x = _shared_conv_loss(np.random.default_rng(5), reuse)
+            _retaining_sweep(ref_loss)
+            for got, want in zip(_grads(convs, x), _grads(ref_convs, ref_x), strict=True):
+                assert got.tobytes() == want.tobytes()
+
+    def test_second_backward_from_the_same_root_raises(self):
+        loss, convs, x = _shared_conv_loss(np.random.default_rng(5))
+        loss.backward()
+        before = [g.copy() for g in _grads(convs, x)]
+        with pytest.raises(GraphReleased):
+            loss.backward()
+        assert all(np.array_equal(a, b) for a, b in zip(_grads(convs, x), before, strict=True))
+
+    def test_a_new_root_on_a_released_subgraph_raises(self):
+        x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+        y = Tensor(np.full(3, 2.0), requires_grad=True)
+        h = gn.mul(x, x)
+        gn.tsum(h).backward()
+        grad_x = x.grad.copy()
+        # the new root reaches y directly and x only through released h: no
+        # gradient moves, not even y's
+        with pytest.raises(GraphReleased):
+            gn.tsum(gn.mul(h, y)).backward()
+        assert np.array_equal(x.grad, grad_x) and y.grad is None
 
 
 class TestCosineSchedule:

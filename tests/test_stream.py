@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ class TestPushFrames:
     @pytest.mark.parametrize("case", ["one_channel_1e37", "all_1e39"])
     def test_frames_that_overflow_the_encoder_are_rejected(self, pipeline, imu_640, case):
         # finite frames, yet the latents are not: 1e37 overflows inside the
-        # convs, 1e39 in the float32 cast; both used to give tokens [0 0 0 0]
+        # convs, 1e39 in the float32 cast; both used to give tokens [0 0 0 0].
+        # The push drops its pending frames, the 5 buffered ones too
         frames = imu_640.frames[:16].copy()
         if case == "one_channel_1e37":
             frames[:, 3] = 1e37
@@ -108,15 +110,39 @@ class TestPushFrames:
             frames[:] = 1e39
         state = StreamState(pipeline, chunk_len=16)
         push_frames(state, imu_640.frames[:5])
-        before = state.buffer.copy()
         with pytest.raises(InvalidArgument):
             push_frames(state, frames)
-        assert np.array_equal(state.buffer, before)
+        assert len(state.buffer) == 0
         assert (state.frames_seen, state.tokens_emitted) == (5, 0)
         seq = InertiaSequence(frames=frames, fps=imu_640.fps)
         for chunk_len in (16, None):
             with pytest.raises(InvalidArgument):
                 tokenize_sequence(seq, pipeline, chunk_len=chunk_len)
+
+    def test_frames_that_overflow_in_the_buffer_fail_one_push_only(self, pipeline, imu_640):
+        # the last 4 frames of a push wait in the buffer; the push that
+        # completes their chunk fails and drops them with its own frames,
+        # and the stream goes on from a chunk boundary. The overflow in
+        # quantize's distances warns of nothing
+        frames = imu_640.frames[:20].copy()
+        frames[16:, 3] = 1e37
+        state = StreamState(pipeline, chunk_len=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = push_frames(state, frames)
+            assert len(state.buffer) == 4
+            with pytest.raises(InvalidArgument):
+                push_frames(state, imu_640.frames[20:36])
+            assert len(state.buffer) == 0
+            clean = imu_640.frames[36:100]
+            got = np.concatenate([push_frames(state, clean[lo:lo + 16])
+                                  for lo in range(0, len(clean), 16)])
+        head = InertiaSequence(frames=imu_640.frames[:16], fps=imu_640.fps)
+        assert np.array_equal(first, tokenize_sequence(head, pipeline, chunk_len=16).tokens)
+        offline = tokenize_sequence(InertiaSequence(frames=clean, fps=imu_640.fps), pipeline,
+                                    chunk_len=16)
+        assert got.shape == (16,) and np.array_equal(got, offline.tokens)
+        assert (state.frames_seen, state.tokens_emitted) == (84, 20)
 
     def test_non_real_frames_rejected(self, pipeline, imu_640):
         frames = imu_640.frames[:16]

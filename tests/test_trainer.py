@@ -18,7 +18,7 @@ from imutok.models import ConvEncoder, MotionVQVAE, flatten_latents, model_array
 from imutok.motion import MotionSequence
 from imutok.stream import InferencePipeline
 from imutok.trainer import (CHECKPOINT_KINDS, TARGET_CHUNK, TrainConfig, _motion_batch_losses,
-                            _rng, frozen_targets, load_trained, make_windows,
+                            _rng, fit, frozen_targets, load_trained, make_windows,
                             motion_total_from_components, paired_windows, target_rows, time_last,
                             train_imu_tokenizer, train_motion_vqvae)
 
@@ -577,6 +577,46 @@ def test_worker_leaves_every_checkpoint_byte_identical(tiny_cfg, tiny_pairs, tmp
         sys.setswitchinterval(interval)
     assert files[3] == files[1]
     assert threading.active_count() == before
+
+
+class _ConvStack:
+    """A model for ``fit`` whose parameters are small next to one step's
+    graph, so the peak of a run shows how many graphs it holds at once."""
+
+    def __init__(self, rng):
+        widths = [8, 16, 16, 16, 16, 8]
+        self.convs = [gn.Conv1d(a, b, 3, padding=1, rng=rng)
+                      for a, b in zip(widths, widths[1:])]
+
+    def params(self):
+        return {k: t for i, c in enumerate(self.convs) for k, t in c.params(str(i)).items()}
+
+    def loss(self, batches, step):
+        x = h = gn.Tensor(batches[0])
+        for conv in self.convs:
+            h = gn.leaky_relu(conv(h))
+        total = gn.mse(h, x)
+        return total, {"loss": float(total)}, None
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_training_holds_one_graph_at_a_time(monkeypatch, lanes):
+    # a step's forward runs after the previous step's backward released its
+    # graph, so more steps do not raise the peak; a previous graph held
+    # through the next forward, with its gradients, raises it by about half
+    monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
+    windows = np.random.default_rng(7).normal(size=(64, 8, 256)).astype(np.float32)
+    peaks = []
+    for steps in (1, 3):
+        model = _ConvStack(np.random.default_rng(8))
+        cfg = TrainConfig(batch_size=16, total_steps=steps, window=4)
+        tracemalloc.start()
+        try:
+            fit((model,), cfg, (windows,), model.loss, 0, kind="motion_vqvae")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.3 * peaks[0], peaks
 
 
 @pytest.fixture(scope="module")
