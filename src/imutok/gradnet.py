@@ -19,21 +19,9 @@ Design notes:
     it. Leaves (parameters and inputs) keep their ``.grad``. A released
     node's ``_backward`` is a sentinel that raises ``GraphReleased``, so a
     second ``backward`` through it fails instead of skipping its gradient
-  * ``backward`` uses a spare CPU when there is one. ``cpu_lanes()`` is the
-    usable CPUs // the BLAS thread count (a BLAS whose count cannot be read
-    counts as using every CPU), and a worker thread runs only when it is at
-    least 2: in practice when BLAS is pinned to fewer threads than there are
-    cores, as the benchmark pins it, and not at BLAS's default of one thread
-    per core. ``backward`` then runs each conv's weight and bias gradient
-    (a GEMM, a row sum and their two accumulations) on one worker, in sweep
-    order, while the calling thread goes on down the input-gradient chain.
-    Gradients stay bitwise the serial ones: every GEMM is the same call on
-    the same operands at the same BLAS thread count, and one FIFO worker
-    keeps each tensor's accumulation order (a conv's weight and bias are
-    written only by that conv's deferred work, which ``backward`` checks
-    before it uses the worker). The worker is started and joined inside
-    ``backward``, and the first exception raised on it propagates to the
-    caller. ``AdamW.step`` runs on the calling thread.
+  * ``cpu_lanes()`` (the usable CPUs // the BLAS thread count) sizes the
+    noise benchmark's thread pool; ``backward`` and ``AdamW.step`` run on
+    the calling thread
 """
 
 from __future__ import annotations
@@ -43,8 +31,6 @@ import functools
 import glob
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -86,20 +72,17 @@ def cpu_lanes() -> int:
 class Tensor:
     """Array node in a dynamically recorded compute graph."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_deferred")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, value, requires_grad: bool = False, _parents=(), _backward=None,
-                 _deferred=()):
+    def __init__(self, value, requires_grad: bool = False, _parents=(), _backward=None):
         self.value = np.asarray(value)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
-        # _backward(g) accumulates into the parents and returns None, or a
-        # callable that does the rest of the work: the accumulation into the
-        # parents listed in _deferred, and nothing else. None marks a leaf;
-        # a node that backward has swept holds the raising _released
+        # _backward(g) accumulates the node's gradient g into its parents.
+        # None marks a leaf; a node that backward has swept holds the
+        # raising _released
         self._backward = _backward
-        self._deferred = _deferred
 
     def __float__(self) -> float:
         return float(self.value)
@@ -128,12 +111,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _make(value, parents, backward_fn, deferred=()) -> Tensor:
+def _make(value, parents, backward_fn) -> Tensor:
     req = any(p.requires_grad for p in parents)
     return Tensor(value, requires_grad=req,
                   _parents=parents if req else (),
-                  _backward=backward_fn if req else None,
-                  _deferred=deferred if req else ())
+                  _backward=backward_fn if req else None)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -159,13 +141,11 @@ def backward(root: Tensor) -> None:
     .grad and releases the graph on the way.
 
     Each interior node, once its backward has run, drops its ``grad``, its
-    parents, its deferred list and its closure, whose place the raising
-    ``_released`` takes; the sweep pops nodes off its own list, so it holds
-    none it has passed. Deferred conv work keeps the arrays it reads until
-    it has run. Leaves keep their ``.grad``. Raises GraphReleased, before
-    any gradient moves, when the graph reaches a released node: a second
-    backward from the same root, or from a new root built on top of a
-    released subgraph.
+    parents and its closure, whose place the raising ``_released`` takes;
+    the sweep pops nodes off its own list, so it holds none it has passed.
+    Leaves keep their ``.grad``. Raises GraphReleased, before any gradient
+    moves, when the graph reaches a released node: a second backward from
+    the same root, or from a new root built on top of a released subgraph.
     """
     if root.value.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.value.shape}")
@@ -189,40 +169,11 @@ def backward(root: Tensor) -> None:
     if root.grad is None:
         root.grad = np.zeros_like(root.value)
     root.grad += np.ones_like(root.value)
-    spare = cpu_lanes() >= 2 and _deferred_writes_are_private(order)
-    futures = []
-    with ThreadPoolExecutor(max_workers=1) if spare else nullcontext() as worker:
-        while order:
-            node = order.pop()
-            if node._backward is None:
-                continue
-            work = node._backward(node.grad)
-            node.grad, node._backward, node._parents, node._deferred = None, _released, (), ()
-            if work is None:
-                continue
-            if worker is None:
-                work()
-            else:
-                futures.append(worker.submit(work))
-    for future in futures:
-        future.result()
-
-
-def _deferred_writes_are_private(order) -> bool:
-    """Whether no tensor a node's deferred work writes is also written
-    directly by a node of the sweep. Then each such tensor is written by
-    deferred work alone, all of it on one FIFO worker in sweep order, so it
-    is summed in the serial sweep's order."""
-    deferred, direct = set(), set()
-    for node in order:
-        parents = node._parents
-        if node._deferred:
-            parents = list(parents)
-            for p in node._deferred:
-                parents.remove(p)  # one use each; a Tensor equals only itself
-                deferred.add(id(p))
-        direct.update(map(id, parents))
-    return deferred.isdisjoint(direct)
+    while order:
+        node = order.pop()
+        if node._backward is not None:
+            node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _released, ()
 
 
 # ---------------------------------------------------------------------------
@@ -542,16 +493,10 @@ def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor
             for j, t0, t1, dst in _conv_taps(T, Tout, k, stride, padding):
                 gx[:, :, :, dst] += gcols[:, j, :, :, t0:t1]
             _accum(x, gx.transpose(1, 2, 0, 3).reshape(xv.shape))
+        _accum(weight, (g2 @ cols.T).reshape(weight.value.shape))
+        _accum(bias, g2.sum(axis=1))
 
-        # no later node of the sweep reads a weight gradient, so this work
-        # can run off the input-gradient chain
-        def param_grads():
-            _accum(weight, (g2 @ cols.T).reshape(weight.value.shape))
-            _accum(bias, g2.sum(axis=1))
-
-        return param_grads
-
-    return _make(out_val, (x, weight, bias), bw, deferred=(weight, bias))
+    return _make(out_val, (x, weight, bias), bw)
 
 
 def linear_forward(x, weight, bias) -> Tensor:

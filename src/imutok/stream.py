@@ -14,6 +14,7 @@ only decoding goes through Tensors.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .fileio import header_fps
 from .imusim import IMU_WIDTH, InertiaSequence, NormStats
 from .models import COMPRESSION, unflatten_latents
 from .motion import MOTION_WIDTH, MotionSequence, check_fps
-from .trainer import load_trained
+from .trainer import MAX_CODEBOOK_SIZE, load_trained
 
 TOKEN_MAGIC = b"MJT2"
 TOKEN_VERSION = 1
@@ -39,6 +40,10 @@ CRC_BYTES = 4
 
 # largest frame count one pipe packet may declare (18.9 MB of float32)
 MAX_PACKET_FRAMES = 65536
+
+
+def _is_int_in(value, lo: int, hi: int) -> bool:
+    return isinstance(value, numbers.Integral) and lo <= value <= hi
 
 
 @dataclass
@@ -57,6 +62,17 @@ class TokenSequence:
         if len(self.codebook_digest) != 32:
             raise InvalidArgument("codebook digest must be 32 bytes")
         check_fps(self.fps)
+        # the header's u16 l, u32 K and u64 offset fields; a K above 2^16
+        # would also let ids past the u16 range reach the cast below
+        if not _is_int_in(self.l, 1, 0xFFFF):
+            raise InvalidArgument(f"frames per token l must be an integer in [1, 65535], "
+                                  f"got {self.l!r}")
+        if not _is_int_in(self.K, 2, MAX_CODEBOOK_SIZE):
+            raise InvalidArgument(f"codebook size K must be an integer in "
+                                  f"[2, {MAX_CODEBOOK_SIZE}], got {self.K!r}")
+        if not _is_int_in(self.start_offset, 0, (1 << 64) - 1):
+            raise InvalidArgument(f"start_offset must be an integer in [0, 2^64), "
+                                  f"got {self.start_offset!r}")
         # dtype- and range-check before the uint16 cast, which would truncate
         # fractional ids and wrap ids >= 2^16 and negative ids silently
         tokens = np.asarray(self.tokens)
@@ -288,6 +304,9 @@ def read_token_stream(path) -> TokenSequence:
         raise FormatError(f"token stream declares {l} frames per token, expected {COMPRESSION}")
     if not 0.0 < fps < np.inf:  # NaN fails too, as in fileio's frame files
         raise FormatError(f"fps must be positive and finite, got {fps}")
+    if not 2 <= K <= MAX_CODEBOOK_SIZE:
+        raise FormatError(f"token stream declares codebook size {K}, "
+                          f"outside [2, {MAX_CODEBOOK_SIZE}]")
     expected = HEADER_BYTES + 2 * count + CRC_BYTES
     if len(blob) != expected:
         raise FormatError(f"token stream length {len(blob)} != expected {expected}")

@@ -1,5 +1,7 @@
+import struct
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -447,13 +449,25 @@ class TestWireFormat:
         write_token_stream(path, tok)
         blob = bytearray(path.read_bytes())
         # overwrite one token with id 4000 and re-stamp the checksum
-        import struct
-        import zlib
         struct.pack_into("<H", blob, HEADER_BYTES + 4, 4000)
         crc = zlib.crc32(bytes(blob[:-CRC_BYTES])) & 0xFFFFFFFF
         struct.pack_into("<I", blob, len(blob) - CRC_BYTES, crc)
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
+            read_token_stream(path)
+
+    @pytest.mark.parametrize("K", [0, 1, 70000, (1 << 32) - 1])
+    def test_header_codebook_size_out_of_range_rejected(self, tmp_path, K):
+        path = tmp_path / "t.mjt"
+        write_token_stream(path, TokenSequence(tokens=np.empty(0, np.uint16), l=4, fps=60.0,
+                                               K=12, codebook_digest=bytes(32)))
+        blob = bytearray(path.read_bytes())
+        # the u32 K after the magic, the version, the fps and the u16 l, and
+        # a fresh checksum: no id and no other field is out of range
+        struct.pack_into("<I", blob, 14, K)
+        struct.pack_into("<I", blob, len(blob) - CRC_BYTES, zlib.crc32(blob[:-CRC_BYTES]))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="declares codebook size"):
             read_token_stream(path)
 
     def test_token_sequence_validates_ids(self):
@@ -462,11 +476,20 @@ class TestWireFormat:
                           K=12, codebook_digest=bytes(32))
 
     def test_token_ids_checked_before_the_u16_cast(self):
-        # 65539 and -1 would wrap to 3 and 65535 under a uint16 cast
-        for ids, K in (([1, 65539], 12), ([-1], 1 << 16), ([0, -5], 12)):
+        # 65539 and -1 would wrap to 3 and 65535 under a uint16 cast, and
+        # under K=70000 ids 65536 and 65537 would be stored as 0 and 1
+        for ids, K in (([1, 65539], 12), ([-1], 1 << 16), ([0, -5], 12),
+                       ([65536, 65537], 70000), ([0], 70000), ([0], 1), ([], 0),
+                       ([0], 12.0), ([0], 1 << 32)):
             with pytest.raises(InvalidArgument):
                 TokenSequence(tokens=np.array(ids, dtype=np.int64), l=4, fps=60.0,
                               K=K, codebook_digest=bytes(32))
+        # the u64 and u16 header fields: a negative offset or l made the
+        # writer raise a bare struct.error
+        for offset, l in ((-1, 4), (1 << 64, 4), (3.0, 4), (0, -1), (0, 0), (0, 4.5)):
+            with pytest.raises(InvalidArgument, match="start_offset" if l == 4 else "l must"):
+                TokenSequence(tokens=np.array([0]), l=l, fps=60.0, K=12,
+                              codebook_digest=bytes(32), start_offset=offset)
         with pytest.raises(InvalidArgument):
             # fractional ids used to be truncated to [1, 2]
             TokenSequence(tokens=np.array([1.7, 2.2]), l=4, fps=60.0, K=12,
@@ -474,3 +497,6 @@ class TestWireFormat:
         tok = TokenSequence(tokens=np.array([0, 65535]), l=4, fps=60.0, K=1 << 16,
                             codebook_digest=bytes(32))
         assert tok.tokens.dtype == np.uint16 and tok.tokens.tolist() == [0, 65535]
+        tok = TokenSequence(tokens=np.array([1]), l=4, fps=60.0, K=np.int64(2),
+                            codebook_digest=bytes(32), start_offset=(1 << 64) - 1)
+        assert tok.K == 2 and tok.start_offset == (1 << 64) - 1

@@ -1,6 +1,4 @@
 import dataclasses
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -553,32 +551,6 @@ class TestMisshapenCheckpointArrays:
             load_trained(path, "motion_vqvae")
 
 
-def test_worker_leaves_every_checkpoint_byte_identical(tiny_cfg, tiny_pairs, tmp_path,
-                                                      monkeypatch):
-    # stage 1, stage 2 and the baseline with three spare CPUs, switching
-    # threads every 10 us, write the bytes they write without a worker
-    from imutok.evalbench import train_baseline_poser
-    pairs, stats = tiny_pairs
-    cfg = dataclasses.replace(tiny_cfg, total_steps=4)
-    files = {}
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for lanes in (1, 3):
-            monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
-            d = tmp_path / str(lanes)
-            d.mkdir()
-            train_motion_vqvae([m for m, _ in pairs], cfg, ckpt_path=d / "m.mjc")
-            train_imu_tokenizer(pairs, d / "m.mjc", cfg, stats, ckpt_path=d / "i.mjc")
-            train_baseline_poser(pairs, cfg, stats, ckpt_path=d / "b.mjc")
-            files[lanes] = [(d / name).read_bytes() for name in ("m.mjc", "i.mjc", "b.mjc")]
-    finally:
-        sys.setswitchinterval(interval)
-    assert files[3] == files[1]
-    assert threading.active_count() == before
-
-
 class _ConvStack:
     """A model for ``fit`` whose parameters are small next to one step's
     graph, so the peak of a run shows how many graphs it holds at once."""
@@ -599,12 +571,10 @@ class _ConvStack:
         return total, {"loss": float(total)}, None
 
 
-@pytest.mark.parametrize("lanes", [1, 3])
-def test_training_holds_one_graph_at_a_time(monkeypatch, lanes):
+def test_training_holds_one_graph_at_a_time():
     # a step's forward runs after the previous step's backward released its
     # graph, so more steps do not raise the peak; a previous graph held
     # through the next forward, with its gradients, raises it by about half
-    monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
     windows = np.random.default_rng(7).normal(size=(64, 8, 256)).astype(np.float32)
     peaks = []
     for steps in (1, 3):
