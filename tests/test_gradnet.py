@@ -714,6 +714,73 @@ class TestSpareCpu:
         assert all(p.grad is not None for p in params.values())
         assert not any(np.array_equal(p.value, b) for p, b in zip(params.values(), before))
 
+    def test_backward_is_bitwise_the_serial_sweep(self, monkeypatch):
+        # backward does not consult cpu_lanes: with CPUs to spare it writes
+        # the gradients it writes with none, run after run
+        for reuse in (False, True):
+            grads = {}
+            for lanes in (1, 3, 3, 3):
+                monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
+                loss, convs, x = _shared_conv_loss(np.random.default_rng(5), reuse)
+                loss.backward()
+                grads.setdefault(lanes, []).append(_grads(convs, x))
+            for run in grads[3]:
+                for got, want in zip(run, grads[1][0], strict=True):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_a_parameter_another_op_writes_keeps_the_serial_sweep(self, monkeypatch):
+        monkeypatch.setattr(gn, "cpu_lanes", lambda: 3)
+        writes = []
+        accum = gn._accum
+        monkeypatch.setattr(gn, "_accum",
+                            lambda t, g: writes.append(threading.get_ident()) or accum(t, g))
+        loss, _, _ = _shared_conv_loss(np.random.default_rng(5), reuse_weight=True)
+        loss.backward()
+        assert writes and set(writes) == {threading.get_ident()}
+
+    def test_no_thread_outlives_backward_or_step(self, monkeypatch):
+        monkeypatch.setattr(gn, "cpu_lanes", lambda: 3)
+        before = threading.active_count()
+        loss, convs, x = _shared_conv_loss(np.random.default_rng(5))
+        loss.backward()
+        assert threading.active_count() == before
+        params = {f"{i}.{n}": t for i, c in enumerate(convs)
+                  for n, t in (("w", c.weight), ("b", c.bias))}
+        AdamW(params).step()
+        assert threading.active_count() == before
+
+    def test_step_is_bitwise_the_serial_update(self, monkeypatch):
+        shapes = [(16, 6, 3), (16,), (16, 16, 3), (16,), (5, 7)]
+        results = []
+        for lanes in (1, 3):
+            monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
+            r = np.random.default_rng(9)
+            params = {f"p{i}": Tensor(r.normal(size=s).astype(np.float32), requires_grad=True)
+                      for i, s in enumerate(shapes)}
+            opt = AdamW(params, lr=1e-2)
+            for _ in range(3):
+                for p in params.values():
+                    p.grad = r.normal(size=p.value.shape).astype(np.float32)
+                opt.step()
+            results.append([opt.step_count]
+                           + [opt.m[k].tobytes() for k in params]
+                           + [opt.v[k].tobytes() for k in params]
+                           + [p.value.tobytes() for p in params.values()])
+        assert results[0] == results[1]
+
+    def test_step_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(gn, "cpu_lanes", lambda: 3)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        params = {n: Tensor(np.ones(s, dtype=np.float32), requires_grad=True)
+                  for n, s in [("a.w", (16, 6, 3)), ("a.b", (16,)), ("b.w", (16, 16, 3)),
+                               ("b.b", (16,))]}
+        for p in params.values():
+            p.grad = np.ones_like(p.value)
+        AdamW(params, lr=1e-2).step()
+        assert started == []
+        assert all((p.value < 1.0).all() for p in params.values())
+
 
 def _graph(root):
     """Every node reachable from ``root`` through parents, in the order
@@ -744,7 +811,11 @@ def _retaining_sweep(root):
 
 
 class TestRelease:
-    def test_no_interior_node_keeps_grad_parents_or_closure(self):
+    # backward does not consult cpu_lanes, so it releases and sums the same
+    # with CPUs to spare as without
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_no_interior_node_keeps_grad_parents_or_closure(self, monkeypatch, lanes):
+        monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
         loss, convs, x = _shared_conv_loss(np.random.default_rng(5), reuse_weight=True)
         nodes = _graph(loss)
         interior = [n for n in nodes if n._backward is not None]
@@ -757,7 +828,9 @@ class TestRelease:
             assert node._backward is gn._released
         assert all(leaf.grad is not None for leaf in leaves)
 
-    def test_leaf_grads_are_bitwise_the_retaining_sweep(self):
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_leaf_grads_are_bitwise_the_retaining_sweep(self, monkeypatch, lanes):
+        monkeypatch.setattr(gn, "cpu_lanes", lambda: lanes)
         for reuse in (False, True):
             loss, convs, x = _shared_conv_loss(np.random.default_rng(5), reuse)
             loss.backward()
