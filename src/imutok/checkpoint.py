@@ -52,7 +52,18 @@ def _decode_meta(blob: bytes) -> dict:
 
 
 def save_checkpoint(path, meta: dict, arrays: dict) -> None:
+    """Every array is checked before ``path`` is opened, so a failed save
+    leaves the file already there as it was."""
     meta_blob = _encode_meta({k: str(v) for k, v in meta.items()})
+    table = []
+    for name, value in arrays.items():
+        arr = np.ascontiguousarray(value)
+        if arr.dtype not in _DTYPE_BY_KIND:
+            raise FormatError(f"unsupported checkpoint dtype {arr.dtype} for {name}")
+        code, name_b = _DTYPE_BY_KIND[arr.dtype], name.encode("utf-8")
+        header = struct.pack("<H", len(name_b)) + name_b
+        header += struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape)
+        table.append((header, arr.astype(_DTYPE_CODES[code], copy=False)))
     payload_hash = hashlib.sha256()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sI", CHECKPOINT_MAGIC, VERSION))
@@ -60,19 +71,10 @@ def save_checkpoint(path, meta: dict, arrays: dict) -> None:
         fh.write(meta_blob)
         fh.write(hashlib.sha256(meta_blob).digest())
         fh.write(struct.pack("<I", len(arrays)))
-        for name in arrays:
-            arr = np.ascontiguousarray(arrays[name])
-            if arr.dtype not in _DTYPE_BY_KIND:
-                raise FormatError(f"unsupported checkpoint dtype {arr.dtype} for {name}")
-            name_b = name.encode("utf-8")
-            header = struct.pack("<H", len(name_b)) + name_b
-            header += struct.pack("<BB", _DTYPE_BY_KIND[arr.dtype], arr.ndim)
-            header += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-            data = arr.astype(_DTYPE_CODES[_DTYPE_BY_KIND[arr.dtype]], copy=False).tobytes()
-            fh.write(header)
-            fh.write(data)
-            payload_hash.update(header)
-            payload_hash.update(data)
+        for header, arr in table:
+            for part in (header, arr.tobytes()):
+                fh.write(part)
+                payload_hash.update(part)
         fh.write(payload_hash.digest())
 
 

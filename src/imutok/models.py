@@ -8,9 +8,9 @@ without upsampling or quantization, trained on reconstruction alone.
 
 The encoder lists its layers once, and two forwards walk that list: the
 Tensor one that training differentiates, and ``forward_array`` on plain
-arrays, which records nothing. Frozen encodes (the stream's chunks, stage
-2's motion targets) take the array forward; its latents are bitwise the
-Tensor forward's, since both run ``gradnet.conv1d_array``.
+arrays, which records nothing. Every frozen step from frames to token ids
+(the stream's chunks, offline tokenization, stage 2's motion targets) is
+``tokenize_windows``.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import gradnet as gn
-from .errors import ConfigInvalid
+from . import vqcodec as vq
+from .errors import ConfigInvalid, InvalidArgument
 from .gradnet import Conv1d, Tensor
 from .imusim import IMU_WIDTH
 from .motion import MOTION_WIDTH, SL_CONTACT
-from .vqcodec import Codebook
 
 LEAKY_SLOPE = 0.2
 COMPRESSION = 4  # input frames per latent step, fixed by the two stride-2 stages
@@ -119,6 +119,30 @@ def _sigmoid_contacts(raw: Tensor) -> Tensor:
     return gn.concat([body, gn.sigmoid(logits)], axis=1)
 
 
+def tokenize_windows(model, windows: np.ndarray) -> tuple:
+    """The frozen tokenize: (n, T, width) float32 windows to the latents
+    (n, T/4, d_z) and token ids (n, T/4) of ``model``'s encoder and codebook.
+
+    Each window is encoded alone, as batch 1 on its own entry of the conv
+    stack axis of one ``ConvEncoder.forward_array`` call, so its latents are
+    bitwise those of encoding it by itself (a wider GEMM on the batch axis
+    would sum in another order). All rows go through one ``vq.quantize``
+    call, whose ids depend neither on the rows' layout nor on which rows
+    share the call. Raises InvalidArgument unless the latents' squared
+    distances to their entries sum to a finite value: finite frames can
+    still overflow in the float32 cast, inside the convs or in the
+    distances, and quantize maps a row with no finite distance to id 0.
+    """
+    z = model.encoder.forward_array(windows.swapaxes(1, 2)[:, None])
+    n, _, d_z, S = z.shape
+    rows = z.swapaxes(2, 3).reshape(n * S, d_z)
+    ids, codes = vq.quantize(rows, model.codebook)
+    d = rows - codes
+    if not np.einsum("ij,ij->", d, d) < np.inf:  # False for inf and NaN
+        raise InvalidArgument("frames overflow the encoder: a latent has no finite distance")
+    return rows.reshape(n, S, d_z), ids.reshape(n, S)
+
+
 def flatten_latents(z: Tensor) -> Tensor:
     """(..., d_z, S) -> (N*S, d_z) over the N samples of the leading axes
     (a (B, d_z, S) batch or an (L, B, d_z, S) stack), batch-major then time."""
@@ -141,7 +165,7 @@ class MotionVQVAE:
         self.decoder = ConvDecoder(cfg.d_z, cfg.hidden, MOTION_WIDTH, rng=rng, dtype=dtype)
         # placeholder table until k-means seeding from the first batch
         init = rng.normal(0.0, 0.1, size=(cfg.K, cfg.d_z)).astype(dtype)
-        self.codebook = Codebook(init, gamma=cfg.gamma)
+        self.codebook = vq.Codebook(init, gamma=cfg.gamma)
 
     def encode(self, x) -> Tensor:
         return self.encoder(x)
@@ -161,7 +185,7 @@ class ImuTokenizer:
     def __init__(self, cfg, *, rng, dtype=np.float32):
         self.encoder = ConvEncoder(IMU_WIDTH, cfg.hidden, cfg.d_z, rng=rng, dtype=dtype)
         init = rng.normal(0.0, 0.1, size=(cfg.K, cfg.d_z)).astype(dtype)
-        self.codebook = Codebook(init, gamma=cfg.gamma)
+        self.codebook = vq.Codebook(init, gamma=cfg.gamma)
 
     def encode(self, x) -> Tensor:
         return self.encoder(x)

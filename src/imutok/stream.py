@@ -4,16 +4,13 @@ binary token wire format ("MJT2").
 Chunks are encoded independently (no cross-chunk context), so any partition
 of a frame stream into push_frames calls yields the same token list as
 offline tokenization of the stream in chunk-sized blocks. The chunks one
-call completes are encoded in one encoder call, each chunk on its own
-entry of the conv stack axis, and quantized in one call; both keep every
-chunk's latents and ids bitwise those of encoding it alone. Encoding runs
-on plain arrays, bitwise the autodiff forward without building its graph;
-only decoding goes through Tensors.
+call completes go through one ``models.tokenize_windows`` call, which keeps
+every chunk's latents and ids bitwise those of encoding it alone; only
+decoding goes through Tensors.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import struct
 import zlib
@@ -22,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gradnet as gn
-from . import vqcodec as vq
+from . import vqcodec as vq  # noqa: F401  (tokenize_windows calls vq.quantize)
 from .errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from .fileio import header_fps
 from .imusim import IMU_WIDTH, InertiaSequence, NormStats
-from .models import COMPRESSION, unflatten_latents
+from .models import COMPRESSION, tokenize_windows, unflatten_latents
 from .motion import MOTION_WIDTH, MotionSequence, check_fps
 from .trainer import MAX_CODEBOOK_SIZE, load_trained
 
@@ -118,35 +115,23 @@ def _check_frames(frames: np.ndarray) -> None:
         raise InvalidArgument("IMU frames contain NaN or infinite values")
 
 
+def _check_chunk_len(chunk_len) -> None:
+    """InvalidArgument unless ``chunk_len`` is a positive integer multiple of COMPRESSION."""
+    if not (isinstance(chunk_len, numbers.Integral) and chunk_len > 0
+            and chunk_len % COMPRESSION == 0):
+        raise InvalidArgument(f"chunk length must be a positive integer multiple of "
+                              f"{COMPRESSION}, got {chunk_len!r}")
+
+
 def _encode_chunks(pipe: InferencePipeline, x: np.ndarray, chunk_len: int) -> np.ndarray:
     """Token ids of (n, 72) normalized float32 frames encoded in independent
-    chunk_len-frame blocks; frames short of a block are left out.
-
-    All blocks go through one encoder call on the conv stack axis, as a
-    (blocks, 1, 72, chunk_len) array: each block is its own batch-1 GEMM,
-    so its latents are bitwise those of encoding it alone. Blocks never
-    share a GEMM on the batch axis, whose wider GEMM sums in another order
-    and moves latents in their last bits. The encoder runs on plain arrays
-    (``ConvEncoder.forward_array``), bitwise its Tensor forward, and its
-    latents, as rows batch-major then time, go through one quantize call,
-    whose distances do not depend on the batch. Raises InvalidArgument
-    unless the latents' squared distances to their entries sum to a finite
-    value: finite frames can still overflow in the float32 cast, inside the
-    convs or in the distances, and quantize maps a row with no finite
-    distance to id 0.
-    """
+    chunk_len-frame blocks by ``tokenize_windows``; frames short of a block
+    are left out."""
     n = len(x) // chunk_len
     if n == 0:
         return np.empty(0, dtype=np.uint16)
-    blocks = x[:n * chunk_len].reshape(n, 1, chunk_len, IMU_WIDTH).swapaxes(-1, -2)
-    z = pipe.imu_model.encoder.forward_array(blocks)                  # (n, 1, d_z, S)
-    latents = z.swapaxes(-1, -2).reshape(-1, z.shape[-2])
-    indices, codes = vq.quantize(latents, pipe.imu_model.codebook)
-    d = latents - codes
-    if not math.isfinite(np.einsum("ij,ij->", d, d)):
-        raise InvalidArgument("IMU frames overflow the encoder: a latent has no codebook "
-                              "entry at a finite distance")
-    return indices.astype(np.uint16)
+    _, ids = tokenize_windows(pipe.imu_model, x[:n * chunk_len].reshape(n, chunk_len, IMU_WIDTH))
+    return ids.reshape(-1).astype(np.uint16)
 
 
 @dataclass
@@ -163,8 +148,7 @@ class StreamState:
     def __post_init__(self):
         if self.pipeline.stats is None:
             raise StatsMissing("stream state needs normalization stats")
-        if self.chunk_len % 4 != 0 or self.chunk_len < 4:
-            raise InvalidArgument("chunk length must be a positive multiple of 4")
+        _check_chunk_len(self.chunk_len)
 
 
 def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
@@ -212,8 +196,8 @@ def tokenize_sequence(seq: InertiaSequence, pipe: InferencePipeline,
     _check_frames(seq.frames)
     if chunk_len is None:
         chunk_len = max(len(seq), 4)  # one block; under 4 frames make no token
-    elif chunk_len % 4 != 0 or chunk_len < 4:
-        raise InvalidArgument("chunk length must be a positive multiple of 4")
+    else:
+        _check_chunk_len(chunk_len)
     ids = _encode_chunks(pipe, pipe.stats.normalize(seq.frames).astype(np.float32), chunk_len)
     return TokenSequence(tokens=ids, l=COMPRESSION, fps=seq.fps, K=pipe.cfg.K,
                          codebook_digest=pipe.codebook_digest())

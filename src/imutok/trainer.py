@@ -7,10 +7,8 @@ the half-overlapping crops of the corpus, and each step gathers its batch
 from the corpus's own frames; ``backward`` releases each step's graph as it
 sweeps, so the root that ``fit`` keeps into the next step holds none of
 it. Training holds the corpus, one batch and one graph.
-Stage 2's targets come from a model that does not change, so they are
-encoded once, before its loop: each motion window's latents and token ids
-under the frozen stage-1 model, from which every step gathers its batch's
-rows.
+Stage 2's targets come from a model that does not change, so
+``frozen_targets`` encodes them once, before its loop.
 """
 
 from __future__ import annotations
@@ -29,7 +27,8 @@ from .errors import (CheckpointMismatch, ConfigInvalid, EmptyDataset, InvalidArg
 from .gradnet import AdamW, cosine_lr
 from .imusim import NormStats
 from .models import (COMPRESSION, BaselinePoser, ImuTokenizer, MotionVQVAE, checkpoint_array,
-                     flatten_latents, load_model_arrays, model_arrays, unflatten_latents)
+                     flatten_latents, load_model_arrays, model_arrays, tokenize_windows,
+                     unflatten_latents)
 from .motion import SL_CONTACT, SL_JOINT_VEL
 from .skeleton import FOOT_JOINTS
 from .vqcodec import LossWeights, ZipfParams
@@ -168,9 +167,9 @@ def make_windows(frame_arrays, window: int) -> WindowIndex:
     Every array is checked here, so a bad corpus fails before training
     rather than at the first batch that gathers from it. Raises
     ShapeMismatch unless every array is 2-D with one width D;
-    InvalidArgument if any frame is NaN or infinite, since one such value
-    would turn every loss and, through the optimizer, every weight to NaN;
-    and EmptyDataset if no window fits.
+    InvalidArgument if any frame is NaN or infinite in float32, the batches'
+    dtype, since one such value would turn every loss and, through the
+    optimizer, every weight to NaN; and EmptyDataset if no window fits.
     """
     frames = [np.asarray(f) for f in frame_arrays]
     starts = []
@@ -180,8 +179,9 @@ def make_windows(frame_arrays, window: int) -> WindowIndex:
         if f.shape[1] != frames[0].shape[1]:
             raise ShapeMismatch(f"sequence {n}: frames are {f.shape[1]} wide, "
                                 f"sequence 0's {frames[0].shape[1]}")
-        if not np.isfinite(f).all():
-            raise InvalidArgument(f"sequence {n}: frames contain NaN or infinite values")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(f.astype(np.float32, copy=False)).all():
+                raise InvalidArgument(f"sequence {n}: frames are NaN or infinite in float32")
         starts.extend((n, lo) for lo in range(0, f.shape[0] - window + 1, window // 2))
     if not starts:
         raise EmptyDataset(f"no window of length {window} fits the corpus")
@@ -370,25 +370,11 @@ def train_motion_vqvae(corpus, cfg: TrainConfig, ckpt_path=None):
 def frozen_targets(model: MotionVQVAE, windows: WindowIndex | np.ndarray) -> tuple:
     """Stage 2's targets for N motion windows (a WindowIndex or an
     (N, T, 271) array): the frozen ``model``'s latents (N, T/4, d_z) and
-    token ids (N, T/4).
-
-    The encoder runs on plain arrays (``ConvEncoder.forward_array``), bitwise
-    its Tensor forward without the graph, so a trainable model works too.
-    Each window is encoded alone, on its own entry of the conv stack axis
-    with batch 1, TARGET_CHUNK windows per call, so a window's latents
-    depend on that window only. (On the batch axis they would not: at
-    some shapes a wider GEMM sums in another order, and a window's latents
-    would move in their last bits with the windows that share its batch.)
-    Quantize ids depend neither on the latents' layout nor on which rows
-    share a call, so one call gives them all.
-    """
-    parts = []
-    for lo in range(0, len(windows), TARGET_CHUNK):
-        stack = time_last(windows[lo:lo + TARGET_CHUNK])[:, None]    # (n, 1, 271, T)
-        parts.append(model.encoder.forward_array(stack)[:, 0].swapaxes(1, 2))
-    latents = np.concatenate(parts)
-    ids, _ = vq.quantize(latents.reshape(-1, latents.shape[2]), model.codebook)
-    return latents, ids.reshape(latents.shape[:2])
+    token ids (N, T/4), from one ``tokenize_windows`` call per TARGET_CHUNK
+    windows. Raises InvalidArgument for windows that overflow the encoder."""
+    parts = [tokenize_windows(model, windows[lo:lo + TARGET_CHUNK])
+             for lo in range(0, len(windows), TARGET_CHUNK)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def target_rows(latents: np.ndarray) -> np.ndarray:
@@ -406,11 +392,12 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
 
     The motion tokenizer is loaded frozen from motion_ckpt; only the IMU
     encoder receives gradients, and the IMU codebook moves by EMA. Before
-    the first step, ``frozen_targets`` encodes every motion window once,
-    gathering TARGET_CHUNK windows at a time: each step gathers its batch's
-    cached latents and token ids instead of running the frozen encoder. The
-    checkpoint is self-contained: it embeds the frozen motion model and the
-    acceleration normalization stats used in training.
+    the first step, ``frozen_targets`` encodes every motion window once:
+    each step gathers its batch's cached latents and token ids instead of
+    running the frozen encoder, and targets that overflow it raise
+    InvalidArgument before training starts. The checkpoint is
+    self-contained: it embeds the frozen motion model and the acceleration
+    normalization stats used in training.
     """
     (motion_model,), motion_cfg, _ = load_trained(motion_ckpt, "motion_vqvae")
     # the stage-2 file rebuilds the embedded motion model from this config

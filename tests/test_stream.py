@@ -227,6 +227,21 @@ class TestPushFrames:
         with pytest.raises(InvalidArgument):
             StreamState(pipeline, chunk_len=10)
 
+    @pytest.mark.parametrize("chunk_len", [16.0, 0, -16, "16"])
+    def test_chunk_must_be_a_positive_integer(self, pipeline, imu_640, chunk_len):
+        # 16.0 used to pass both chunk checks and fail on slicing with a TypeError
+        with pytest.raises(InvalidArgument):
+            StreamState(pipeline, chunk_len=chunk_len)
+        with pytest.raises(InvalidArgument):
+            tokenize_sequence(imu_640, pipeline, chunk_len=chunk_len)
+
+    def test_numpy_integer_chunk_is_an_integer(self, pipeline, imu_640):
+        tok = tokenize_sequence(imu_640, pipeline, chunk_len=np.int64(16))
+        state = StreamState(pipeline, chunk_len=np.int64(16))
+        assert np.array_equal(push_frames(state, imu_640.frames), tok.tokens)
+        assert np.array_equal(tok.tokens,
+                              tokenize_sequence(imu_640, pipeline, chunk_len=16).tokens)
+
     def test_missing_stats_raises(self, pipeline):
         import dataclasses
         broken = dataclasses.replace(pipeline, stats=None)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from imutok import gradnet as gn
+from imutok import trainer
 from imutok import vqcodec as vq
 from imutok.checkpoint import arrays_digest, load_checkpoint, save_checkpoint
 from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
@@ -285,9 +286,10 @@ class TestStageOne:
         with pytest.raises(EmptyDataset):
             train_motion_vqvae([], tiny_cfg)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
     def test_non_finite_frame_rejected(self, tiny_cfg, tiny_pairs, bad):
-        # one such value used to reach every loss and, through AdamW, every weight
+        # one such value used to reach every loss and, through AdamW, every
+        # weight; 1e39 is finite in float64 but inf in the float32 batches
         pairs, _ = tiny_pairs
         corpus = [m.frames.copy() for m, _ in pairs]
         corpus[1][37, 100] = bad
@@ -340,6 +342,16 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(DigestMismatch):
             load_checkpoint(path)
+
+    def test_failed_save_leaves_the_existing_file_alone(self, tmp_path):
+        # the bad dtype comes after an array that would already be written
+        path = tmp_path / "x.mjc"
+        save_checkpoint(path, {"kind": "motion_vqvae"}, {"a": np.zeros(4, np.float32)})
+        before = path.read_bytes()
+        with pytest.raises(FormatError, match="unsupported checkpoint dtype int32 for b"):
+            save_checkpoint(path, {"kind": "motion_vqvae"},
+                            {"a": np.ones(4, np.float32), "b": np.zeros(4, np.int32)})
+        assert path.read_bytes() == before
 
     def test_full_training_checkpoint_round_trip(self, tiny_cfg, tiny_pairs, tmp_path):
         pairs, _ = tiny_pairs
@@ -449,6 +461,20 @@ class TestStageTwo:
         pairs, stats = tiny_pairs
         with pytest.raises(LengthMismatch):
             train_imu_tokenizer(shorten(pairs, 32, motion=(2,)), stage1, tiny_cfg, stats)
+
+    def test_targets_that_overflow_the_frozen_encoder_raise_before_training(
+            self, tiny_cfg, tiny_pairs, stage1, monkeypatch):
+        # 3e38 is finite in float32, yet its latents have no finite distance
+        # to the codebook; quantize would give them id 0 as targets
+        pairs, stats = tiny_pairs
+        motion = pairs[1][0].frames.copy()
+        motion[40, 100] = 3e38
+        bad = [pairs[0], (MotionSequence(motion, pairs[1][0].fps), pairs[1][1]), pairs[2]]
+        fits = []
+        monkeypatch.setattr(trainer, "fit", lambda *a, **k: fits.append(a))
+        with pytest.raises(InvalidArgument, match="overflow the encoder"):
+            train_imu_tokenizer(bad, stage1, tiny_cfg, stats)
+        assert fits == []
 
 
 def random_windows(n, cfg, seed=0):
