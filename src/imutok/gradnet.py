@@ -4,10 +4,11 @@ activations, reductions, AdamW, cosine annealing.
 
 Design notes:
   * a Tensor wraps one ndarray; ops record closures for the backward sweep
-  * the conv and leaky_relu arithmetic is a plain-array function
-    (``conv1d_array``, ``leaky_relu_array``) that the Tensor op wraps in a
-    graph node, so an inference forward can call it directly and get the
-    Tensor op's value bitwise, without the node's per-call overhead
+  * the conv and leaky_relu arithmetic is plain-array code (``ConvPlan``
+    and ``conv1d_array``, one plan built for one call; ``leaky_relu_array``)
+    that the Tensor op wraps in a graph node, so an inference forward can
+    call it directly and get the Tensor op's value bitwise, without the
+    node's per-call overhead, and can keep a plan to reuse its buffers
   * dtype follows the inputs (float32 for training, float64 in precision
     tests), and every op is deterministic for fixed inputs
   * broadcasting is supported on elementwise ops; gradients are summed back
@@ -243,21 +244,28 @@ def sigmoid(a) -> Tensor:
     return _unary(a, out_val, lambda g: g * out_val * (1.0 - out_val))
 
 
-def leaky_relu_array(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
+def leaky_relu_array(x: np.ndarray, slope: float = 0.2, out=None, scratch=None) -> np.ndarray:
     """max(slope*x, x): for slope in (0, 1] bitwise where(x > 0, x, slope*x),
     NaN, infinities and signed zeros included, without a masked select
-    (slope 0 would give NaN at +inf)."""
+    (slope 0 would give NaN at +inf). ``scratch`` (x's shape and dtype)
+    takes slope*x and ``out`` the result, so ``out=x`` works in place."""
     if not 0.0 < slope <= 1.0:
         raise OutOfRange(f"leaky_relu slope must be in (0, 1], got {slope}")
-    return np.maximum(slope * x, x)
+    return np.maximum(np.multiply(x, slope, out=scratch), x, out=out)
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    """``leaky_relu_array`` as a graph node."""
+    """``leaky_relu_array`` as a graph node. Its backward scales the
+    gradient by max((x > 0), slope) in x's dtype, {1, slope} without a
+    masked select: bitwise where(x > 0, g, g*slope)."""
     a = as_tensor(a)
     x = a.value
-    return _unary(a, leaky_relu_array(x, slope),
-                  lambda g: np.where(x > 0, g, g * x.dtype.type(slope)))
+
+    def grad(g):
+        factor = (x > 0).astype(x.dtype)
+        return g * np.maximum(factor, slope, out=factor)
+
+    return _unary(a, leaky_relu_array(x, slope), grad)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -433,12 +441,16 @@ def _conv_taps(T: int, Tout: int, k: int, stride: int, padding: int) -> tuple:
     return tuple(taps)
 
 
-def conv1d_array(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, stride: int = 1,
-                 padding: int = 0) -> tuple:
-    """The arithmetic of a strided cross-correlation over a (B, C, T) array
-    or a stack (L, B, C, T) of them, on plain arrays; a (B, C, T) input is
-    the stack of one. Returns ``(y, cols)``: the (Cout, L, B, Tout) output
-    and the (Cin*k, L*B*Tout) column matrix its GEMM read.
+class ConvPlan:
+    """The buffers and views of one strided cross-correlation over a fixed
+    input array: a (B, C, T) array or a stack (L, B, C, T) of them, a
+    (B, C, T) input being the stack of one. Building a plan allocates the
+    (Cin, k, L, B, Tout) column matrix with its padding zeroed, the
+    (Cout, L, B, Tout) output, each tap's source and destination view, and
+    the GEMM's operand and output views; ``run`` then reads the input's
+    current values and allocates nothing. So a plan over a buffer that is
+    refilled serves every call of one shape, and ``conv1d_array`` is a
+    plan built for one call.
 
     Output time length is floor((T + 2*padding - k) / stride) + 1.
 
@@ -449,27 +461,47 @@ def conv1d_array(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, stride: int = 1
     are the zeros the tap copies leave untouched. Channel-major output lets
     the next conv's tap copies read contiguous rows.
     """
-    if xv.ndim not in (3, 4):
-        raise ShapeMismatch(f"conv input must be (B, C, T) or (L, B, C, T), got {xv.shape}")
-    L, B, Cin, T = xv.shape if xv.ndim == 4 else (1, *xv.shape)
-    Cout, Cw, k = wv.shape
-    if Cw != Cin:
-        raise ShapeMismatch(f"conv expects {Cw} input channels, got {Cin}")
-    Tp = T + 2 * padding
-    if Tp < k:
-        raise ShapeMismatch(f"time axis too short: {T} (+2*{padding}) < kernel {k}")
-    Tout = (Tp - k) // stride + 1
-    xc = xv.reshape(L, B, Cin, T).transpose(2, 0, 1, 3)         # (Cin, L, B, T)
-    cols = np.zeros((Cin, k, L, B, Tout), dtype=xv.dtype)
-    for j, t0, t1, src in _conv_taps(T, Tout, k, stride, padding):
-        cols[:, j, :, :, t0:t1] = xc[:, :, :, src]
-    cols = cols.reshape(Cin * k, L * B * Tout)
-    w_flat = wv.reshape(Cout, Cin * k)
-    y = np.empty((Cout, L, B, Tout), dtype=np.result_type(xv, w_flat, bv))
-    np.matmul(w_flat, cols.reshape(Cin * k, L, B * Tout).swapaxes(0, 1),
-              out=y.reshape(Cout, L, B * Tout).swapaxes(0, 1))
-    y += bv[:, None, None, None]
-    return y, cols
+
+    def __init__(self, xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, stride: int = 1,
+                 padding: int = 0):
+        if xv.ndim not in (3, 4):
+            raise ShapeMismatch(f"conv input must be (B, C, T) or (L, B, C, T), got {xv.shape}")
+        x4 = xv if xv.ndim == 4 else xv[None]
+        L, B, Cin, T = x4.shape
+        Cout, Cw, k = wv.shape
+        if Cw != Cin:
+            raise ShapeMismatch(f"conv expects {Cw} input channels, got {Cin}")
+        Tp = T + 2 * padding
+        if Tp < k:
+            raise ShapeMismatch(f"time axis too short: {T} (+2*{padding}) < kernel {k}")
+        Tout = (Tp - k) // stride + 1
+        xc = x4.transpose(2, 0, 1, 3)                                # (Cin, L, B, T)
+        cols = np.zeros((Cin, k, L, B, Tout), dtype=xv.dtype)
+        self.taps = [(cols[:, j, :, :, t0:t1], xc[:, :, :, src])
+                     for j, t0, t1, src in _conv_taps(T, Tout, k, stride, padding)]
+        self.cols = cols.reshape(Cin * k, L * B * Tout)
+        self.y = np.empty((Cout, L, B, Tout), dtype=np.result_type(xv, wv, bv))
+        self.w_shape = (Cout, Cin * k)
+        self.gemm_in = cols.reshape(Cin * k, L, B * Tout).swapaxes(0, 1)
+        self.gemm_out = self.y.reshape(Cout, L, B * Tout).swapaxes(0, 1)
+        self.y_rows = self.y.reshape(Cout, L * B * Tout)
+
+    def run(self, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
+        """The (Cout, L, B, Tout) output for the input's current values."""
+        for dst, src in self.taps:
+            dst[...] = src
+        np.matmul(wv.reshape(self.w_shape), self.gemm_in, out=self.gemm_out)
+        np.add(self.y_rows, bv[:, None], out=self.y_rows)
+        return self.y
+
+
+def conv1d_array(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, stride: int = 1,
+                 padding: int = 0) -> tuple:
+    """The conv of one ``ConvPlan`` built for this call. Returns ``(y, cols)``:
+    the (Cout, L, B, Tout) output and the (Cin*k, L*B*Tout) column matrix
+    its GEMM read."""
+    plan = ConvPlan(xv, wv, bv, stride, padding)
+    return plan.run(wv, bv), plan.cols
 
 
 def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:

@@ -8,9 +8,10 @@ without upsampling or quantization, trained on reconstruction alone.
 
 The encoder lists its layers once, and two forwards walk that list: the
 Tensor one that training differentiates, and ``forward_array`` on plain
-arrays, which records nothing. Every frozen step from frames to token ids
-(the stream's chunks, offline tokenization, stage 2's motion targets) is
-``tokenize_windows``.
+arrays, which records nothing and can reuse the buffers of an
+``EncoderWorkspace`` that a caller keeps for one input shape. Every frozen
+step from frames to token ids (the stream's chunks, offline tokenization,
+stage 2's motion targets) is ``tokenize_windows``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import gradnet as gn
 from . import vqcodec as vq
-from .errors import ConfigInvalid, InvalidArgument
+from .errors import ConfigInvalid, InvalidArgument, ShapeMismatch
 from .gradnet import Conv1d, Tensor
 from .imusim import IMU_WIDTH
 from .motion import MOTION_WIDTH, SL_CONTACT
@@ -61,20 +62,62 @@ class ConvEncoder:
             x = gn.leaky_relu(conv(x), LEAKY_SLOPE)
         return proj(x)
 
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
+    def forward_array(self, x: np.ndarray, workspace=None) -> np.ndarray:
         """An (L, B, width, T) array to its (L, B, d_z, S) latents, bitwise
         the value of ``__call__`` on it, strides included; reads each
-        parameter's value, so it needs no frozen model."""
-        *hidden, (_, proj) = self.layers
-        for _, conv in hidden:
-            x = gn.leaky_relu_array(conv.forward_array(x), LEAKY_SLOPE)
-        return proj.forward_array(x)
+        parameter's value, so it needs no frozen model.
+
+        On ``workspace``, an ``EncoderWorkspace`` of x's shape and dtype,
+        it reuses the workspace's buffers, and the result is a view of the
+        workspace that the next forward on it overwrites. Without one, each
+        layer builds its ``gradnet.ConvPlan`` for this call and drops it at
+        the next layer, so a one-off call holds about two layers' buffers
+        at a time, not every layer's.
+        """
+        if workspace is not None:
+            if (x.shape, x.dtype) != (workspace.x.shape, workspace.x.dtype):
+                raise ShapeMismatch(f"workspace holds {workspace.x.dtype} {workspace.x.shape} "
+                                    f"input, got {x.dtype} {x.shape}")
+            workspace.x[...] = x
+            x = workspace.x
+        for i, (_, conv) in enumerate(self.layers):
+            w, b = conv.weight.value, conv.bias.value
+            if workspace is None:
+                y = gn.ConvPlan(x, w, b, conv.stride, conv.padding).run(w, b)
+            else:
+                y = workspace.plans[i].run(w, b)
+            if i < len(self.layers) - 1:
+                scratch = None if workspace is None else workspace.scratch[i]
+                gn.leaky_relu_array(y, LEAKY_SLOPE, out=y, scratch=scratch)
+            x = y.transpose(1, 2, 0, 3)
+        return x
 
     def params(self, prefix: str) -> dict:
         out = {}
         for name, layer in self.layers:
             out.update(layer.params(f"{prefix}.{name}"))
         return out
+
+
+class EncoderWorkspace:
+    """The buffers ``ConvEncoder.forward_array`` reuses for one (L, B,
+    width, T) input shape and dtype: an input buffer ``x``, one
+    ``gradnet.ConvPlan`` per layer, the first over x and each other over
+    the output of the layer before, and the scratch of each in-place
+    leaky_relu. A forward on it copies its input into x, then makes per
+    layer its tap copies, one stacked GEMM, one bias add and two activation
+    ufuncs, and allocates nothing. A workspace is not safe to share between
+    threads.
+    """
+
+    def __init__(self, encoder: ConvEncoder, shape: tuple, dtype):
+        self.x = np.empty(shape, dtype)
+        h, self.plans = self.x, []
+        for _, conv in encoder.layers:
+            plan = gn.ConvPlan(h, conv.weight.value, conv.bias.value, conv.stride, conv.padding)
+            self.plans.append(plan)
+            h = plan.y.transpose(1, 2, 0, 3)
+        self.scratch = [np.empty_like(plan.y) for plan in self.plans[:-1]]
 
 
 class ConvDecoder:
@@ -119,23 +162,26 @@ def _sigmoid_contacts(raw: Tensor) -> Tensor:
     return gn.concat([body, gn.sigmoid(logits)], axis=1)
 
 
-def tokenize_windows(model, windows: np.ndarray) -> tuple:
+def tokenize_windows(model, windows: np.ndarray, workspace=None) -> tuple:
     """The frozen tokenize: (n, T, width) float32 windows to the latents
     (n, T/4, d_z) and token ids (n, T/4) of ``model``'s encoder and codebook.
 
     Each window is encoded alone, as batch 1 on its own entry of the conv
     stack axis of one ``ConvEncoder.forward_array`` call, so its latents are
     bitwise those of encoding it by itself (a wider GEMM on the batch axis
-    would sum in another order). All rows go through one ``vq.quantize``
-    call, whose ids depend neither on the rows' layout nor on which rows
-    share the call. Raises InvalidArgument unless the latents' squared
-    distances to their entries sum to a finite value: finite frames can
-    still overflow in the float32 cast, inside the convs or in the
-    distances, and quantize maps a row with no finite distance to id 0.
+    would sum in another order). ``workspace``, an ``EncoderWorkspace`` of
+    shape (n, 1, width, T), lets a caller that tokenizes one shape again
+    and again reuse its buffers; the latents returned are a copy, never a
+    view of it. All rows go through one ``vq.quantize`` call, whose ids
+    depend neither on the rows' layout nor on which rows share the call.
+    Raises InvalidArgument unless the latents' squared distances to their
+    entries sum to a finite value: finite frames can still overflow in the
+    float32 cast, inside the convs or in the distances, and quantize maps a
+    row with no finite distance to id 0.
     """
-    z = model.encoder.forward_array(windows.swapaxes(1, 2)[:, None])
+    z = model.encoder.forward_array(windows.swapaxes(1, 2)[:, None], workspace)
     n, _, d_z, S = z.shape
-    rows = z.swapaxes(2, 3).reshape(n * S, d_z)
+    rows = z.swapaxes(2, 3).reshape(n * S, d_z).copy()
     ids, codes = vq.quantize(rows, model.codebook)
     d = rows - codes
     if not np.einsum("ij,ij->", d, d) < np.inf:  # False for inf and NaN

@@ -4,9 +4,11 @@ binary token wire format ("MJT2").
 Chunks are encoded independently (no cross-chunk context), so any partition
 of a frame stream into push_frames calls yields the same token list as
 offline tokenization of the stream in chunk-sized blocks. The chunks one
-call completes go through one ``models.tokenize_windows`` call, which keeps
-every chunk's latents and ids bitwise those of encoding it alone; only
-decoding goes through Tensors.
+call completes go through ``models.tokenize_windows`` ENCODE_GROUP at a
+time, which keeps every chunk's latents and ids bitwise those of encoding
+it alone. A ``StreamState`` keeps the encoder workspace of each chunk count
+it encodes, so a push allocates no encoder buffers once the stream has seen
+its chunk count; only decoding goes through Tensors.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gradnet as gn
-from . import vqcodec as vq  # noqa: F401  (tokenize_windows calls vq.quantize)
 from .errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from .fileio import header_fps
 from .imusim import IMU_WIDTH, InertiaSequence, NormStats
-from .models import COMPRESSION, tokenize_windows, unflatten_latents
+from .models import COMPRESSION, EncoderWorkspace, tokenize_windows, unflatten_latents
 from .motion import MOTION_WIDTH, MotionSequence, check_fps
 from .trainer import MAX_CODEBOOK_SIZE, load_trained
 
@@ -37,6 +38,8 @@ CRC_BYTES = 4
 
 # largest frame count one pipe packet may declare (18.9 MB of float32)
 MAX_PACKET_FRAMES = 65536
+# most chunks one tokenize_windows call encodes; it bounds a stream's workspaces
+ENCODE_GROUP = 8
 
 
 def _is_int_in(value, lo: int, hi: int) -> bool:
@@ -123,20 +126,34 @@ def _check_chunk_len(chunk_len) -> None:
                               f"{COMPRESSION}, got {chunk_len!r}")
 
 
-def _encode_chunks(pipe: InferencePipeline, x: np.ndarray, chunk_len: int) -> np.ndarray:
+def _encode_chunks(pipe: InferencePipeline, x: np.ndarray, chunk_len: int,
+                   workspaces: dict | None = None) -> np.ndarray:
     """Token ids of (n, 72) normalized float32 frames encoded in independent
-    chunk_len-frame blocks by ``tokenize_windows``; frames short of a block
-    are left out."""
+    chunk_len-frame blocks by ``tokenize_windows``, ENCODE_GROUP blocks per
+    call; frames short of a block are left out. Given ``workspaces`` (a
+    ``StreamState``'s), each count of blocks runs on its own
+    ``EncoderWorkspace`` kept there. Every block is its own stack GEMM, so
+    the grouping changes no bit, and it bounds the workspaces to
+    ENCODE_GROUP block counts of at most ENCODE_GROUP blocks, whatever the
+    packet size."""
     n = len(x) // chunk_len
-    if n == 0:
-        return np.empty(0, dtype=np.uint16)
-    _, ids = tokenize_windows(pipe.imu_model, x[:n * chunk_len].reshape(n, chunk_len, IMU_WIDTH))
-    return ids.reshape(-1).astype(np.uint16)
+    blocks = x[:n * chunk_len].reshape(n, chunk_len, IMU_WIDTH)
+    ids = np.empty((n, chunk_len // COMPRESSION), dtype=np.uint16)
+    for lo in range(0, n, ENCODE_GROUP):
+        group = blocks[lo:lo + ENCODE_GROUP]
+        ws = None if workspaces is None else workspaces.get(len(group))
+        if workspaces is not None and ws is None:
+            ws = workspaces[len(group)] = EncoderWorkspace(
+                pipe.imu_model.encoder, (len(group), 1, IMU_WIDTH, chunk_len), group.dtype)
+        ids[lo:lo + len(group)] = tokenize_windows(pipe.imu_model, group, ws)[1]
+    return ids.reshape(-1)
 
 
 @dataclass
 class StreamState:
-    """Single-consumer online tokenizer state."""
+    """Single-consumer online tokenizer state. It keeps the encoder
+    workspaces of the block counts its pushes complete (see
+    ``_encode_chunks``), so it must not be shared between threads."""
 
     pipeline: InferencePipeline
     chunk_len: int = DEFAULT_CHUNK
@@ -144,6 +161,7 @@ class StreamState:
         default_factory=lambda: np.empty((0, IMU_WIDTH), dtype=np.float32))
     frames_seen: int = 0
     tokens_emitted: int = 0
+    workspaces: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pipeline.stats is None:
@@ -172,7 +190,7 @@ def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
     pending = np.concatenate([state.buffer, state.pipeline.stats.normalize(frames)],
                              dtype=np.float32)
     try:
-        tokens = _encode_chunks(state.pipeline, pending, state.chunk_len)
+        tokens = _encode_chunks(state.pipeline, pending, state.chunk_len, state.workspaces)
     except InvalidArgument:
         state.buffer = pending[:0].copy()
         raise

@@ -205,26 +205,33 @@ def _screen(Z: np.ndarray, C: np.ndarray):
     fi, d = np.finfo(dtype), Z.shape[1]
     z2 = np.einsum("ij,ij->i", Z, Z)
     c2 = np.einsum("ij,ij->i", C, C)
-    c2_max = c2.max()
-    if not z2.max(initial=0) + c2_max <= fi.max / 8:  # NaN and inf fail too
+    if not z2.max(initial=0) + c2.max() <= fi.max / 8:  # NaN and inf fail too
         return None
+    # Margin. Let u = eps/2 be the unit roundoff, W_j = ||z||^2 + ||c_j||^2,
+    # t_j = ||z - c_j||^2 <= 2W_j the true distance. The exact distance (a
+    # subtract, a square, then d-1 adds of non-negative terms in any order)
+    # is within (d+2)u/(1-(d+2)u) t_j, about (2d+4)uW_j, of t_j. The score
+    # s_j = ||c_j||^2 - 2 z.c_j is within about (2d+2)uW_j of t_j - ||z||^2
+    # whatever order and FMA use the GEMM and the norms sum with:
+    # ||c_j||^2 and 2 z.c_j each carry d u W_j (2|z.c_j| <= W_j), the final
+    # add 2uW_j. The exact winner j* is no farther than any m, so
+    # s_j* - s_m is at most the four errors, (4d+6)u (W_j* + W_m). With
+    # b = 8(d+4)u, twice (4d+6)u with room for its own rounding, j* meets
+    # s_j* - bW_j* <= min_m (s_m + bW_m); drop the ||z||^2 both sides share
+    # and it reads lo_j* <= min_m hi_m + 2b||z||^2, for the scores folded as
+    # lo_j = (1-b)||c_j||^2 - 2 z.c_j and hi_m = (1+b)||c_m||^2 - 2 z.c_m.
+    # Each fold adds two roundings of u||c||^2, inside that room. Gradual
+    # underflow adds an absolute error of at most half a smallest subnormal
+    # per rounded op, about 4d of them over the four errors, so 8(d+4) of
+    # them cover it twice.
+    b = 4 * (d + 4) * fi.eps
     score = Z @ C.T
     score *= -2
-    score += c2
-    # Margin. Let u = eps/2 be the unit roundoff, W = ||z||^2 + max_k ||c_k||^2,
-    # t_j = ||z - c_j||^2 <= 2W the true distance. The exact distance (a
-    # subtract, a square, then d-1 adds of non-negative terms in any order)
-    # is within (d+2)u/(1-(d+2)u) t_j, about (2d+4)uW, of t_j. The score
-    # is within about (2d+2)uW of t_j - ||z||^2 whatever order and FMA use
-    # the GEMM and the norms sum with: ||c_j||^2 and 2 z.c_j each carry
-    # d u W (|z.c_j| <= W/2), the final add 2uW. If j* is the exact winner
-    # and m the best score, s_j* - s_m is at most the four errors of j* and
-    # m, (8d+12)uW; the margin 16(d+4)uW is twice that with room for its own
-    # rounding. Gradual underflow adds an absolute error of at most half a
-    # smallest subnormal per rounded op, about 4d of them over the four
-    # errors, so 8(d+4) of them cover it twice.
-    margin = (z2 + c2_max) * (8 * (d + 4) * fi.eps) + 8 * (d + 4) * fi.smallest_subnormal
-    keep = score <= (score.min(axis=1) + margin)[:, None]
+    hi = score + (1 + b) * c2
+    score += (1 - b) * c2
+    bound = hi.min(axis=1)
+    bound += z2 * (2 * b) + 8 * (d + 4) * fi.smallest_subnormal
+    keep = score <= bound[:, None]
     indices = keep.argmax(axis=1)
     if np.count_nonzero(keep) > len(Z):  # some row has more than one candidate
         near = np.count_nonzero(keep, axis=1) > 1
@@ -243,10 +250,11 @@ def quantize(latents, cb) -> tuple:
 
     A GEMM screen finds them. Per row it scores every entry as
     ||c||^2 - 2 z.c (the squared distance minus the row's ||z||^2) in the
-    latents' dtype, and keeps each entry within a rounding margin of the
-    row's best score: 16(d_z+4)u (||z||^2 + max ||c||^2) plus an underflow
-    term, with u the unit roundoff, which bounds the rounding of both the
-    score and the exact distance, so the exact winner is always kept. A row
+    latents' dtype, and keeps each entry whose score, lowered by its own
+    rounding margin b (||z||^2 + ||c||^2), is within the margin-raised
+    score of the row's best entry: b = 8(d_z+4)u with u the unit roundoff,
+    plus an underflow term, bounds the rounding of both the score and the
+    exact distance, so the exact winner is always kept. A row
     with one candidate takes it; a row with several (near-ties, duplicate
     entries) is re-ranked by the exact scan. A call whose latents or
     entries are not finite, are large enough that a score could overflow,

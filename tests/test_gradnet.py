@@ -320,6 +320,27 @@ class TestElementwiseGradients:
         assert np.array_equal(x.grad, want)
 
     @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    @pytest.mark.parametrize("slope", [0.2, 1.0, 1e-30])
+    def test_leaky_relu_gradient_is_bitwise_the_masked_select(self, dtype, bits, slope):
+        # every pair of special input and gradient values, quiet NaNs with a
+        # payload among them: g scaled by max(x > 0, slope) is where(x > 0, g, g*slope)
+        fi = np.finfo(dtype)
+        tiny = fi.smallest_subnormal
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                            fi.tiny, -fi.tiny, fi.max, -fi.max, 1.0, -1.0, 0.3], dtype)
+        payload = np.array([0x7FC00123, 0xFFC00123] if dtype == np.float32 else
+                           [0x7FF8000000000123, 0xFFF8000000000123], bits).view(dtype)
+        values = np.concatenate([special, payload])
+        xv, g = (a.copy() for a in np.meshgrid(values, values))
+        x = Tensor(xv, requires_grad=True)
+        node = gn.leaky_relu(x, slope)
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            node._backward(g)
+            want = np.where(xv > 0, g, g * dtype(slope))
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad.view(bits), want.view(bits))
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
     @pytest.mark.parametrize("slope", [0.2, 0.5, 1.0, 1e-30])
     def test_leaky_relu_forward_is_bitwise_the_masked_select(self, dtype, bits, slope):
         fi = np.finfo(dtype)

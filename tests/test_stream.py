@@ -1,3 +1,4 @@
+import io
 import struct
 import tracemalloc
 import warnings
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 
 from imutok import gradnet as gn
-from imutok import stream
+from imutok import stream, vqcodec
 from imutok.checkpoint import load_checkpoint
 from imutok.errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import IMU_WIDTH, InertiaSequence
-from imutok.models import flatten_latents
+from imutok.models import EncoderWorkspace, flatten_latents
 from imutok.stream import (CRC_BYTES, HEADER_BYTES, InferencePipeline, StreamState,
                            TokenSequence, decode_tokens, push_frames,
                            read_token_stream, tokenize_sequence, write_token_stream)
@@ -160,7 +161,7 @@ class TestPushFrames:
         x = pipeline.stats.normalize(imu_640.frames).astype(np.float32)
         blocks = np.ascontiguousarray(x.reshape(40, 1, 16, IMU_WIDTH).swapaxes(-1, -2))
         z = flatten_latents(pipeline.imu_model.encode(gn.Tensor(blocks))).value
-        want, _ = stream.vq.quantize(z, pipeline.imu_model.codebook)
+        want, _ = vqcodec.quantize(z, pipeline.imu_model.codebook)
         state = StreamState(pipeline, chunk_len=16)
         got = np.concatenate([push_frames(state, imu_640.frames[lo:lo + 37])
                               for lo in range(0, 640, 37)])
@@ -206,8 +207,8 @@ class TestPushFrames:
         assert (state.frames_seen, state.tokens_emitted) == (21, 4)
 
     def test_one_max_size_packet_matches_offline_chunked(self, pipeline, imu_640):
-        # 4096 chunks in one encoder call; chunks are independent, so a tiled
-        # recording gives its offline tokens tiled
+        # 4096 chunks, ENCODE_GROUP per encoder call; chunks are independent,
+        # so a tiled recording gives its offline tokens tiled
         reps = -(-stream.MAX_PACKET_FRAMES // len(imu_640))
         frames = np.tile(imu_640.frames, (reps, 1))[:stream.MAX_PACKET_FRAMES]
         offline = tokenize_sequence(imu_640, pipeline, chunk_len=16).tokens
@@ -222,6 +223,54 @@ class TestPushFrames:
         assert len(state.buffer) == 0
         # the stacked encoder's temporaries stay a small multiple of the packet
         assert peak < 2 * frames.nbytes
+
+    def test_seeded_packets_match_offline_and_pipe_tokens(self, pipeline, imu_640):
+        # packets of 1..63 frames, float32 values so the pipe carries the same
+        # frames; the state keeps one workspace per block count it completes
+        frames = imu_640.frames.astype(np.float32).astype(np.float64)
+        offline = tokenize_sequence(InertiaSequence(frames, imu_640.fps), pipeline,
+                                    chunk_len=16).tokens
+        rng = np.random.default_rng(25)
+        for _ in range(5):
+            cuts = np.cumsum(rng.integers(1, 64, size=40))
+            packets = np.split(frames, cuts[cuts < len(frames)])
+            state = StreamState(pipeline, chunk_len=16)
+            pushed = [push_frames(state, p) for p in packets]
+            assert np.array_equal(np.concatenate(pushed), offline)
+            assert set(state.workspaces) <= set(range(1, stream.ENCODE_GROUP + 1))
+            payload = io.BytesIO()
+            for p in packets:
+                payload.write(struct.pack("<I", len(p)) + p.astype("<f4").tobytes())
+            payload.write(struct.pack("<I", 0))
+            payload.seek(0)
+            out = io.BytesIO()
+            stream.pipe_tokenize(payload, out, pipeline, chunk_len=16)
+            out.seek(0)
+            for want in pushed:
+                (n,) = struct.unpack("<I", out.read(4))
+                assert np.array_equal(np.frombuffer(out.read(2 * n), dtype="<u2"), want)
+            assert out.read() == b""
+
+    def test_a_max_size_packet_leaves_bounded_workspaces(self, pipeline, imu_640):
+        # the 4096 chunks go ENCODE_GROUP to a call, so the state keeps one
+        # workspace of ENCODE_GROUP chunks, not one sized to the packet
+        reps = -(-stream.MAX_PACKET_FRAMES // len(imu_640))
+        frames = np.tile(imu_640.frames, (reps, 1))[:stream.MAX_PACKET_FRAMES]
+        state = StreamState(pipeline, chunk_len=16)
+        tracemalloc.start()
+        try:
+            one = EncoderWorkspace(pipeline.imu_model.encoder, (1, 1, IMU_WIDTH, 16), np.float32)
+            one_chunk = tracemalloc.get_traced_memory()[0]
+            del one
+            before = tracemalloc.get_traced_memory()[0]
+            toks = push_frames(state, frames)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert list(state.workspaces) == [stream.ENCODE_GROUP]
+        # what the push leaves allocated: its tokens and the workspace
+        assert held < toks.nbytes + stream.ENCODE_GROUP * one_chunk + (64 << 10)
+        assert held < frames.nbytes // 100
 
     def test_chunk_must_be_multiple_of_rate(self, pipeline):
         with pytest.raises(InvalidArgument):
@@ -268,18 +317,19 @@ class TestLoadedModels:
 
 class TestEncodeChunks:
     def test_latents_equal_each_chunk_encoded_alone(self, pipeline, imu_640, monkeypatch):
-        # 40 chunks in one stacked encoder call, and 5 frames left out
+        # 40 chunks in stacked encoder calls of ENCODE_GROUP, and 5 frames left out
         x = pipeline.stats.normalize(imu_640.frames[:645]).astype(np.float32)
         seen = []
-        quantize = stream.vq.quantize
+        quantize = vqcodec.quantize
 
         def spy(latents, codebook):
             seen.append(latents)
             return quantize(latents, codebook)
 
-        monkeypatch.setattr(stream.vq, "quantize", spy)
+        monkeypatch.setattr(vqcodec, "quantize", spy)
         ids = stream._encode_chunks(pipeline, x, 16)
-        (latents,) = seen
+        assert len(seen) == -(-40 // stream.ENCODE_GROUP)
+        latents = np.concatenate(seen)
         alone = [flatten_latents(pipeline.imu_model.encode(
             gn.Tensor(np.ascontiguousarray(x[lo:lo + 16].T)[None]))).value
             for lo in range(0, 640, 16)]

@@ -519,9 +519,9 @@ class TestFrozenTargets:
         forward = ConvEncoder.forward_array
         calls = []
 
-        def counted(self, x):
+        def counted(self, x, workspace=None):
             calls.append(x.shape)
-            return forward(self, x)
+            return forward(self, x, workspace)
 
         monkeypatch.setattr(ConvEncoder, "forward_array", counted)
         counts = []

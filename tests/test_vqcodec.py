@@ -241,6 +241,29 @@ class TestScreen:
         assert calls == [tied]  # one re-rank call, of exactly the tied rows
         assert np.array_equal(idx, want)
 
+    def test_per_entry_margin_re_ranks_fewer_rows_on_a_clustered_codebook(self, monkeypatch):
+        # 60 entries in tight clusters near the origin and 4 far ones. A
+        # margin sized by the largest entry norm would keep whole clusters
+        # for every row; each entry's own norm keeps only the near-ties
+        rng = np.random.default_rng(10)
+        d = 32
+        near = (rng.normal(size=(6, d)).repeat(10, axis=0)
+                + 0.02 * rng.normal(size=(60, d))).astype(np.float32)
+        C = np.concatenate([near, (300 * rng.normal(size=(4, d))).astype(np.float32)])
+        Z = near[rng.integers(0, 60, size=256)] + np.float32(0.005) * \
+            rng.normal(size=(256, d)).astype(np.float32)
+        want = brute_force_quantize(Z, C)
+        calls = count_exact_calls(monkeypatch)
+        idx, _ = quantize(Z, C)
+        assert np.array_equal(idx, want)
+        # the rows the max-norm margin, 16(d+4)u (||z||^2 + max ||c||^2), re-ranks
+        z2, c2 = np.einsum("ij,ij->i", Z, Z), np.einsum("ij,ij->i", C, C)
+        score = c2 - 2 * (Z @ C.T)
+        margin = (z2 + c2.max()) * (8 * (d + 4) * np.finfo(np.float32).eps)
+        wide = np.count_nonzero(score <= (score.min(axis=1) + margin)[:, None], axis=1) > 1
+        assert np.count_nonzero(wide) == 256
+        assert sum(calls) < 256 // 8
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_from_kmeans_equals_the_per_entry_loop(self, dtype):
         def loop_kmeans(latents, K, rng):
