@@ -136,7 +136,7 @@ def train_baseline_poser(paired, cfg: TrainConfig, stats: NormStats, ckpt_path=N
 
 def _baseline_predict(model, stats: NormStats, imu: InertiaSequence) -> MotionSequence:
     x = stats.normalize(imu.frames).astype(np.float32)
-    out = model(gn.Tensor(np.ascontiguousarray(x.T)[None])).value[0].T
+    out = model.forward_array(np.ascontiguousarray(x.T)[None])[0].T
     return MotionSequence(frames=np.ascontiguousarray(out), fps=imu.fps)
 
 

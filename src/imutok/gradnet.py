@@ -4,11 +4,12 @@ activations, reductions, AdamW, cosine annealing.
 
 Design notes:
   * a Tensor wraps one ndarray; ops record closures for the backward sweep
-  * the conv and leaky_relu arithmetic is plain-array code (``ConvPlan``
-    and ``conv1d_array``, one plan built for one call; ``leaky_relu_array``)
-    that the Tensor op wraps in a graph node, so an inference forward can
-    call it directly and get the Tensor op's value bitwise, without the
-    node's per-call overhead, and can keep a plan to reuse its buffers
+  * the arithmetic of every op a frozen forward runs is plain-array code
+    (``ConvPlan``, ``leaky_relu_array``, ``depthwise_smooth_array``,
+    ``sigmoid_array``) that the Tensor op wraps in a graph node, so an
+    inference forward can call it directly and get the Tensor op's value
+    bitwise, without the node's per-call overhead, and can keep a conv plan
+    to reuse its buffers
   * dtype follows the inputs (float32 for training, float64 in precision
     tests), and every op is deterministic for fixed inputs
   * broadcasting is supported on elementwise ops; gradients are summed back
@@ -236,11 +237,16 @@ def exp(a) -> Tensor:
     return _unary(a, out_val, lambda g: g * out_val)
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """1/(1+e) where x >= 0, else e/(1+e), for e = exp(-|x|), which cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
+    """``sigmoid_array`` as a graph node."""
     a = as_tensor(a)
-    x = a.value
-    out_val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_val = sigmoid_array(a.value)
     return _unary(a, out_val, lambda g: g * out_val * (1.0 - out_val))
 
 
@@ -369,31 +375,35 @@ def upsample_nearest(a, factor: int) -> Tensor:
     return _unary(a, np.repeat(a.value, factor, axis=-1), grad)
 
 
-def depthwise_smooth(a, weights) -> Tensor:
+def depthwise_smooth_array(x: np.ndarray, weights) -> np.ndarray:
     """Fixed per-channel smoothing along the last axis with replicate padding.
 
-    ``weights`` is a constant odd-length 1-D kernel (it receives no
-    gradient); every channel is filtered independently, so the op costs a
-    handful of scaled adds instead of a dense convolution. The input is
-    edge-padded once and the taps are summed from zero in tap order; the
-    gradient is scattered into a padded array whose pad columns fold back
-    onto the edge inputs.
+    ``weights`` is a constant odd-length 1-D kernel; every channel is
+    filtered independently, so the op costs a handful of scaled adds instead
+    of a dense convolution. The input is edge-padded once and the taps are
+    summed from zero in tap order.
     """
-    a = as_tensor(a)
     w = np.asarray(weights, dtype=np.float64)
-    k = w.size
-    if k % 2 != 1:
+    half, T = w.size // 2, x.shape[-1]
+    if w.size % 2 != 1:
         raise ShapeMismatch("smoothing kernel length must be odd")
-    half = k // 2
-    x = a.value
-    T = x.shape[-1]
     if T < 1:
         raise ShapeMismatch("empty time axis")
-    taps = [x.dtype.type(wj) for wj in w]
     xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)], mode="edge")
     out = np.zeros(x.shape, dtype=x.dtype)
-    for j, wj in enumerate(taps):
-        out += wj * xp[..., j:j + T]
+    for j, wj in enumerate(w):
+        out += x.dtype.type(wj) * xp[..., j:j + T]
+    return out
+
+
+def depthwise_smooth(a, weights) -> Tensor:
+    """``depthwise_smooth_array`` as a graph node; the kernel gets no
+    gradient. The gradient is scattered into a padded array whose pad
+    columns fold back onto the edge inputs."""
+    a = as_tensor(a)
+    x = a.value
+    taps = [x.dtype.type(wj) for wj in np.asarray(weights, dtype=np.float64)]
+    half, T = len(taps) // 2, x.shape[-1]
 
     def grad(g):
         gp = np.zeros((*x.shape[:-1], T + 2 * half), dtype=x.dtype)
@@ -405,7 +415,7 @@ def depthwise_smooth(a, weights) -> Tensor:
             gx[..., -1] += gp[..., half + T + j]
         return gx
 
-    return _unary(a, out, grad)
+    return _unary(a, depthwise_smooth_array(x, weights), grad)
 
 
 def mse(pred, target) -> Tensor:
@@ -449,8 +459,8 @@ class ConvPlan:
     (Cout, L, B, Tout) output, each tap's source and destination view, and
     the GEMM's operand and output views; ``run`` then reads the input's
     current values and allocates nothing. So a plan over a buffer that is
-    refilled serves every call of one shape, and ``conv1d_array`` is a
-    plan built for one call.
+    refilled serves every call of one shape, and ``conv1d_forward`` builds
+    one for its call.
 
     Output time length is floor((T + 2*padding - k) / stride) + 1.
 
@@ -495,24 +505,17 @@ class ConvPlan:
         return self.y
 
 
-def conv1d_array(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, stride: int = 1,
-                 padding: int = 0) -> tuple:
-    """The conv of one ``ConvPlan`` built for this call. Returns ``(y, cols)``:
-    the (Cout, L, B, Tout) output and the (Cin*k, L*B*Tout) column matrix
-    its GEMM read."""
-    plan = ConvPlan(xv, wv, bv, stride, padding)
-    return plan.run(wv, bv), plan.cols
-
-
 def conv1d_forward(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """``conv1d_array`` as a graph node. The output is a (B, Cout, Tout) or
-    (L, B, Cout, Tout) view of the channel-major array, so the incoming
-    gradient reshapes to (Cout, L*B*Tout) without a copy; the weight and
-    bias gradients sum over every stack in that matrix.
+    """The conv of one ``ConvPlan`` built for this call, as a graph node.
+    The output is a (B, Cout, Tout) or (L, B, Cout, Tout) view of the
+    channel-major array, so the incoming gradient reshapes to
+    (Cout, L*B*Tout) without a copy; the weight and bias gradients sum over
+    every stack in that matrix, against the plan's column matrix.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     xv, wv = x.value, weight.value
-    y, cols = conv1d_array(xv, wv, bias.value, stride, padding)
+    plan = ConvPlan(xv, wv, bias.value, stride, padding)
+    y, cols = plan.run(wv, bias.value), plan.cols
     Cout, L, B, Tout = y.shape
     out_val = y.transpose(1, 2, 0, 3).reshape(*xv.shape[:-2], Cout, Tout)
 
@@ -569,12 +572,6 @@ class Conv1d:
 
     def __call__(self, x) -> Tensor:
         return conv1d_forward(x, self.weight, self.bias, self.stride, self.padding)
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """The conv of an (L, B, C, T) array, recording nothing: the value
-        ``__call__`` gives, an (L, B, Cout, Tout) view of channel-major memory."""
-        y, _ = conv1d_array(x, self.weight.value, self.bias.value, self.stride, self.padding)
-        return y.transpose(1, 2, 0, 3)
 
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.w": self.weight, f"{prefix}.b": self.bias}

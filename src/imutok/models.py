@@ -6,12 +6,11 @@ the 4-frames-per-token compression, and a mirrored decoder with nearest
 upsampling. The baseline poser is the same encoder/decoder pair at stride 1
 without upsampling or quantization, trained on reconstruction alone.
 
-The encoder lists its layers once, and two forwards walk that list: the
-Tensor one that training differentiates, and ``forward_array`` on plain
-arrays, which records nothing and can reuse the buffers of an
-``EncoderWorkspace`` that a caller keeps for one input shape. Every frozen
-step from frames to token ids (the stream's chunks, offline tokenization,
-stage 2's motion targets) is ``tokenize_windows``.
+Encoder and decoder are two layer lists of one class, ``ConvStack``, whose
+Tensor forward training differentiates and whose ``forward_array`` runs
+frozen inference on plain arrays: every step from frames to token ids is
+``tokenize_windows``, and decoding and the baseline are
+``MotionVQVAE.decode_array`` and ``BaselinePoser.forward_array``.
 """
 
 from __future__ import annotations
@@ -33,56 +32,55 @@ COMPRESSION = 4  # input frames per latent step, fixed by the two stride-2 stage
 # metric measuring noise propagation instead of upsampling texture
 SMOOTH_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
+# windows per encoder call in tokenize_windows: bounds the call's buffers
+# (about 140 kB of im2col per motion window at the desk shape) and a
+# caller's workspaces, at most WINDOW_GROUP group shapes per window shape
+WINDOW_GROUP = 8
 
-class ConvEncoder:
-    """width -> hidden (k4 s2) -> hidden (k4 s2) -> hidden (k3 s1) -> d_z (k1),
-    with leaky_relu after every conv but the last.
 
-    With ``stride=1`` the two k4 layers keep the frame rate: the first pads
-    2 (T -> T+1) and the second pads 1 (back to T).
-
-    ``__call__`` runs on Tensors and records a graph for training;
-    ``forward_array`` runs the same layers, through the same conv
-    arithmetic, on a plain array and records nothing.
+class ConvStack:
+    """1D convs listed once as ``(name, Conv1d, upsample_before)``: a
+    layer's input is first repeated ``upsample_before`` times along time,
+    and leaky_relu follows every conv but the last; an optional fixed
+    ``smooth`` kernel ends the stack. ``__call__`` (Tensors, for training)
+    and ``forward_array`` (plain arrays, recording nothing) walk that list.
     """
 
-    def __init__(self, in_width: int, hidden: int, d_z: int, *, rng, dtype=np.float32,
-                 stride: int = 2):
-        self.layers = (
-            ("c1", Conv1d(in_width, hidden, 4, stride=stride, padding=3 - stride, rng=rng,
-                          dtype=dtype)),
-            ("c2", Conv1d(hidden, hidden, 4, stride=stride, padding=1, rng=rng, dtype=dtype)),
-            ("c3", Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)),
-            ("proj", Conv1d(hidden, d_z, 1, rng=rng, dtype=dtype)),
-        )
+    def __init__(self, layers: tuple, smooth=None):
+        self.layers = layers
+        self.smooth = smooth
 
     def __call__(self, x) -> Tensor:
-        *hidden, (_, proj) = self.layers
-        for _, conv in hidden:
-            x = gn.leaky_relu(conv(x), LEAKY_SLOPE)
-        return proj(x)
+        for i, (_, conv, up) in enumerate(self.layers):
+            if up > 1:
+                x = gn.upsample_nearest(x, up)
+            x = conv(x)
+            if i < len(self.layers) - 1:
+                x = gn.leaky_relu(x, LEAKY_SLOPE)
+        return x if self.smooth is None else gn.depthwise_smooth(x, self.smooth)
 
     def forward_array(self, x: np.ndarray, workspace=None) -> np.ndarray:
-        """An (L, B, width, T) array to its (L, B, d_z, S) latents, bitwise
-        the value of ``__call__`` on it, strides included; reads each
-        parameter's value, so it needs no frozen model.
+        """A (B, C, T) array or an (L, B, C, T) stack to its output, bitwise
+        the value of ``__call__``, strides included; needs no frozen model.
 
-        On ``workspace``, an ``EncoderWorkspace`` of x's shape and dtype,
-        it reuses the workspace's buffers, and the result is a view of the
-        workspace that the next forward on it overwrites. Without one, each
-        layer builds its ``gradnet.ConvPlan`` for this call and drops it at
-        the next layer, so a one-off call holds about two layers' buffers
-        at a time, not every layer's.
+        On ``workspace``, a ``StackWorkspace`` of x's shape and dtype, it
+        reuses its buffers, and without a smooth tail the result is a view
+        that the next forward on it overwrites. Without one, each layer
+        builds its ``gradnet.ConvPlan`` for this call and drops it at the
+        next, so a one-off call holds about two layers' buffers at a time.
         """
+        stacked = x.ndim == 4
         if workspace is not None:
             if (x.shape, x.dtype) != (workspace.x.shape, workspace.x.dtype):
                 raise ShapeMismatch(f"workspace holds {workspace.x.dtype} {workspace.x.shape} "
                                     f"input, got {x.dtype} {x.shape}")
             workspace.x[...] = x
             x = workspace.x
-        for i, (_, conv) in enumerate(self.layers):
+        for i, (_, conv, up) in enumerate(self.layers):
             w, b = conv.weight.value, conv.bias.value
             if workspace is None:
+                if up > 1:
+                    x = np.repeat(x, up, axis=-1)
                 y = gn.ConvPlan(x, w, b, conv.stride, conv.padding).run(w, b)
             else:
                 y = workspace.plans[i].run(w, b)
@@ -90,69 +88,69 @@ class ConvEncoder:
                 scratch = None if workspace is None else workspace.scratch[i]
                 gn.leaky_relu_array(y, LEAKY_SLOPE, out=y, scratch=scratch)
             x = y.transpose(1, 2, 0, 3)
-        return x
+        if self.smooth is not None:
+            x = gn.depthwise_smooth_array(x, self.smooth)
+        return x if stacked else x[0]
 
     def params(self, prefix: str) -> dict:
         out = {}
-        for name, layer in self.layers:
+        for name, layer, _ in self.layers:
             out.update(layer.params(f"{prefix}.{name}"))
         return out
 
 
-class EncoderWorkspace:
-    """The buffers ``ConvEncoder.forward_array`` reuses for one (L, B,
-    width, T) input shape and dtype: an input buffer ``x``, one
-    ``gradnet.ConvPlan`` per layer, the first over x and each other over
-    the output of the layer before, and the scratch of each in-place
-    leaky_relu. A forward on it copies its input into x, then makes per
-    layer its tap copies, one stacked GEMM, one bias add and two activation
-    ufuncs, and allocates nothing. A workspace is not safe to share between
-    threads.
-    """
+class StackWorkspace:
+    """The buffers ``ConvStack.forward_array`` reuses for one input shape
+    and dtype: an input buffer ``x``, one ``gradnet.ConvPlan`` per layer
+    over the output of the layer before, and each in-place leaky_relu's
+    scratch; a forward on it allocates nothing but a smooth tail's output.
+    The plans read each layer's input in place, so a stack that upsamples
+    has none (ShapeMismatch). Not safe to share between threads."""
 
-    def __init__(self, encoder: ConvEncoder, shape: tuple, dtype):
+    def __init__(self, stack: ConvStack, shape: tuple, dtype):
+        if any(up > 1 for _, _, up in stack.layers):
+            raise ShapeMismatch("a workspace cannot hold a stack that upsamples")
         self.x = np.empty(shape, dtype)
         h, self.plans = self.x, []
-        for _, conv in encoder.layers:
+        for _, conv, _ in stack.layers:
             plan = gn.ConvPlan(h, conv.weight.value, conv.bias.value, conv.stride, conv.padding)
             self.plans.append(plan)
             h = plan.y.transpose(1, 2, 0, 3)
         self.scratch = [np.empty_like(plan.y) for plan in self.plans[:-1]]
 
 
-class ConvDecoder:
-    """d_z (k1) -> hidden (k3) -> up2 -> hidden (k5) -> up2 -> hidden (k5) -> width (k5).
+def ConvEncoder(in_width: int, hidden: int, d_z: int, *, rng, dtype=np.float32,
+                stride: int = 2) -> ConvStack:
+    """width -> hidden (k4 s2) -> hidden (k4 s2) -> hidden (k3 s1) -> d_z (k1).
+
+    With ``stride=1`` the two k4 layers keep the frame rate: the first pads
+    2 (T -> T+1) and the second pads 1 (back to T).
+    """
+    return ConvStack((
+        ("c1", Conv1d(in_width, hidden, 4, stride=stride, padding=3 - stride, rng=rng,
+                      dtype=dtype), 1),
+        ("c2", Conv1d(hidden, hidden, 4, stride=stride, padding=1, rng=rng, dtype=dtype), 1),
+        ("c3", Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype), 1),
+        ("proj", Conv1d(hidden, d_z, 1, rng=rng, dtype=dtype), 1),
+    ))
+
+
+def ConvDecoder(d_z: int, hidden: int, out_width: int, *, rng, dtype=np.float32,
+                upsample: int = 2) -> ConvStack:
+    """d_z (k1) -> hidden (k3) -> up2 -> hidden (k5) -> up2 -> hidden (k5) -> width (k5),
+    then the fixed ``SMOOTH_KERNEL`` tail.
 
     The two post-upsample kernels span 5 steps so they can fully erase the
     period-4 staircase the nearest upsampling leaves behind; narrower kernels
     produce visible high-frequency texture in the decoded channels.
     """
-
-    def __init__(self, d_z: int, hidden: int, out_width: int, *, rng, dtype=np.float32,
-                 upsample: int = 2):
-        self.upsample = upsample
-        self.proj = Conv1d(d_z, hidden, 1, rng=rng, dtype=dtype)
-        self.c1 = Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype)
-        self.c2 = Conv1d(hidden, hidden, 5, stride=1, padding=2, rng=rng, dtype=dtype)
-        self.c3 = Conv1d(hidden, hidden, 5, stride=1, padding=2, rng=rng, dtype=dtype)
-        self.head = Conv1d(hidden, out_width, 5, stride=1, padding=2, rng=rng, dtype=dtype)
-
-    def __call__(self, z) -> Tensor:
-        h = gn.leaky_relu(self.proj(z), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.c1(h), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.c2(self._up(h)), LEAKY_SLOPE)
-        h = gn.leaky_relu(self.c3(self._up(h)), LEAKY_SLOPE)
-        return gn.depthwise_smooth(self.head(h), SMOOTH_KERNEL)
-
-    def _up(self, h) -> Tensor:
-        return h if self.upsample == 1 else gn.upsample_nearest(h, self.upsample)
-
-    def params(self, prefix: str) -> dict:
-        out = {}
-        for name, layer in (("proj", self.proj), ("c1", self.c1), ("c2", self.c2),
-                            ("c3", self.c3), ("head", self.head)):
-            out.update(layer.params(f"{prefix}.{name}"))
-        return out
+    return ConvStack((
+        ("proj", Conv1d(d_z, hidden, 1, rng=rng, dtype=dtype), 1),
+        ("c1", Conv1d(hidden, hidden, 3, stride=1, padding=1, rng=rng, dtype=dtype), 1),
+        ("c2", Conv1d(hidden, hidden, 5, stride=1, padding=2, rng=rng, dtype=dtype), upsample),
+        ("c3", Conv1d(hidden, hidden, 5, stride=1, padding=2, rng=rng, dtype=dtype), upsample),
+        ("head", Conv1d(hidden, out_width, 5, stride=1, padding=2, rng=rng, dtype=dtype), 1),
+    ), smooth=SMOOTH_KERNEL)
 
 
 def _sigmoid_contacts(raw: Tensor) -> Tensor:
@@ -162,31 +160,47 @@ def _sigmoid_contacts(raw: Tensor) -> Tensor:
     return gn.concat([body, gn.sigmoid(logits)], axis=1)
 
 
-def tokenize_windows(model, windows: np.ndarray, workspace=None) -> tuple:
-    """The frozen tokenize: (n, T, width) float32 windows to the latents
-    (n, T/4, d_z) and token ids (n, T/4) of ``model``'s encoder and codebook.
+def _sigmoid_contacts_array(raw: np.ndarray) -> np.ndarray:
+    """``_sigmoid_contacts`` on an array of its own, in place."""
+    raw[..., SL_CONTACT, :] = gn.sigmoid_array(raw[..., SL_CONTACT, :])
+    return raw
 
-    Each window is encoded alone, as batch 1 on its own entry of the conv
-    stack axis of one ``ConvEncoder.forward_array`` call, so its latents are
-    bitwise those of encoding it by itself (a wider GEMM on the batch axis
-    would sum in another order). ``workspace``, an ``EncoderWorkspace`` of
-    shape (n, 1, width, T), lets a caller that tokenizes one shape again
-    and again reuse its buffers; the latents returned are a copy, never a
-    view of it. All rows go through one ``vq.quantize`` call, whose ids
-    depend neither on the rows' layout nor on which rows share the call.
-    Raises InvalidArgument unless the latents' squared distances to their
-    entries sum to a finite value: finite frames can still overflow in the
-    float32 cast, inside the convs or in the distances, and quantize maps a
-    row with no finite distance to id 0.
+
+def tokenize_windows(model, windows, workspaces: dict | None = None) -> tuple:
+    """The frozen tokenize: n windows (an (n, T, width) float32 array or a
+    ``trainer.WindowIndex``) to the latents (n, T/4, d_z) and token ids
+    (n, T/4) of ``model``'s encoder and codebook.
+
+    Each group of WINDOW_GROUP windows is one ``forward_array`` call, each
+    window batch 1 on its own entry of the stack axis (a wider GEMM on the
+    batch axis would sum in another order), and one ``vq.quantize`` call,
+    whose ids depend neither on the rows' layout nor on which rows share
+    it: the grouping changes no bit. Given ``workspaces``, a dict the
+    caller keeps, each group shape runs on a ``StackWorkspace`` kept there;
+    the latents returned are never a view of one. Raises InvalidArgument
+    unless each group's latents lie at a finite total squared distance from
+    their entries: finite frames can still overflow in the float32 cast or
+    the convs, and quantize maps a row with no finite distance to id 0.
     """
-    z = model.encoder.forward_array(windows.swapaxes(1, 2)[:, None], workspace)
-    n, _, d_z, S = z.shape
-    rows = z.swapaxes(2, 3).reshape(n * S, d_z).copy()
-    ids, codes = vq.quantize(rows, model.codebook)
-    d = rows - codes
-    if not np.einsum("ij,ij->", d, d) < np.inf:  # False for inf and NaN
-        raise InvalidArgument("frames overflow the encoder: a latent has no finite distance")
-    return rows.reshape(n, S, d_z), ids.reshape(n, S)
+    n, encoder, none = len(windows), model.encoder, windows[:0]
+    dtype = np.result_type(none, encoder.layers[0][1].weight.value)
+    latents = np.empty((n, none.shape[1] // COMPRESSION, model.codebook.entries.shape[1]), dtype)
+    ids = np.empty(latents.shape[:2], np.int64)
+    for lo in range(0, n, WINDOW_GROUP):
+        group = windows[lo:lo + WINDOW_GROUP]
+        x = group.swapaxes(1, 2)[:, None]
+        ws = None if workspaces is None else workspaces.get(group.shape)
+        if workspaces is not None and ws is None:
+            ws = workspaces[group.shape] = StackWorkspace(encoder, x.shape, x.dtype)
+        out = latents[lo:lo + len(group)]
+        out[...] = encoder.forward_array(x, ws)[:, 0].swapaxes(1, 2)
+        rows = out.reshape(-1, out.shape[2])
+        idx, codes = vq.quantize(rows, model.codebook)
+        d = rows - codes
+        if not np.einsum("ij,ij->", d, d) < np.inf:  # False for inf and NaN
+            raise InvalidArgument("frames overflow the encoder: a latent has no finite distance")
+        ids[lo:lo + len(group)] = idx.reshape(len(group), -1)
+    return latents, ids
 
 
 def flatten_latents(z: Tensor) -> Tensor:
@@ -218,6 +232,10 @@ class MotionVQVAE:
 
     def decode(self, codes) -> Tensor:
         return _sigmoid_contacts(self.decoder(codes))
+
+    def decode_array(self, codes: np.ndarray) -> np.ndarray:
+        """``decode``'s value, strides included, on a (B, d_z, S) array."""
+        return _sigmoid_contacts_array(self.decoder.forward_array(codes))
 
     def params(self) -> dict:
         out = self.encoder.params("enc")
@@ -258,6 +276,10 @@ class BaselinePoser:
 
     def __call__(self, x) -> Tensor:
         return _sigmoid_contacts(self.decoder(self.encoder(x)))
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """``__call__``'s value, strides included, on a (B, 72, T) array."""
+        return _sigmoid_contacts_array(self.decoder.forward_array(self.encoder.forward_array(x)))
 
     def params(self) -> dict:
         out = self.encoder.params("enc")

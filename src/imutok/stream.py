@@ -4,11 +4,12 @@ binary token wire format ("MJT2").
 Chunks are encoded independently (no cross-chunk context), so any partition
 of a frame stream into push_frames calls yields the same token list as
 offline tokenization of the stream in chunk-sized blocks. The chunks one
-call completes go through ``models.tokenize_windows`` ENCODE_GROUP at a
-time, which keeps every chunk's latents and ids bitwise those of encoding
-it alone. A ``StreamState`` keeps the encoder workspace of each chunk count
-it encodes, so a push allocates no encoder buffers once the stream has seen
-its chunk count; only decoding goes through Tensors.
+call completes go through one ``models.tokenize_windows`` call, which keeps
+every chunk's latents and ids bitwise those of encoding it alone. A
+``StreamState`` keeps the encoder workspace of each group of chunks it
+encodes, so a push allocates no encoder buffers once the stream has seen
+its chunk count. Decoding runs ``MotionVQVAE.decode_array``: no step of
+tokenizing or decoding builds an autodiff Tensor.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gradnet as gn
 from .errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from .fileio import header_fps
 from .imusim import IMU_WIDTH, InertiaSequence, NormStats
-from .models import COMPRESSION, EncoderWorkspace, tokenize_windows, unflatten_latents
+from .models import COMPRESSION, tokenize_windows
 from .motion import MOTION_WIDTH, MotionSequence, check_fps
 from .trainer import MAX_CODEBOOK_SIZE, load_trained
 
@@ -38,8 +38,6 @@ CRC_BYTES = 4
 
 # largest frame count one pipe packet may declare (18.9 MB of float32)
 MAX_PACKET_FRAMES = 65536
-# most chunks one tokenize_windows call encodes; it bounds a stream's workspaces
-ENCODE_GROUP = 8
 
 
 def _is_int_in(value, lo: int, hi: int) -> bool:
@@ -128,32 +126,21 @@ def _check_chunk_len(chunk_len) -> None:
 
 def _encode_chunks(pipe: InferencePipeline, x: np.ndarray, chunk_len: int,
                    workspaces: dict | None = None) -> np.ndarray:
-    """Token ids of (n, 72) normalized float32 frames encoded in independent
-    chunk_len-frame blocks by ``tokenize_windows``, ENCODE_GROUP blocks per
-    call; frames short of a block are left out. Given ``workspaces`` (a
-    ``StreamState``'s), each count of blocks runs on its own
-    ``EncoderWorkspace`` kept there. Every block is its own stack GEMM, so
-    the grouping changes no bit, and it bounds the workspaces to
-    ENCODE_GROUP block counts of at most ENCODE_GROUP blocks, whatever the
-    packet size."""
+    """The u16 token ids of (n, 72) normalized float32 frames encoded in
+    independent chunk_len-frame blocks by ``tokenize_windows``, on the
+    workspaces of ``workspaces`` (a ``StreamState``'s) when given; frames
+    short of a block are left out."""
     n = len(x) // chunk_len
     blocks = x[:n * chunk_len].reshape(n, chunk_len, IMU_WIDTH)
-    ids = np.empty((n, chunk_len // COMPRESSION), dtype=np.uint16)
-    for lo in range(0, n, ENCODE_GROUP):
-        group = blocks[lo:lo + ENCODE_GROUP]
-        ws = None if workspaces is None else workspaces.get(len(group))
-        if workspaces is not None and ws is None:
-            ws = workspaces[len(group)] = EncoderWorkspace(
-                pipe.imu_model.encoder, (len(group), 1, IMU_WIDTH, chunk_len), group.dtype)
-        ids[lo:lo + len(group)] = tokenize_windows(pipe.imu_model, group, ws)[1]
-    return ids.reshape(-1)
+    return tokenize_windows(pipe.imu_model, blocks, workspaces)[1].reshape(-1).astype(np.uint16)
 
 
 @dataclass
 class StreamState:
     """Single-consumer online tokenizer state. It keeps the encoder
-    workspaces of the block counts its pushes complete (see
-    ``_encode_chunks``), so it must not be shared between threads."""
+    workspaces of the groups of chunks its pushes complete (at most
+    ``models.WINDOW_GROUP`` of them, whatever the packet size; see
+    ``models.tokenize_windows``), so it must not be shared between threads."""
 
     pipeline: InferencePipeline
     chunk_len: int = DEFAULT_CHUNK
@@ -236,8 +223,8 @@ def decode_tokens(tok: TokenSequence, pipe: InferencePipeline) -> MotionSequence
     if len(tok) == 0:  # the decoder's convs need at least one latent step
         return MotionSequence(frames=np.empty((0, MOTION_WIDTH), dtype=entries.dtype),
                               fps=tok.fps)
-    codes = gn.Tensor(entries[tok.tokens.astype(np.int64)])
-    frames = pipe.motion_model.decode(unflatten_latents(codes, 1, pipe.cfg.d_z)).value[0].T
+    codes = entries[tok.tokens.astype(np.int64)]
+    frames = pipe.motion_model.decode_array(codes.T[None])[0].T
     return MotionSequence(frames=np.ascontiguousarray(frames), fps=tok.fps)
 
 

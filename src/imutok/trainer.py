@@ -33,10 +33,6 @@ from .motion import SL_CONTACT, SL_JOINT_VEL
 from .skeleton import FOOT_JOINTS
 from .vqcodec import LossWeights, ZipfParams
 
-# motion windows per encoder call when stage 2 encodes its frozen targets;
-# bounds the call's im2col buffer (about 140 kB per window at the desk shape)
-TARGET_CHUNK = 16
-
 # token ids travel as u16 (TokenSequence, the MJT2 wire format)
 MAX_CODEBOOK_SIZE = 1 << 16
 
@@ -370,11 +366,9 @@ def train_motion_vqvae(corpus, cfg: TrainConfig, ckpt_path=None):
 def frozen_targets(model: MotionVQVAE, windows: WindowIndex | np.ndarray) -> tuple:
     """Stage 2's targets for N motion windows (a WindowIndex or an
     (N, T, 271) array): the frozen ``model``'s latents (N, T/4, d_z) and
-    token ids (N, T/4), from one ``tokenize_windows`` call per TARGET_CHUNK
-    windows. Raises InvalidArgument for windows that overflow the encoder."""
-    parts = [tokenize_windows(model, windows[lo:lo + TARGET_CHUNK])
-             for lo in range(0, len(windows), TARGET_CHUNK)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    token ids (N, T/4) from ``tokenize_windows``. Raises InvalidArgument
+    for windows that overflow the encoder."""
+    return tokenize_windows(model, windows)
 
 
 def target_rows(latents: np.ndarray) -> np.ndarray:

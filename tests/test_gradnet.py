@@ -610,21 +610,10 @@ class TestConv1d:
         assert_allclose(layer.bias.grad, sum(g[1] for g in grads), rtol=1e-12)
         assert_allclose(x.grad, np.stack([g[2] for g in grads]), rtol=1e-12)
 
-    @pytest.mark.parametrize("k,s,p", [(4, 2, 1), (4, 1, 2), (3, 1, 1), (1, 1, 0), (5, 3, 0)])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_array_forward_is_the_tensor_value_bitwise(self, k, s, p, dtype):
-        rng = np.random.default_rng(k * 10 + s)
-        layer = Conv1d(5, 6, k, stride=s, padding=p, rng=rng, dtype=dtype)
-        x = rng.normal(size=(3, 2, 5, 11)).astype(dtype)
-        want = layer(Tensor(x)).value
-        got = layer.forward_array(x)
-        assert got.dtype == want.dtype and got.strides == want.strides
-        assert np.array_equal(got, want)
-
     def test_channel_mismatch_raises(self):
         layer = Conv1d(3, 4, 3, rng=np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            layer.forward_array(np.zeros((1, 1, 2, 10)))
+            gn.ConvPlan(np.zeros((1, 1, 2, 10)), layer.weight.value, layer.bias.value)
         with pytest.raises(ShapeMismatch):
             layer(Tensor(np.zeros((1, 2, 10))))
         with pytest.raises(ShapeMismatch):

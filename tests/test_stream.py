@@ -11,9 +11,9 @@ from imutok import gradnet as gn
 from imutok import stream, vqcodec
 from imutok.checkpoint import load_checkpoint
 from imutok.errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
-from imutok.evalbench import augment_and_normalize, synthesize_pairs
+from imutok.evalbench import _baseline_predict, augment_and_normalize, synthesize_pairs
 from imutok.imusim import IMU_WIDTH, InertiaSequence
-from imutok.models import EncoderWorkspace, flatten_latents
+from imutok.models import WINDOW_GROUP, BaselinePoser, StackWorkspace, flatten_latents
 from imutok.stream import (CRC_BYTES, HEADER_BYTES, InferencePipeline, StreamState,
                            TokenSequence, decode_tokens, push_frames,
                            read_token_stream, tokenize_sequence, write_token_stream)
@@ -207,7 +207,7 @@ class TestPushFrames:
         assert (state.frames_seen, state.tokens_emitted) == (21, 4)
 
     def test_one_max_size_packet_matches_offline_chunked(self, pipeline, imu_640):
-        # 4096 chunks, ENCODE_GROUP per encoder call; chunks are independent,
+        # 4096 chunks, WINDOW_GROUP per encoder call; chunks are independent,
         # so a tiled recording gives its offline tokens tiled
         reps = -(-stream.MAX_PACKET_FRAMES // len(imu_640))
         frames = np.tile(imu_640.frames, (reps, 1))[:stream.MAX_PACKET_FRAMES]
@@ -237,7 +237,7 @@ class TestPushFrames:
             state = StreamState(pipeline, chunk_len=16)
             pushed = [push_frames(state, p) for p in packets]
             assert np.array_equal(np.concatenate(pushed), offline)
-            assert set(state.workspaces) <= set(range(1, stream.ENCODE_GROUP + 1))
+            assert set(state.workspaces) <= {(g, 16, IMU_WIDTH) for g in range(1, WINDOW_GROUP + 1)}
             payload = io.BytesIO()
             for p in packets:
                 payload.write(struct.pack("<I", len(p)) + p.astype("<f4").tobytes())
@@ -252,14 +252,14 @@ class TestPushFrames:
             assert out.read() == b""
 
     def test_a_max_size_packet_leaves_bounded_workspaces(self, pipeline, imu_640):
-        # the 4096 chunks go ENCODE_GROUP to a call, so the state keeps one
-        # workspace of ENCODE_GROUP chunks, not one sized to the packet
+        # the 4096 chunks go WINDOW_GROUP to a call, so the state keeps one
+        # workspace of WINDOW_GROUP chunks, not one sized to the packet
         reps = -(-stream.MAX_PACKET_FRAMES // len(imu_640))
         frames = np.tile(imu_640.frames, (reps, 1))[:stream.MAX_PACKET_FRAMES]
         state = StreamState(pipeline, chunk_len=16)
         tracemalloc.start()
         try:
-            one = EncoderWorkspace(pipeline.imu_model.encoder, (1, 1, IMU_WIDTH, 16), np.float32)
+            one = StackWorkspace(pipeline.imu_model.encoder, (1, 1, IMU_WIDTH, 16), np.float32)
             one_chunk = tracemalloc.get_traced_memory()[0]
             del one
             before = tracemalloc.get_traced_memory()[0]
@@ -267,9 +267,9 @@ class TestPushFrames:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert list(state.workspaces) == [stream.ENCODE_GROUP]
+        assert list(state.workspaces) == [(WINDOW_GROUP, 16, IMU_WIDTH)]
         # what the push leaves allocated: its tokens and the workspace
-        assert held < toks.nbytes + stream.ENCODE_GROUP * one_chunk + (64 << 10)
+        assert held < toks.nbytes + WINDOW_GROUP * one_chunk + (64 << 10)
         assert held < frames.nbytes // 100
 
     def test_chunk_must_be_multiple_of_rate(self, pipeline):
@@ -315,9 +315,29 @@ class TestLoadedModels:
             assert t._parents == ()
 
 
+class TestArrayInference:
+    def test_inference_builds_no_tensor(self, pipeline, imu_640, monkeypatch):
+        # tokenizing, decoding and the baseline run on plain arrays only
+        base = BaselinePoser(pipeline.cfg, rng=np.random.default_rng(0))
+        state = StreamState(pipeline, chunk_len=16)
+
+        def no_tensor(self, *args, **kwargs):
+            raise AssertionError("inference built an autodiff Tensor")
+
+        monkeypatch.setattr(gn.Tensor, "__init__", no_tensor)
+        with pytest.raises(AssertionError):
+            gn.Tensor(np.zeros(1))
+        for n in (3, 16, 45):  # a push may complete no chunk, one, or several
+            push_frames(state, imu_640.frames[:n])
+        for chunk_len in (16, None):
+            tok = tokenize_sequence(imu_640, pipeline, chunk_len=chunk_len)
+        assert len(decode_tokens(tok, pipeline)) == 640
+        assert len(_baseline_predict(base, pipeline.stats, imu_640)) == 640
+
+
 class TestEncodeChunks:
     def test_latents_equal_each_chunk_encoded_alone(self, pipeline, imu_640, monkeypatch):
-        # 40 chunks in stacked encoder calls of ENCODE_GROUP, and 5 frames left out
+        # 40 chunks in stacked encoder calls of WINDOW_GROUP, and 5 frames left out
         x = pipeline.stats.normalize(imu_640.frames[:645]).astype(np.float32)
         seen = []
         quantize = vqcodec.quantize
@@ -328,7 +348,7 @@ class TestEncodeChunks:
 
         monkeypatch.setattr(vqcodec, "quantize", spy)
         ids = stream._encode_chunks(pipeline, x, 16)
-        assert len(seen) == -(-40 // stream.ENCODE_GROUP)
+        assert len(seen) == -(-40 // WINDOW_GROUP)
         latents = np.concatenate(seen)
         alone = [flatten_latents(pipeline.imu_model.encode(
             gn.Tensor(np.ascontiguousarray(x[lo:lo + 16].T)[None]))).value

@@ -13,10 +13,10 @@ from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
                            ShapeMismatch)
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import InertiaSequence
-from imutok.models import ConvEncoder, MotionVQVAE, flatten_latents, model_arrays
+from imutok.models import WINDOW_GROUP, ConvStack, MotionVQVAE, flatten_latents, model_arrays
 from imutok.motion import MotionSequence
 from imutok.stream import InferencePipeline
-from imutok.trainer import (CHECKPOINT_KINDS, TARGET_CHUNK, TrainConfig, _motion_batch_losses,
+from imutok.trainer import (CHECKPOINT_KINDS, TrainConfig, _motion_batch_losses,
                             _rng, fit, frozen_targets, load_trained, make_windows,
                             motion_total_from_components, paired_windows, target_rows, time_last,
                             train_imu_tokenizer, train_motion_vqvae)
@@ -181,8 +181,8 @@ class TestWindows:
             sel = rng.choice(len(want), size=size, replace=False)
             assert_bitwise(w[sel], want[sel])
         # the slices frozen_targets gathers, the last one short
-        for lo in range(0, len(want), TARGET_CHUNK):
-            assert_bitwise(w[lo:lo + TARGET_CHUNK], want[lo:lo + TARGET_CHUNK])
+        for lo in range(0, len(want), WINDOW_GROUP):
+            assert_bitwise(w[lo:lo + WINDOW_GROUP], want[lo:lo + WINDOW_GROUP])
 
     def test_windows_are_not_stored(self):
         # 8 x 480 frames of 271 channels: the stacked windows would take 7.8 MB
@@ -486,7 +486,7 @@ class TestFrozenTargets:
         # at this shape a window's latents move in their last bits with the
         # windows that share its batch, so only encoding it alone is stable
         model = MotionVQVAE(tiny_cfg, rng=_rng(1, 0))
-        windows = random_windows(2 * TARGET_CHUNK + 5, tiny_cfg)
+        windows = random_windows(2 * WINDOW_GROUP + 5, tiny_cfg)
         latents, ids = frozen_targets(model, windows)
         S = tiny_cfg.window // 4
         assert latents.shape == (len(windows), S, tiny_cfg.d_z)
@@ -516,14 +516,14 @@ class TestFrozenTargets:
                                                                 stage1, monkeypatch):
         # frozen_targets is the only caller of the array forward in stage 2
         pairs, stats = tiny_pairs
-        forward = ConvEncoder.forward_array
+        forward = ConvStack.forward_array
         calls = []
 
         def counted(self, x, workspace=None):
             calls.append(x.shape)
             return forward(self, x, workspace)
 
-        monkeypatch.setattr(ConvEncoder, "forward_array", counted)
+        monkeypatch.setattr(ConvStack, "forward_array", counted)
         counts = []
         for steps in (3, 9):
             calls.clear()
