@@ -13,7 +13,7 @@ from itertools import repeat
 import numpy as np
 
 from . import gradnet as gn
-from .checkpoint import arrays_digest
+from .checkpoint import arrays_equal
 from .errors import CheckpointMismatch, EmptyCorpus, InvalidArgument, LengthMismatch, TooShort
 from .geom import norm3
 from .imusim import (SENSOR_COUNT, InertiaSequence, NoiseConfig, NormStats, apply_corruption,
@@ -135,7 +135,7 @@ def train_baseline_poser(paired, cfg: TrainConfig, stats: NormStats, ckpt_path=N
 
 
 def _baseline_predict(model, stats: NormStats, imu: InertiaSequence) -> MotionSequence:
-    x = stats.normalize(imu.frames).astype(np.float32)
+    x = stats.normalize(imu.frames, out=np.empty(imu.frames.shape, np.float32))
     out = model.forward_array(np.ascontiguousarray(x.T)[None])[0].T
     return MotionSequence(frames=np.ascontiguousarray(out), fps=imu.fps)
 
@@ -215,7 +215,7 @@ def run_noise_benchmark(imu_ckpt, motion_ckpt, baseline_ckpt, pairs,
 
     pipe = InferencePipeline.from_checkpoint(imu_ckpt)
     (motion_model,), _, _ = load_trained(motion_ckpt, "motion_vqvae")
-    if arrays_digest(model_arrays(pipe.motion_model)) != arrays_digest(model_arrays(motion_model)):
+    if not arrays_equal(model_arrays(pipe.motion_model), model_arrays(motion_model)):
         raise CheckpointMismatch("stage-2 checkpoint embeds a different motion model")
     (base_model,), base_cfg, base_stats = load_trained(baseline_ckpt, "baseline_poser")
     if (base_cfg.d_z, base_cfg.hidden) != (pipe.cfg.d_z, pipe.cfg.hidden):

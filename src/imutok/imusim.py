@@ -142,11 +142,21 @@ class NormStats:
                 and (self.std > 0).all()):
             raise InvalidArgument("stats must be finite, with positive std (floored at 1e-6)")
 
-    def normalize(self, frames: np.ndarray) -> np.ndarray:
-        """A float64 copy of (n, 72) frames with acceleration channels mapped
-        to (a - mean) / std; other channels untouched."""
-        out = np.array(frames, dtype=np.float64)
-        out[:, SL_ACC] = (out[:, SL_ACC] - self.mean) / self.std
+    def normalize(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(n, 72) frames with acceleration channels mapped to (a - mean) / std,
+        other channels untouched, computed in float64: a float64 copy, or
+        written into ``out``, an (n, 72) float array, each value rounded once
+        from its float64 result, bitwise a cast of the float64 copy."""
+        frames = np.asarray(frames)
+        if frames.dtype.kind != "f" or frames.dtype.itemsize > 8:
+            # float16/32/64 widen to float64 exactly; the rest (int64 at or
+            # above 2^53, long double) would round once in a direct cast to
+            # ``out`` but twice through the float64 copy
+            frames = frames.astype(np.float64)
+        if out is None:
+            out = np.empty(frames.shape, np.float64)
+        out[...] = frames
+        np.divide(frames[:, SL_ACC] - self.mean, self.std, out=out[:, SL_ACC], casting="unsafe")
         return out
 
 

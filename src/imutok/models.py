@@ -173,9 +173,9 @@ def tokenize_windows(model, windows, workspaces: dict | None = None) -> tuple:
 
     Each group of WINDOW_GROUP windows is one ``forward_array`` call, each
     window batch 1 on its own entry of the stack axis (a wider GEMM on the
-    batch axis would sum in another order), and one ``vq.quantize`` call,
-    whose ids depend neither on the rows' layout nor on which rows share
-    it: the grouping changes no bit. Given ``workspaces``, a dict the
+    batch axis would sum in another order), and one ``vq.quantize_finite``
+    call, whose ids depend neither on the rows' layout nor on which rows
+    share it: the grouping changes no bit. Given ``workspaces``, a dict the
     caller keeps, each group shape runs on a ``StackWorkspace`` kept there;
     the latents returned are never a view of one. Raises InvalidArgument
     unless each group's latents lie at a finite total squared distance from
@@ -194,11 +194,10 @@ def tokenize_windows(model, windows, workspaces: dict | None = None) -> tuple:
             ws = workspaces[group.shape] = StackWorkspace(encoder, x.shape, x.dtype)
         out = latents[lo:lo + len(group)]
         out[...] = encoder.forward_array(x, ws)[:, 0].swapaxes(1, 2)
-        rows = out.reshape(-1, out.shape[2])
-        idx, codes = vq.quantize(rows, model.codebook)
-        d = rows - codes
-        if not np.einsum("ij,ij->", d, d) < np.inf:  # False for inf and NaN
-            raise InvalidArgument("frames overflow the encoder: a latent has no finite distance")
+        try:
+            idx = vq.quantize_finite(out.reshape(-1, out.shape[2]), model.codebook)
+        except InvalidArgument as err:
+            raise InvalidArgument(f"frames overflow the encoder: {err}") from None
         ids[lo:lo + len(group)] = idx.reshape(len(group), -1)
     return latents, ids
 

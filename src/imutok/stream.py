@@ -159,29 +159,39 @@ class StreamState:
 def push_frames(state: StreamState, frames: np.ndarray) -> np.ndarray:
     """Buffer incoming (n, 72) frames; emit chunk_len/4 tokens per full chunk.
 
-    Each incoming frame is normalized and cast to float32 once, on arrival;
-    pending frames wait in that model-ready form. The chunks a push completes
-    are quantized in one call. Raises FormatError for frames that are not
-    real numbers and InvalidArgument for frames that are not finite, in
-    both cases leaving the buffer as it was. Raises InvalidArgument, too,
-    when a completed chunk's latents are not finite; such a push drops all
-    its pending frames, the buffered ones and its own, so that the stream
-    goes on from a chunk boundary: frames that overflow while they wait in
-    the buffer cannot fail every later push. The frames of a push that
-    raises are not counted in ``frames_seen``.
+    Each incoming frame is normalized in float64 and rounded to float32
+    once, on arrival, straight into the push's pending buffer; pending
+    frames wait in that model-ready form. The chunks a push completes are
+    quantized in one call, and a push that completes none runs no encoder.
+    Raises FormatError for frames that are not real numbers and
+    InvalidArgument for frames that are not finite, in both cases leaving
+    the buffer as it was. Raises InvalidArgument, too, when a completed
+    chunk's latents are not finite; such a push drops all its pending
+    frames, the buffered ones and its own, so that the stream goes on from
+    a chunk boundary: frames that overflow while they wait in the buffer
+    cannot fail every later push. The frames of a push that raises are not
+    counted in ``frames_seen``.
     """
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != IMU_WIDTH:
         raise FormatError(f"stream frames must be (n, {IMU_WIDTH}), got {frames.shape}")
     _check_frames(frames)
-    pending = np.concatenate([state.buffer, state.pipeline.stats.normalize(frames)],
-                             dtype=np.float32)
-    try:
-        tokens = _encode_chunks(state.pipeline, pending, state.chunk_len, state.workspaces)
-    except InvalidArgument:
-        state.buffer = pending[:0].copy()
-        raise
-    state.buffer = pending[len(pending) - len(pending) % state.chunk_len:].copy()
+    held = len(state.buffer)
+    pending = np.empty((held + len(frames), IMU_WIDTH), np.float32)
+    pending[:held] = state.buffer
+    state.pipeline.stats.normalize(frames, out=pending[held:])
+    done = len(pending) - len(pending) % state.chunk_len
+    if done:
+        try:
+            tokens = _encode_chunks(state.pipeline, pending[:done], state.chunk_len,
+                                    state.workspaces)
+        except InvalidArgument:
+            state.buffer = pending[:0].copy()
+            raise
+        pending = pending[done:].copy()  # hold the remainder, not the packet
+    else:
+        tokens = np.empty(0, np.uint16)
+    state.buffer = pending
     state.frames_seen += frames.shape[0]
     state.tokens_emitted += tokens.size
     return tokens
@@ -203,7 +213,8 @@ def tokenize_sequence(seq: InertiaSequence, pipe: InferencePipeline,
         chunk_len = max(len(seq), 4)  # one block; under 4 frames make no token
     else:
         _check_chunk_len(chunk_len)
-    ids = _encode_chunks(pipe, pipe.stats.normalize(seq.frames).astype(np.float32), chunk_len)
+    x = pipe.stats.normalize(seq.frames, out=np.empty(seq.frames.shape, np.float32))
+    ids = _encode_chunks(pipe, x, chunk_len)
     return TokenSequence(tokens=ids, l=COMPRESSION, fps=seq.fps, K=pipe.cfg.K,
                          codebook_digest=pipe.codebook_digest())
 

@@ -75,6 +75,14 @@ class Codebook:
     Entries move only through ema_update / refresh_dead; they carry no
     gradient. Untouched entries keep their stored value bit-for-bit (their
     accumulator ratio is scale-invariant under the decay).
+
+    The table keeps the terms quantize's screen derives from it alone, per
+    screen dtype: max ||c||^2, -2C^T and the folded norms (1+b)||c||^2 and
+    (1-b)||c||^2 (see ``_screen``). They are computed at the first quantize
+    call in a dtype and dropped by ema_update, refresh_dead and any
+    assignment to ``entries``, so a frozen table computes them once. Write
+    new entries through those; a write into the table in place would leave
+    stale terms behind.
     """
 
     def __init__(self, entries: np.ndarray, gamma: float = 0.99, init_mass: float = 1e-3):
@@ -83,11 +91,27 @@ class Codebook:
             raise ConfigInvalid("codebook needs a (K>=2, d_z) entry table")
         if not 0.0 < gamma < 1.0:
             raise ConfigInvalid(f"gamma must be in (0,1), got {gamma}")
-        self.entries = entries.copy()
+        self.entries = entries.copy()  # through the setter, which starts the screen terms
         self.gamma = float(gamma)
         self.ema_sigma = entries * entries.dtype.type(init_mass)
         self.ema_delta = np.full(entries.shape[0], init_mass, dtype=entries.dtype)
         self.dead_steps = np.zeros(entries.shape[0], dtype=np.int64)
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._entries
+
+    @entries.setter
+    def entries(self, table: np.ndarray) -> None:
+        self._entries = table
+        self._screen_terms = {}
+
+    def screen_terms(self, dtype: np.dtype) -> tuple:
+        """``_screen_terms(self.entries, dtype)``, computed once per table state."""
+        terms = self._screen_terms.get(dtype)
+        if terms is None:
+            terms = self._screen_terms[dtype] = _screen_terms(self._entries, dtype)
+        return terms
 
     @property
     def size(self) -> int:
@@ -144,6 +168,7 @@ class Codebook:
         self.ema_delta = g * self.ema_delta + (1 - g) * counts
         touched = counts > 0
         self.entries[touched] = self.ema_sigma[touched] / self.ema_delta[touched, None]
+        self._screen_terms = {}
 
     def refresh_dead(self, latents: np.ndarray, rng: np.random.Generator) -> int:
         """Reinitialize entries that stayed under-used for DEAD_PATIENCE updates."""
@@ -158,6 +183,7 @@ class Codebook:
             self.ema_sigma[k] = z * self.entries.dtype.type(REINIT_MASS)
             self.ema_delta[k] = REINIT_MASS
             self.dead_steps[k] = 0
+            self._screen_terms = {}
         return len(stale)
 
     def digest(self) -> bytes:
@@ -195,24 +221,41 @@ def _nearest_exact(Z: np.ndarray, C: np.ndarray) -> np.ndarray:
     return indices
 
 
-def _screen(Z: np.ndarray, C: np.ndarray):
+def _screen_terms(C: np.ndarray, dtype: np.dtype) -> tuple:
+    """What a screen in float ``dtype`` derives from the entries C alone:
+    (b, max ||c||^2, -2C^T, (1+b)||c||^2, (1-b)||c||^2), b = 8(d+4)u (see
+    _screen), with -2C^T a C-contiguous (d, K) GEMM operand. All are in
+    ``dtype``, whose u the margin assumes, also for entries of a narrower
+    dtype. The last three are left None when max ||c||^2 fails the
+    screen's guard, as they could overflow."""
+    fi = np.finfo(dtype)
+    b = 4 * (C.shape[1] + 4) * fi.eps
+    C = C.astype(dtype, copy=False)
+    c2 = np.einsum("ij,ij->i", C, C)
+    c2max = c2.max()
+    if not c2max <= fi.max / 8:
+        return b, c2max, None, None, None
+    return b, c2max, np.ascontiguousarray(-2 * C.T), (1 + b) * c2, (1 - b) * c2
+
+
+def _screen(Z: np.ndarray, C: np.ndarray, dtype: np.dtype, terms: tuple):
     """quantize's ids by a GEMM screen with an exact re-rank of near-ties,
-    or None when Z and C are not floating point, not finite, or so large
-    that a score could overflow."""
-    dtype = np.result_type(Z, C)
-    if dtype.kind != "f":
-        return None
+    with w = max ||z||^2 + max ||c||^2, or None when Z and C are not finite
+    or so large that a score could overflow. ``dtype`` is the float dtype
+    of Z and C together and ``terms`` its ``_screen_terms`` of C."""
+    b, c2max, neg2ct, c2_hi, c2_lo = terms
     fi, d = np.finfo(dtype), Z.shape[1]
     z2 = np.einsum("ij,ij->i", Z, Z)
-    c2 = np.einsum("ij,ij->i", C, C)
-    if not z2.max(initial=0) + c2.max() <= fi.max / 8:  # NaN and inf fail too
+    w = z2.max(initial=0) + c2max
+    if not w <= fi.max / 8:  # NaN and inf fail too
         return None
     # Margin. Let u = eps/2 be the unit roundoff, W_j = ||z||^2 + ||c_j||^2,
     # t_j = ||z - c_j||^2 <= 2W_j the true distance. The exact distance (a
     # subtract, a square, then d-1 adds of non-negative terms in any order)
     # is within (d+2)u/(1-(d+2)u) t_j, about (2d+4)uW_j, of t_j. The score
     # s_j = ||c_j||^2 - 2 z.c_j is within about (2d+2)uW_j of t_j - ||z||^2
-    # whatever order and FMA use the GEMM and the norms sum with:
+    # whatever order and FMA use the GEMM and the norms sum with (the GEMM
+    # takes -2c_j, an exact doubling, and its products round no worse):
     # ||c_j||^2 and 2 z.c_j each carry d u W_j (2|z.c_j| <= W_j), the final
     # add 2uW_j. The exact winner j* is no farther than any m, so
     # s_j* - s_m is at most the four errors, (4d+6)u (W_j* + W_m). With
@@ -224,11 +267,9 @@ def _screen(Z: np.ndarray, C: np.ndarray):
     # underflow adds an absolute error of at most half a smallest subnormal
     # per rounded op, about 4d of them over the four errors, so 8(d+4) of
     # them cover it twice.
-    b = 4 * (d + 4) * fi.eps
-    score = Z @ C.T
-    score *= -2
-    hi = score + (1 + b) * c2
-    score += (1 - b) * c2
+    score = Z @ neg2ct
+    hi = score + c2_hi
+    score += c2_lo
     bound = hi.min(axis=1)
     bound += z2 * (2 * b) + 8 * (d + 4) * fi.smallest_subnormal
     keep = score <= bound[:, None]
@@ -236,7 +277,27 @@ def _screen(Z: np.ndarray, C: np.ndarray):
     if np.count_nonzero(keep) > len(Z):  # some row has more than one candidate
         near = np.count_nonzero(keep, axis=1) > 1
         indices[near] = _nearest_exact(Z[near], C)
-    return indices
+    return indices, w
+
+
+def _nearest(latents, cb) -> tuple:
+    """(Z, C, ids, w): the latent rows and entry table as arrays, quantize's
+    ids, and the screen's w = max ||z||^2 + max ||c||^2, None when the
+    exact scan took the call whole. A ``Codebook`` keeps its screen terms;
+    a bare table's are computed afresh."""
+    Z = latents.value if isinstance(latents, Tensor) else np.asarray(latents)
+    C = _entry_table(cb)
+    if Z.ndim != 2 or Z.shape[1] != C.shape[1]:
+        raise ShapeMismatch(f"latents {Z.shape} incompatible with codebook {C.shape}")
+    dtype = np.promote_types(Z.dtype, C.dtype)
+    if dtype.kind == "f":
+        terms = cb.screen_terms(dtype) if isinstance(cb, Codebook) else _screen_terms(C, dtype)
+        screened = _screen(Z, C, dtype, terms)
+        if screened is not None:
+            return Z, C, *screened
+    # a distance that overflows is inf and ranks last, as documented
+    with np.errstate(over="ignore"):
+        return Z, C, _nearest_exact(Z, C), None
 
 
 def quantize(latents, cb) -> tuple:
@@ -264,16 +325,32 @@ def quantize(latents, cb) -> tuple:
 
     Returns (indices (S,), codes (S, d_z)).
     """
-    Z = latents.value if isinstance(latents, Tensor) else np.asarray(latents)
-    C = _entry_table(cb)
-    if Z.ndim != 2 or Z.shape[1] != C.shape[1]:
-        raise ShapeMismatch(f"latents {Z.shape} incompatible with codebook {C.shape}")
-    indices = _screen(Z, C)
-    if indices is None:
-        # a distance that overflows is inf and ranks last, as documented
-        with np.errstate(over="ignore"):
-            indices = _nearest_exact(Z, C)
+    _, C, indices, _ = _nearest(latents, cb)
     return indices, C[indices]
+
+
+def quantize_finite(latents, cb) -> np.ndarray:
+    """``quantize``'s ids (S,), raising InvalidArgument unless the latents
+    lie at a finite total squared distance from their codes, summed by one
+    einsum over the (z - c) differences: quantize gives a row with no
+    finite distance id 0.
+
+    After the screen, S rows of d_z columns pass without that sum when
+    S w <= max/8 and S d_z eps <= 1, for the screen's w = max ||z||^2 +
+    max ||c||^2: each exact distance is at most 2w (1-u)^-(d_z+1), and the
+    float sum of S d_z rounded squares of rounded differences exceeds the
+    exact total by a factor of at most (1+u)^(S d_z+2), so the sum is under
+    e max/4, finite.
+    """
+    Z, C, indices, w = _nearest(latents, cb)
+    if w is not None:
+        fi, (S, d) = np.finfo(w.dtype), Z.shape
+        if S * d * fi.eps <= 1 and float(w) * S <= fi.max / 8:
+            return indices
+    diff = Z - C[indices]
+    if not np.einsum("ij,ij->", diff, diff) < np.inf:  # False for inf and NaN
+        raise InvalidArgument("a latent has no finite distance to its code")
+    return indices
 
 
 def straight_through(latents: Tensor, codes: np.ndarray) -> Tensor:

@@ -441,6 +441,17 @@ class TestBenchmark:
         with pytest.raises(CheckpointMismatch):
             run_noise_benchmark(ip, other, bp, bench_pairs, levels=(1,), seed=0)
 
+    @pytest.mark.parametrize("name", ["motion.dec.head.w", "motion.cb.dead"])
+    def test_one_flipped_bit_in_the_embedded_motion_model_rejected(self, trained_trio,
+                                                                    bench_pairs, name):
+        mp, ip, bp = trained_trio
+        ckpt = load_checkpoint(ip)
+        flipped = ckpt.arrays[name].copy()
+        flipped.reshape(-1).view(np.uint8)[0] ^= 1
+        ckpt.arrays[name] = flipped
+        with pytest.raises(CheckpointMismatch, match="different motion model"):
+            run_noise_benchmark(ckpt, mp, bp, bench_pairs, levels=(1,), seed=0)
+
     def test_stage_two_file_as_motion_checkpoint_rejected(self, trained_trio, bench_pairs):
         # it embeds the very motion arrays it is compared against
         _, ip, bp = trained_trio

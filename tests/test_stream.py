@@ -12,7 +12,7 @@ from imutok import stream, vqcodec
 from imutok.checkpoint import load_checkpoint
 from imutok.errors import DigestMismatch, FormatError, InvalidArgument, StatsMissing
 from imutok.evalbench import _baseline_predict, augment_and_normalize, synthesize_pairs
-from imutok.imusim import IMU_WIDTH, InertiaSequence
+from imutok.imusim import IMU_WIDTH, SL_ACC, InertiaSequence
 from imutok.models import WINDOW_GROUP, BaselinePoser, StackWorkspace, flatten_latents
 from imutok.stream import (CRC_BYTES, HEADER_BYTES, InferencePipeline, StreamState,
                            TokenSequence, decode_tokens, push_frames,
@@ -195,6 +195,65 @@ class TestPushFrames:
         offline = tokenize_sequence(InertiaSequence(frames, imu_640.fps), pipeline, chunk_len=16)
         assert np.array_equal(toks, offline.tokens)
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float16, np.float32,
+                                       np.float64])
+    def test_buffered_frames_are_the_float64_normalization_rounded_once(self, pipeline,
+                                                                          imu_640, dtype):
+        frames = imu_640.frames[:11]
+        if dtype is np.int64:
+            # 2^60 + 2^36 + 1 rounds up in a direct cast to float32, but to
+            # 2^60 + 2^36 in float64 and then down to 2^60, half to even
+            big = np.array([2**60 + 2**36 + 1])
+            assert big.astype(np.float32) != big.astype(np.float64).astype(np.float32)
+            frames = np.round(100 * frames).astype(np.int64)
+            frames[:, ::5] = big
+        else:
+            frames = frames.astype(dtype)
+        want = np.array(frames, dtype=np.float64)
+        want[:, SL_ACC] = (want[:, SL_ACC] - pipeline.stats.mean) / pipeline.stats.std
+        assert np.array_equal(pipeline.stats.normalize(frames).view(np.uint64),
+                              want.view(np.uint64))
+        state = StreamState(pipeline, chunk_len=16)
+        for part in (frames[:4], frames[4:]):
+            assert push_frames(state, part).size == 0
+        assert state.buffer.dtype == np.float32
+        assert np.array_equal(state.buffer.view(np.uint32), want.astype(np.float32).view(np.uint32))
+
+    def test_a_push_that_completes_no_chunk_runs_no_encoder(self, pipeline, imu_640,
+                                                            monkeypatch):
+        calls = []
+        tokenize = stream.tokenize_windows
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return tokenize(*args)
+
+        monkeypatch.setattr(stream, "tokenize_windows", spy)
+        state = StreamState(pipeline, chunk_len=16)
+        toks = push_frames(state, imu_640.frames[:15])
+        assert toks.dtype == np.uint16 and toks.shape == (0,)
+        assert calls == [] and (state.frames_seen, state.tokens_emitted) == (15, 0)
+        assert push_frames(state, imu_640.frames[15:33]).shape == (8,)
+        assert calls == [2] and state.frames_seen == 33
+
+    def test_a_stream_computes_the_entry_norms_once(self, pipeline, imu_640, monkeypatch):
+        cb = pipeline.imu_model.codebook
+        cb.entries = cb.entries.copy()  # a table whose norms no quantize has computed yet
+        norms = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            if any(op is cb.entries for op in operands):
+                norms.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        for _ in range(2):
+            state = StreamState(pipeline, chunk_len=16)
+            toks = [push_frames(state, imu_640.frames[lo:lo + 37]) for lo in range(0, 640, 37)]
+            assert np.concatenate(toks).shape == (160,)
+        assert norms == ["ij,ij->i"]
+
     def test_non_finite_packet_leaves_a_partial_buffer_alone(self, pipeline, imu_640):
         state = StreamState(pipeline, chunk_len=16)
         push_frames(state, imu_640.frames[:21])
@@ -340,13 +399,13 @@ class TestEncodeChunks:
         # 40 chunks in stacked encoder calls of WINDOW_GROUP, and 5 frames left out
         x = pipeline.stats.normalize(imu_640.frames[:645]).astype(np.float32)
         seen = []
-        quantize = vqcodec.quantize
+        quantize_finite = vqcodec.quantize_finite
 
         def spy(latents, codebook):
             seen.append(latents)
-            return quantize(latents, codebook)
+            return quantize_finite(latents, codebook)
 
-        monkeypatch.setattr(vqcodec, "quantize", spy)
+        monkeypatch.setattr(vqcodec, "quantize_finite", spy)
         ids = stream._encode_chunks(pipeline, x, 16)
         assert len(seen) == -(-40 // WINDOW_GROUP)
         latents = np.concatenate(seen)

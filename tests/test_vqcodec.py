@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from imutok import gradnet as gn
 from imutok import vqcodec as vq
 from imutok.errors import ConfigInvalid, InvalidArgument, LengthMismatch, ShapeMismatch
 from imutok.gradnet import Tensor
+from imutok.models import load_model_arrays
 from imutok.vqcodec import (Codebook, LossWeights, ZipfParams, batch_token_frequency,
                             codebook_perplexity, hard_token_frequency,
                             imu_tokenizer_losses, js_divergence, motion_vq_losses,
-                            quantize, straight_through, zipf_target)
+                            quantize, quantize_finite, straight_through, zipf_target)
 from tests.test_gradnet import fd_gradcheck, leaf
 
 
@@ -297,6 +299,99 @@ class TestScreen:
             else:
                 # a one-column mean sums pairwise, the scatter in row order
                 assert_allclose(got, want, rtol=0, atol=64 * np.finfo(dtype).eps)
+
+
+def assert_matches_oracle(Z, cb):
+    idx, codes = quantize(Z, cb)
+    C = cb.entries if isinstance(cb, Codebook) else cb
+    assert np.array_equal(idx, brute_force_quantize(Z, C))
+    assert np.array_equal(codes, C[idx])
+
+
+class TestScreenTerms:
+    """A Codebook keeps the entry terms of its screens; each way its table
+    changes drops them, and a bare table is read afresh on every call."""
+
+    @pytest.mark.parametrize("change", ["ema_update", "refresh_dead", "assignment",
+                                        "load_model_arrays"])
+    def test_quantize_follows_the_changed_table(self, change):
+        rng = np.random.default_rng(12)
+        cb = Codebook(rng.normal(size=(16, 8)), gamma=0.1)
+        Z = 2.0 * rng.normal(size=(64, 8))
+        assert_matches_oracle(Z, cb)  # computes the terms of the first table
+        before = cb.entries.copy()
+        if change == "ema_update":
+            idx, _ = quantize(Z, cb)
+            cb.ema_update(Z + 1.5, idx)
+        elif change == "refresh_dead":
+            cb.ema_delta[:8] = 0.0
+            cb.dead_steps[:8] = vq.DEAD_PATIENCE - 1
+            assert cb.refresh_dead(Z, rng) == 8
+        elif change == "assignment":
+            cb.entries = rng.normal(size=(16, 8))
+        else:
+            other = Codebook(rng.normal(size=(16, 8)))
+            arrays = {"cb.entries": other.entries, "cb.sigma": other.ema_sigma,
+                      "cb.delta": other.ema_delta, "cb.dead": other.dead_steps}
+            load_model_arrays(SimpleNamespace(params=dict, codebook=cb), arrays)
+        assert not np.array_equal(quantize(Z, before)[0], quantize(Z, cb.entries)[0])
+        assert_matches_oracle(Z, cb)
+
+    def test_a_bare_table_changed_in_place_is_read_afresh(self):
+        rng = np.random.default_rng(13)
+        C = rng.normal(size=(16, 8))
+        Z = 2.0 * rng.normal(size=(64, 8))
+        assert_matches_oracle(Z, C)
+        first = quantize(Z, C)[0]
+        C[:] = rng.normal(size=C.shape)
+        assert not np.array_equal(quantize(Z, C)[0], first)
+        assert_matches_oracle(Z, C)
+
+    @pytest.mark.parametrize("order", [(np.float64, np.float32), (np.float32, np.float64)])
+    def test_screens_of_two_dtypes_keep_their_own_terms(self, order):
+        # rows an ulp off the midpoints of entry pairs: a float32 screen on
+        # the float64 screen's terms drops exact winners, and so does a
+        # float64 screen on entry norms summed in float32
+        rng = np.random.default_rng(14)
+        cb = Codebook(rng.normal(size=(64, 64)).astype(np.float32))
+        pairs = rng.integers(0, 64, size=(40, 2))
+        mid = (cb.entries[pairs[:, 0]] + cb.entries[pairs[:, 1]]) / np.float32(2)
+        rows = [mid]
+        for direction in (-np.inf, np.inf):
+            z = mid.copy()
+            z[:, 0] = np.nextafter(z[:, 0], np.float32(direction))
+            rows.append(z)
+        Z = np.concatenate(rows)
+        for _ in range(2):
+            for dtype in order:
+                assert_matches_oracle(Z.astype(dtype), cb)
+
+
+class TestQuantizeFinite:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_raises_where_the_summed_distance_is_not_finite(self):
+        # rows with ||z||^2 = 3e37 pass the screen's guard (max/8 = 4.25e37)
+        # one at a time, yet 16 of them sum past float32's max
+        rng = np.random.default_rng(15)
+        cb = Codebook(rng.normal(size=(16, 8)).astype(np.float32))
+        Z = rng.normal(size=(16, 8)).astype(np.float32)
+        huge = np.full((16, 8), np.sqrt(3e37 / 8), np.float32)
+        nan, inf = Z.copy(), Z.copy()
+        nan[3, 2], inf[5, 0] = np.nan, np.inf
+        cases = {"plain": (Z, True), "one huge row": (huge[:1], True),
+                 "two huge rows": (huge[:2], True), "16 huge rows": (huge, False),
+                 "huge and plain rows": (np.concatenate([huge[:1], Z]), True),
+                 "past the guard": (Z * np.float32(1e19), False),
+                 "NaN": (nan, False), "inf": (inf, False), "no rows": (Z[:0], True)}
+        for name, (rows, finite) in cases.items():
+            idx, codes = quantize(rows, cb)
+            diff = rows - codes
+            assert (np.einsum("ij,ij->", diff, diff) < np.inf) == finite, name
+            if finite:
+                assert np.array_equal(quantize_finite(rows, cb), idx), name
+            else:
+                with pytest.raises(InvalidArgument, match="no finite distance"):
+                    quantize_finite(rows, cb)
 
 
 class TestStraightThrough:
