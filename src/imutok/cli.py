@@ -141,8 +141,8 @@ def _prepared_pairs(args):
     if args.stats:
         mean, std = fileio.read_stats_file(args.stats)
         stats = NormStats(mean=mean, std=std)
-        return [(m, normalize_acceleration(i, stats)) for m, i in raw], stats
-    stats = fit_norm_stats([i for _, i in raw])
+    else:
+        stats = fit_norm_stats([i for _, i in raw])
     return [(m, normalize_acceleration(i, stats)) for m, i in raw], stats
 
 

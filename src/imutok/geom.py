@@ -214,5 +214,6 @@ def assert_rotation(R: np.ndarray, tol: float = 1e-9) -> None:
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3):
         raise DegenerateInput(f"expected 3x3 matrix, got {R.shape}")
-    if np.abs(R @ R.T - np.eye(3)).max() > tol or abs(np.linalg.det(R) - 1.0) > tol:
+    # written as `not err <= tol` so that a NaN error, which compares false, fails
+    if not (np.abs(R @ R.T - np.eye(3)).max() <= tol and abs(np.linalg.det(R) - 1.0) <= tol):
         raise DegenerateInput("matrix is not a proper rotation")

@@ -10,6 +10,7 @@ never adds a gravity term. The coordinate frame is y-up (gravity along -y).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import geom
 from .errors import EmptyCorpus, InvalidArgument, ShapeMismatch, TooShort
 from .motion import RawPoseTrack, check_fps, check_seed
-from .skeleton import forward_kinematics_sequence
+from .skeleton import JOINT_COUNT, forward_kinematics_sequence
 
 SENSOR_COUNT = 6
 IMU_WIDTH = 72
@@ -38,6 +39,11 @@ _DEFAULT_LEVERS = np.array([
 ])
 
 
+def _is_index(value, n: int) -> bool:
+    """Whether ``value`` is an integer in 0..n-1; a bool or a whole float is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and 0 <= value < n
+
+
 @dataclass(frozen=True)
 class SensorPlacement:
     """Six sensors: attached joint, fixed mounting rotation, lever offset (m)."""
@@ -48,10 +54,15 @@ class SensorPlacement:
     levers: np.ndarray = field(default_factory=lambda: _DEFAULT_LEVERS.copy())
 
     def __post_init__(self):
+        if not all(_is_index(j, JOINT_COUNT) for j in self.joints):
+            raise InvalidArgument(f"placement joints must be integers in 0..{JOINT_COUNT - 1}, "
+                                  f"got {self.joints}")
         if len(self.joints) != SENSOR_COUNT or len(set(self.joints)) != SENSOR_COUNT:
             raise InvalidArgument("placement needs 6 distinct joints")
         if self.mounts.shape != (SENSOR_COUNT, 3, 3) or self.levers.shape != (SENSOR_COUNT, 3):
             raise ShapeMismatch("placement arrays have wrong shapes")
+        if not (np.isfinite(self.mounts).all() and np.isfinite(self.levers).all()):
+            raise InvalidArgument("placement mounts and levers must be finite")
         for R in self.mounts:
             geom.assert_rotation(R, tol=1e-8)
 
@@ -87,9 +98,6 @@ class InertiaSequence:
     def gyro(self) -> np.ndarray:
         return self.frames[:, SL_GYR].reshape(len(self), SENSOR_COUNT, 3)
 
-    def copy(self) -> "InertiaSequence":
-        return InertiaSequence(frames=self.frames.copy(), fps=self.fps)
-
 
 @dataclass
 class NoiseConfig:
@@ -116,8 +124,9 @@ class NoiseConfig:
                   self.gaussian_sigma_ori, self.gaussian_sigma_acc, self.gaussian_sigma_gyr)
         if not all(0 <= s < np.inf for s in sigmas):  # NaN fails too
             raise InvalidArgument(f"noise sigmas must be finite and non-negative, got {sigmas}")
-        if any(s not in range(SENSOR_COUNT) for s in self.corrupted_sensors):
-            raise InvalidArgument("corrupted_sensors must be a subset of {0..5}")
+        if not all(_is_index(s, SENSOR_COUNT) for s in self.corrupted_sensors):
+            raise InvalidArgument(f"corrupted_sensors must be integers in 0..{SENSOR_COUNT - 1}, "
+                                  f"got {self.corrupted_sensors}")
         if len(self.dropout) != SENSOR_COUNT:
             raise InvalidArgument(f"dropout needs one flag per sensor ({SENSOR_COUNT}), "
                                   f"got {len(self.dropout)}")
@@ -210,8 +219,8 @@ def _rows_of(frames: np.ndarray, cfgs, sensor_sets) -> tuple:
         raise ShapeMismatch(f"{out.shape[0]} cases need as many configs and sensor sets, got "
                             f"{len(cfgs)} and {len(sensor_sets)}")
     rows = [(c, i) for c, sensors in enumerate(sensor_sets) for i in sensors]
-    if any(i not in range(SENSOR_COUNT) for _, i in rows):
-        raise InvalidArgument(f"sensors must be in 0..{SENSOR_COUNT - 1}")
+    if not all(_is_index(i, SENSOR_COUNT) for _, i in rows):
+        raise InvalidArgument(f"sensors must be integers in 0..{SENSOR_COUNT - 1}")
     return out, rows
 
 

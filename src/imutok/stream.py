@@ -144,11 +144,12 @@ class StreamState:
 
     pipeline: InferencePipeline
     chunk_len: int = DEFAULT_CHUNK
+    # run-time state, set by push_frames only
     buffer: np.ndarray = field(
-        default_factory=lambda: np.empty((0, IMU_WIDTH), dtype=np.float32))
-    frames_seen: int = 0
-    tokens_emitted: int = 0
-    workspaces: dict = field(default_factory=dict, repr=False, compare=False)
+        init=False, default_factory=lambda: np.empty((0, IMU_WIDTH), dtype=np.float32))
+    frames_seen: int = field(init=False, default=0)
+    tokens_emitted: int = field(init=False, default=0)
+    workspaces: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pipeline.stats is None:

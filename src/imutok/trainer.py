@@ -7,8 +7,11 @@ the half-overlapping crops of the corpus, and each step gathers its batch
 from the corpus's own frames; ``backward`` releases each step's graph as it
 sweeps, so the root that ``fit`` keeps into the next step holds none of
 it. Training holds the corpus, one batch and one graph.
-Stage 2's targets come from a model that does not change, so
-``frozen_targets`` encodes them once, before its loop.
+The two tokenizer stages learn their codebooks by one recipe, ``_VQStage``:
+its random streams, k-means seeding at step 0, straight-through
+quantization, Gumbel soft token frequencies and the post-step EMA and
+dead-code refresh. Stage 2's targets come from a model that does not
+change, so ``models.tokenize_windows`` encodes them once, before its loop.
 """
 
 from __future__ import annotations
@@ -291,34 +294,6 @@ _FOOT_VEL_ROWS = [
 ]
 
 
-def _motion_batch_losses(model: MotionVQVAE, batch: np.ndarray, cfg: TrainConfig,
-                         gumbel_rng, zipf_const: np.ndarray, kmeans_rng=None):
-    """Forward pass and full stage-1 objective for one (B, T, 271) batch.
-    With ``kmeans_rng`` (step 0), k-means over this batch's latents first
-    replaces the placeholder codebook."""
-    x = gn.Tensor(time_last(batch))
-    flat = flatten_latents(model.encode(x))
-    if kmeans_rng is not None:
-        model.codebook = vq.Codebook.from_kmeans(flat.value, cfg.K, rng=kmeans_rng,
-                                                 gamma=cfg.gamma)
-    indices, codes = vq.quantize(flat, model.codebook)
-    st = vq.straight_through(flat, codes)
-    recon = model.decode(unflatten_latents(st, batch.shape[0], cfg.d_z))
-
-    p = x[:, SL_CONTACT, :]
-    p_hat = recon[:, SL_CONTACT, :]
-    jv = gn.concat([recon[:, lo:hi, :] for lo, hi in _FOOT_VEL_ROWS], axis=1)
-    jv = gn.reshape(jv, (batch.shape[0], 4, 3, batch.shape[1]))
-
-    total, comps = vq.motion_vq_losses(x, recon, flat, codes, p, p_hat, jv, cfg.weights)
-    freq = vq.batch_token_frequency(flat, gn.Tensor(model.codebook.entries),
-                                    cfg.temperature, gumbel_rng)
-    zipf_js = vq.js_divergence(freq, zipf_const)
-    total = gn.add(total, gn.mul(zipf_js, cfg.weights.dist * cfg.weights.zipf))
-    comps["zipf_js"] = zipf_js
-    return total, comps, flat, indices
-
-
 def motion_total_from_components(comps: dict, w: LossWeights) -> float:
     """The logged stage-1 total: weighted sum of logged component values."""
     return (w.recon * comps["recon"] + w.commit * comps["commit"]
@@ -326,12 +301,47 @@ def motion_total_from_components(comps: dict, w: LossWeights) -> float:
             + w.dist * w.zipf * comps["zipf_js"])
 
 
-def _codebook_step(codebook: vq.Codebook, latents: np.ndarray, indices, dead_rng):
-    """The post-step codebook update: EMA, then dead-code refresh."""
-    def after():
-        codebook.ema_update(latents, indices)
-        return {"refreshed": codebook.refresh_dead(latents, dead_rng)}
-    return after
+class _VQStage:
+    """The codebook recipe both tokenizer stages share, on three streams of
+    ``cfg.seed`` (``fit`` draws the batches from ``base + 1``): the init
+    stream ``base`` builds ``model_cls`` and then seeds its codebook by
+    k-means; the Gumbel stream ``base + 2`` draws every soft token
+    frequency's noise, in call order; the dead-code stream ``base + 3``
+    re-seeds dead entries after each step. ``zipf`` is the Zipf target of
+    the sorted token frequencies."""
+
+    def __init__(self, model_cls, cfg: TrainConfig, base: int):
+        self.cfg, self.base = cfg, base
+        self.init_rng, self.gumbel_rng, self.dead_rng = (_rng(cfg.seed, base + k)
+                                                         for k in (0, 2, 3))
+        self.model = model_cls(cfg, rng=self.init_rng)
+        self.zipf = vq.zipf_target(ZipfParams(cfg.zipf_alpha, cfg.zipf_beta, cfg.K))
+
+    def quantize(self, x: gn.Tensor, step: int) -> tuple:
+        """(latents, ids, codes, straight-through codes) of the (B, D, T)
+        batch ``x``: the encoder's (B*T/4, d_z) latents and their nearest
+        entries. At step 0, k-means over these latents first replaces the
+        placeholder codebook."""
+        flat = flatten_latents(self.model.encode(x))
+        if step == 0:
+            self.model.codebook = vq.Codebook.from_kmeans(flat.value, self.cfg.K,
+                                                          rng=self.init_rng, gamma=self.cfg.gamma)
+        ids, codes = vq.quantize(flat, self.model.codebook)
+        return flat, ids, codes, vq.straight_through(flat, codes)
+
+    def frequency(self, latents, codebook: vq.Codebook) -> gn.Tensor:
+        """Sorted Gumbel soft frequencies of ``latents`` over ``codebook``."""
+        return vq.batch_token_frequency(latents, codebook, self.cfg.temperature, self.gumbel_rng)
+
+    def after(self, flat: gn.Tensor, ids: np.ndarray):
+        """``fit``'s post-step update of the codebook: EMA, then dead-code
+        refresh."""
+        codebook, latents = self.model.codebook, flat.value
+
+        def after():
+            codebook.ema_update(latents, ids)
+            return {"refreshed": codebook.refresh_dead(latents, self.dead_rng)}
+        return after
 
 
 def train_motion_vqvae(corpus, cfg: TrainConfig, ckpt_path=None):
@@ -343,32 +353,28 @@ def train_motion_vqvae(corpus, cfg: TrainConfig, ckpt_path=None):
     if not frames:
         raise EmptyDataset("empty motion corpus")
     windows = make_windows(frames, cfg.window)
-
-    init_rng = _rng(cfg.seed, 0)
-    gumbel_rng = _rng(cfg.seed, 2)
-    dead_rng = _rng(cfg.seed, 3)
-    model = MotionVQVAE(cfg, rng=init_rng)
-    zipf_const = vq.zipf_target(ZipfParams(cfg.zipf_alpha, cfg.zipf_beta, cfg.K))
+    stage = _VQStage(MotionVQVAE, cfg, 0)
+    model, w = stage.model, cfg.weights
 
     def loss_fn(batches, step):
-        total, comps, flat, indices = _motion_batch_losses(
-            model, batches[0], cfg, gumbel_rng, zipf_const, init_rng if step == 0 else None)
+        batch = batches[0]
+        x = gn.Tensor(time_last(batch))
+        flat, ids, codes, st = stage.quantize(x, step)
+        recon = model.decode(unflatten_latents(st, batch.shape[0], cfg.d_z))
+        p, p_hat = x[:, SL_CONTACT, :], recon[:, SL_CONTACT, :]
+        jv = gn.concat([recon[:, lo:hi, :] for lo, hi in _FOOT_VEL_ROWS], axis=1)
+        jv = gn.reshape(jv, (batch.shape[0], 4, 3, batch.shape[1]))
+        total, comps = vq.motion_vq_losses(x, recon, flat, codes, p, p_hat, jv, w)
+        comps["zipf_js"] = vq.js_divergence(stage.frequency(flat, model.codebook), stage.zipf)
+        total = gn.add(total, gn.mul(comps["zipf_js"], w.dist * w.zipf))
         vals = {k: float(t) for k, t in comps.items()}
-        record = dict(loss=motion_total_from_components(vals, cfg.weights), **vals,
-                      perplexity=vq.codebook_perplexity(indices, cfg.K))
-        return total, record, _codebook_step(model.codebook, flat.value, indices, dead_rng)
+        record = dict(loss=motion_total_from_components(vals, w), **vals,
+                      perplexity=vq.codebook_perplexity(ids, cfg.K))
+        return total, record, stage.after(flat, ids)
 
-    report = fit((model,), cfg, (windows,), loss_fn, 0, kind="motion_vqvae",
+    report = fit((model,), cfg, (windows,), loss_fn, stage.base, kind="motion_vqvae",
                  ckpt_path=ckpt_path)
     return model, report
-
-
-def frozen_targets(model: MotionVQVAE, windows: WindowIndex | np.ndarray) -> tuple:
-    """Stage 2's targets for N motion windows (a WindowIndex or an
-    (N, T, 271) array): the frozen ``model``'s latents (N, T/4, d_z) and
-    token ids (N, T/4) from ``tokenize_windows``. Raises InvalidArgument
-    for windows that overflow the encoder."""
-    return tokenize_windows(model, windows)
 
 
 def target_rows(latents: np.ndarray) -> np.ndarray:
@@ -386,10 +392,10 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
 
     The motion tokenizer is loaded frozen from motion_ckpt; only the IMU
     encoder receives gradients, and the IMU codebook moves by EMA. Before
-    the first step, ``frozen_targets`` encodes every motion window once:
-    each step gathers its batch's cached latents and token ids instead of
-    running the frozen encoder, and targets that overflow it raise
-    InvalidArgument before training starts. The checkpoint is
+    the first step, ``models.tokenize_windows`` encodes every motion window
+    once: each step gathers its batch's cached latents and token ids
+    instead of running the frozen encoder, and targets that overflow it
+    raise InvalidArgument before training starts. The checkpoint is
     self-contained: it embeds the frozen motion model and the acceleration
     normalization stats used in training.
     """
@@ -401,41 +407,26 @@ def train_imu_tokenizer(paired, motion_ckpt, cfg: TrainConfig, stats: NormStats,
             f"hidden={motion_cfg.hidden}; config asks K={cfg.K}, d_z={cfg.d_z}, "
             f"hidden={cfg.hidden}")
     motion_windows, imu_windows = paired_windows(paired, cfg.window)
-    latents, ids = frozen_targets(motion_model, motion_windows)
-
-    init_rng = _rng(cfg.seed, 10)
-    gumbel_rng = _rng(cfg.seed, 12)
-    dead_rng = _rng(cfg.seed, 13)
-    imu_model = ImuTokenizer(cfg, rng=init_rng)
-    zipf_const = vq.zipf_target(ZipfParams(cfg.zipf_alpha, cfg.zipf_beta, cfg.K))
+    latents, ids = tokenize_windows(motion_model, motion_windows)
+    stage = _VQStage(ImuTokenizer, cfg, 10)
+    imu_model = stage.model
 
     def loss_fn(batches, step):
         bz, bids, bi = batches
-        z_imu = flatten_latents(imu_model.encode(gn.Tensor(time_last(bi))))
-        if step == 0:
-            imu_model.codebook = vq.Codebook.from_kmeans(z_imu.value, cfg.K,
-                                                         rng=init_rng, gamma=cfg.gamma)
-        idx_imu, codes_imu = vq.quantize(z_imu, imu_model.codebook)
-        b_imu = vq.straight_through(z_imu, codes_imu)
-
-        z_mot = target_rows(bz)
+        z_imu, idx_imu, _, b_imu = stage.quantize(gn.Tensor(time_last(bi)), step)
         b_mot = motion_model.codebook.entries[bids.reshape(-1)]
-
-        f_imu = vq.batch_token_frequency(z_imu, gn.Tensor(imu_model.codebook.entries),
-                                         cfg.temperature, gumbel_rng)
-        f_mot = vq.batch_token_frequency(z_mot, motion_model.codebook.entries,
-                                         cfg.temperature, gumbel_rng)
+        f_imu = stage.frequency(z_imu, imu_model.codebook)
+        f_mot = stage.frequency(target_rows(bz), motion_model.codebook)
         total, comps = vq.imu_tokenizer_losses(b_imu, b_mot, f_imu, f_mot.value, cfg.weights)
         code, dist_match = float(comps["code"]), float(comps["dist_match"])
         # the motion tokens' Zipf divergence is recorded, not trained on
-        dist_zipf = float(vq.js_divergence(f_mot, zipf_const))
+        dist_zipf = float(vq.js_divergence(f_mot, stage.zipf))
         dist = dist_match + cfg.weights.zipf * dist_zipf
         record = dict(loss=cfg.weights.code * code + cfg.weights.dist * dist, code=code,
                       dist=dist, dist_match=dist_match, dist_zipf=dist_zipf,
                       perplexity=vq.codebook_perplexity(idx_imu, cfg.K))
-        return total, record, _codebook_step(imu_model.codebook, z_imu.value, idx_imu,
-                                             dead_rng)
+        return total, record, stage.after(z_imu, idx_imu)
 
-    report = fit((imu_model, motion_model), cfg, (latents, ids, imu_windows), loss_fn, 10,
-                 kind="imu_tokenizer", stats=stats, ckpt_path=ckpt_path)
+    report = fit((imu_model, motion_model), cfg, (latents, ids, imu_windows), loss_fn,
+                 stage.base, kind="imu_tokenizer", stats=stats, ckpt_path=ckpt_path)
     return imu_model, motion_model, report

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imutok import fileio
+from imutok import fileio, stream
 from imutok.cli import main, parse_config_file
 from imutok.errors import ImutokError
+from imutok.imusim import fit_norm_stats
 from imutok.stream import (InferencePipeline, TokenSequence, read_token_stream,
                            write_token_stream)
-from imutok.trainer import TrainConfig
+from imutok.trainer import TrainConfig, load_trained
 from imutok.vqcodec import LossWeights
 
 
@@ -186,7 +187,88 @@ class TestMotionAndImuCommands:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+def _placement(joints=(0, 15, 18, 21, 2, 7), mount=None, lever=None):
+    mounts = np.tile(np.eye(3), (6, 1, 1))
+    levers = np.zeros((6, 3))
+    if mount is not None:
+        mounts[2, 1, 1] = mount
+    if lever is not None:
+        levers[5, 2] = lever
+    # NaN goes out as JSON's NaN literal, which json.load reads back
+    return json.dumps({"joints": list(joints), "mounts": mounts.tolist(),
+                       "levers": levers.tolist()})
+
+
+class TestHostileSimulateInputs:
+    @pytest.mark.parametrize("content", [
+        _placement(joints=(0, 15, 18, 21, 2, 99)),
+        _placement(joints=(0, 15, 18, 21, 2, -1)),
+        _placement(joints=(0, 15, 18, 21, 2, 7.0)),
+        _placement(mount=float("nan")),
+        _placement(lever=float("nan")),
+        json.dumps({"corrupted_sensors": [1.0], "gaussian_sigma_acc": 0.5}),
+        json.dumps({"corrupted_sensors": [True], "gaussian_sigma_acc": 0.5}),
+    ], ids=["joint_99", "joint_-1", "joint_float", "nan_mount", "nan_lever",
+            "sensor_float", "sensor_bool"])
+    def test_exits_with_error_and_writes_nothing(self, workdir, dataset, capsys, content):
+        # unchecked, joint 99 indexes past the skeleton, joint -1 reads joint 21,
+        # a NaN mount or lever writes NaN frames and sensor 1.0 fails in seeding
+        flag = "--noise-profile" if "corrupted_sensors" in content else "--placement"
+        bad, out = workdir / "hostile.json", workdir / "hostile.mji1"
+        bad.write_text(content)
+        code = main(["imu", "simulate", "--motion", str(dataset / "seq0.mjt1"),
+                     flag, str(bad), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestTrainAndStreamCommands:
+    def test_stream_pipe_writes_what_pipe_tokenize_writes(self, dataset, checkpoints, capsys,
+                                                         monkeypatch):
+        import io
+        _, ip, _ = checkpoints
+        frames = fileio.read_imu_file(dataset / "seq0.mji1").frames.astype("<f4")
+        packets = b"".join(np.uint32(len(p)).tobytes() + p.tobytes()
+                           for p in (frames[:21], frames[21:40], frames[40:105]))
+        want = io.BytesIO()
+        total = stream.pipe_tokenize(io.BytesIO(packets), want,
+                                     InferencePipeline.from_checkpoint(ip))
+        assert total > 0
+        stdout = io.BytesIO()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(packets)))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(stdout))
+        assert main(["stream", "pipe", "--ckpt", str(ip)]) == 0
+        assert stdout.getvalue() == want.getvalue()
+        assert capsys.readouterr().err == f"emitted {total} tokens\n"
+
+    def test_train_steps_and_report(self, workdir, dataset, tiny_config, capsys):
+        report = workdir / "steps.jsonl"
+        assert main(["train", "motion", "--data", str(dataset), "--config", str(tiny_config),
+                     "--steps", "3", "--out", str(workdir / "steps.mjc"),
+                     "--report", str(report)]) == 0
+        assert "stage 1 done: 3 steps" in capsys.readouterr().out
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [r["step"] for r in records] == [0, 1, 2]
+        assert all(list(r) == ["step", "loss", "recon", "commit", "contact", "slide",
+                               "zipf_js", "perplexity", "lr", "refreshed", "wall_clock"]
+                   for r in records)
+
+    @pytest.mark.parametrize("stage, kind", [("imu", "imu_tokenizer"),
+                                             ("baseline", "baseline_poser")])
+    def test_train_with_stats_uses_the_sidecar(self, workdir, dataset, tiny_config,
+                                               checkpoints, stage, kind):
+        fitted = fit_norm_stats([fileio.read_imu_file(dataset / f"seq{n}.mji1")
+                                 for n in range(3)])
+        mean, std = fitted.mean + 0.25, fitted.std * 2.0
+        sidecar, out = workdir / f"sidecar_{stage}.mjn", workdir / f"sidecar_{stage}.mjc"
+        fileio.write_stats_file(sidecar, mean, std)
+        extra = ["--motion-ckpt", str(checkpoints[0])] if stage == "imu" else []
+        assert main(["train", stage, "--data", str(dataset), "--config", str(tiny_config),
+                     "--steps", "1", "--stats", str(sidecar), "--out", str(out), *extra]) == 0
+        _, _, stats = load_trained(out, kind)
+        assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
+
     def test_stream_round_trip(self, workdir, dataset, checkpoints):
         _, ip, _ = checkpoints
         tokens = workdir / "seq0.mjt"

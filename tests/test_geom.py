@@ -152,6 +152,20 @@ class TestSo3:
         assert_allclose(geom.log_so3(geom.exp_so3(v)), v, atol=1e-15)
 
 
+class TestAssertRotation:
+    # every comparison with NaN is false, so a check written as `err > tol`
+    # lets a NaN matrix through
+    def test_a_nan_entry_raises(self):
+        R = np.eye(3)
+        R[1, 2] = np.nan
+        with pytest.raises(DegenerateInput):
+            geom.assert_rotation(R)
+
+    def test_a_nan_matrix_raises(self):
+        with pytest.raises(DegenerateInput):
+            geom.assert_rotation(np.full((3, 3), np.nan))
+
+
 class TestAngularVelocity:
     def test_equal_rotations_give_zero(self):
         rng = np.random.default_rng(2)

@@ -106,6 +106,21 @@ class TestSynthesize:
         with pytest.raises(InvalidArgument):
             SensorPlacement(joints=(0, 0, 1, 2, 3, 4))
 
+    @pytest.mark.parametrize("joint", [99, 22, -1, 7.0, True, "7"],
+                             ids=["99", "22", "-1", "float", "bool", "str"])
+    def test_joints_must_be_integers_of_the_skeleton(self, joint):
+        # unchecked, 99 indexes past the skeleton in synthesis and -1 reads joint 21
+        with pytest.raises(InvalidArgument, match="joints"):
+            SensorPlacement(joints=(0, 15, 18, 21, 2, joint))
+
+    @pytest.mark.parametrize("name", ["mounts", "levers"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mounts_and_levers_must_be_finite(self, name, bad):
+        arrays = {"mounts": np.tile(np.eye(3), (6, 1, 1)), "levers": np.zeros((6, 3))}
+        arrays[name][4, 0, ...] = bad
+        with pytest.raises(InvalidArgument, match="finite"):
+            SensorPlacement(**arrays)
+
 
 class TestNoiseConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -117,11 +132,24 @@ class TestNoiseConfig:
         dict(dropout=(False,) * 7),
         dict(seed=-1),
         dict(seed=1.5),
+        dict(corrupted_sensors=(1.0,)),
+        dict(corrupted_sensors=(True,)),
     ], ids=["negative", "inf", "nan", "sensor_6", "dropout_1", "dropout_7", "seed_-1",
-            "seed_1.5"])
+            "seed_1.5", "sensor_float", "sensor_bool"])
     def test_hostile_profiles_raise(self, kwargs):
         with pytest.raises(InvalidArgument):
             NoiseConfig(**kwargs)
+
+
+@pytest.mark.parametrize("sensor", [1.0, True], ids=["float", "bool"])
+def test_drift_sensors_must_be_integer_indices(sensor):
+    # a float or bool passes `in range(6)` and then fails in the per-sensor
+    # seeding with TypeError
+    seq = _random_imu(T=5)
+    with pytest.raises(InvalidArgument, match="sensors"):
+        apply_drift(seq, NoiseConfig(), sensors=(0, sensor))
+    with pytest.raises(InvalidArgument, match="sensors"):
+        apply_drift_batch(seq.frames[None], [NoiseConfig()], [(sensor,)])
 
 
 def _drift_reference(frames, cfg, sensors):

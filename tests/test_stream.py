@@ -350,6 +350,16 @@ class TestPushFrames:
         assert np.array_equal(tok.tokens,
                               tokenize_sequence(imu_640, pipeline, chunk_len=16).tokens)
 
+    @pytest.mark.parametrize("name, value", [
+        ("buffer", np.zeros((3, IMU_WIDTH), np.float32)), ("frames_seen", 5),
+        ("tokens_emitted", 5), ("workspaces", {})])
+    def test_run_time_state_is_not_a_constructor_option(self, pipeline, name, value):
+        with pytest.raises(TypeError):
+            StreamState(pipeline, **{name: value})
+        state = StreamState(pipeline, chunk_len=16)
+        assert (len(state.buffer), state.frames_seen, state.tokens_emitted,
+                state.workspaces) == (0, 0, 0, {})
+
     def test_missing_stats_raises(self, pipeline):
         import dataclasses
         broken = dataclasses.replace(pipeline, stats=None)

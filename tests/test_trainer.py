@@ -13,11 +13,11 @@ from imutok.errors import (CheckpointMismatch, ConfigInvalid, DigestMismatch,
                            ShapeMismatch)
 from imutok.evalbench import augment_and_normalize, synthesize_pairs
 from imutok.imusim import InertiaSequence
-from imutok.models import WINDOW_GROUP, ConvStack, MotionVQVAE, flatten_latents, model_arrays
-from imutok.motion import MotionSequence
+from imutok.models import (WINDOW_GROUP, ConvStack, MotionVQVAE, flatten_latents, model_arrays,
+                           tokenize_windows, unflatten_latents)
+from imutok.motion import SL_CONTACT, MotionSequence
 from imutok.stream import InferencePipeline
-from imutok.trainer import (CHECKPOINT_KINDS, TrainConfig, _motion_batch_losses,
-                            _rng, fit, frozen_targets, load_trained, make_windows,
+from imutok.trainer import (CHECKPOINT_KINDS, TrainConfig, _rng, fit, load_trained, make_windows,
                             motion_total_from_components, paired_windows, target_rows, time_last,
                             train_imu_tokenizer, train_motion_vqvae)
 
@@ -180,7 +180,7 @@ class TestWindows:
         for size in (1, 4, 16):
             sel = rng.choice(len(want), size=size, replace=False)
             assert_bitwise(w[sel], want[sel])
-        # the slices frozen_targets gathers, the last one short
+        # the slices tokenize_windows gathers, the last one short
         for lo in range(0, len(want), WINDOW_GROUP):
             assert_bitwise(w[lo:lo + WINDOW_GROUP], want[lo:lo + WINDOW_GROUP])
 
@@ -237,8 +237,8 @@ class TestStageOne:
         corpus = [m for m, _ in pairs]
         _, report = train_motion_vqvae(corpus, tiny_cfg)
 
-        # rebuild the exact step-0 state: same init/data/gumbel streams
-        from imutok.models import MotionVQVAE, flatten_latents
+        # rebuild the exact step-0 state from the same init/data/gumbel
+        # streams, and the stage-1 objective from its components
         windows = make_windows([np.asarray(m.frames) for m in corpus], tiny_cfg.window)
         init_rng = _rng(tiny_cfg.seed, 0)
         data_rng = _rng(tiny_cfg.seed, 1)
@@ -247,11 +247,18 @@ class TestStageOne:
         sel = data_rng.choice(len(windows), size=min(tiny_cfg.batch_size, len(windows)),
                               replace=False)
         batch = windows[sel]
-        z0 = model.encode(gn.Tensor(np.ascontiguousarray(batch.transpose(0, 2, 1))))
-        model.codebook = vq.Codebook.from_kmeans(flatten_latents(z0).value, tiny_cfg.K,
+        x = gn.Tensor(np.ascontiguousarray(batch.transpose(0, 2, 1)))
+        z0 = flatten_latents(model.encode(x))
+        model.codebook = vq.Codebook.from_kmeans(z0.value, tiny_cfg.K,
                                                  rng=init_rng, gamma=tiny_cfg.gamma)
-        zipf_const = vq.zipf_target(vq.ZipfParams(K=tiny_cfg.K))
-        _, comps, _, _ = _motion_batch_losses(model, batch, tiny_cfg, gumbel_rng, zipf_const)
+        _, codes = vq.quantize(z0, model.codebook)
+        recon = model.decode(unflatten_latents(gn.Tensor(codes), len(batch), tiny_cfg.d_z)).value
+        jv = np.concatenate([recon[:, lo:hi] for lo, hi in trainer._FOOT_VEL_ROWS], axis=1)
+        _, comps = vq.motion_vq_losses(x, recon, z0, codes, x.value[:, SL_CONTACT],
+                                       recon[:, SL_CONTACT], jv.reshape(len(batch), 4, 3, -1),
+                                       tiny_cfg.weights)
+        freq = vq.batch_token_frequency(z0, model.codebook, tiny_cfg.temperature, gumbel_rng)
+        comps["zipf_js"] = vq.js_divergence(freq, vq.zipf_target(vq.ZipfParams(K=tiny_cfg.K)))
         fresh = motion_total_from_components({k: float(v) for k, v in comps.items()},
                                              tiny_cfg.weights)
         assert report.records[0]["loss"] == pytest.approx(fresh, rel=1e-12)
@@ -487,7 +494,7 @@ class TestFrozenTargets:
         # windows that share its batch, so only encoding it alone is stable
         model = MotionVQVAE(tiny_cfg, rng=_rng(1, 0))
         windows = random_windows(2 * WINDOW_GROUP + 5, tiny_cfg)
-        latents, ids = frozen_targets(model, windows)
+        latents, ids = tokenize_windows(model, windows)
         S = tiny_cfg.window // 4
         assert latents.shape == (len(windows), S, tiny_cfg.d_z)
         assert ids.shape == (len(windows), S)
@@ -500,7 +507,7 @@ class TestFrozenTargets:
         cfg = TrainConfig()
         model = MotionVQVAE(cfg, rng=_rng(1, 0))
         windows = random_windows(3 * cfg.batch_size, cfg)
-        latents, ids = frozen_targets(model, windows)
+        latents, ids = tokenize_windows(model, windows)
         rng = np.random.default_rng(2)
         for _ in range(3):
             sel = rng.choice(len(windows), size=cfg.batch_size, replace=False)
@@ -514,7 +521,7 @@ class TestFrozenTargets:
 
     def test_motion_encoder_runs_once_per_training_not_per_step(self, tiny_cfg, tiny_pairs,
                                                                 stage1, monkeypatch):
-        # frozen_targets is the only caller of the array forward in stage 2
+        # tokenize_windows is the only caller of the array forward in stage 2
         pairs, stats = tiny_pairs
         forward = ConvStack.forward_array
         calls = []
